@@ -7,8 +7,10 @@ second formal variable ``zbar``; conjugation becomes a substitution at
 evaluation time, which keeps unitary-frame connection terms such as
 ``dz/z - dzbar/zbar`` rational.
 
-Doubles enter only through :meth:`BiRationalFunction.evaluate` and the
-compiled evaluators used by the transport layer.
+Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
+place where coefficients become floats and near-poles raise ``PoleHit``.
+Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
+transport layer's pullback included, goes through it.
 """
 
 from __future__ import annotations
@@ -253,12 +255,6 @@ class BiPolynomial:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_complex(self, z: complex, zbar: complex) -> complex:
-        total = 0j
-        for (i, j), c in self.terms.items():
-            total += c.to_complex() * z**i * zbar**j
-        return total
-
     def eval_exact(self, z: GaussianRational, zbar: GaussianRational) -> GaussianRational:
         total = GR_ZERO
         for (i, j), c in self.terms.items():
@@ -269,11 +265,6 @@ class BiPolynomial:
                 term = term * zbar
             total = total + term
         return total
-
-    def max_coeff_magnitude(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c.to_complex()) for c in self.terms.values())
 
     # -- sympy bridge (gcd only) --------------------------------------------------
 
@@ -446,12 +437,7 @@ class BiRationalFunction:
 
     def evaluate(self, z: complex) -> complex:
         """Numeric value at z with zbar := conj(z); raises PoleHit near poles."""
-        zc = complex(z)
-        nv = self.num.eval_complex(zc, zc.conjugate())
-        dv = self.den.eval_complex(zc, zc.conjugate())
-        if abs(dv) <= EVAL_TOLERANCE * (1.0 + abs(nv)):
-            raise PoleHit(f"denominator vanishes at z={z!r}")
-        return nv / dv
+        return self.compiled()(complex(z))
 
     def evaluate_exact(self, z: GaussianRational) -> GaussianRational:
         zb = z.conjugate()
@@ -461,7 +447,11 @@ class BiRationalFunction:
         return self.num.eval_exact(z, zb) / dv
 
     def compiled(self) -> Callable[[complex], complex]:
-        """Closure evaluating this function in doubles (for the transport layer)."""
+        """Closure evaluating this function in doubles, zbar := conj(z).
+
+        The only conversion of coefficients to doubles; raises PoleHit where
+        the denominator vanishes to within EVAL_TOLERANCE.
+        """
         num_terms = [(i, j, c.to_complex()) for (i, j), c in self.num.terms.items()]
         den_terms = [(i, j, c.to_complex()) for (i, j), c in self.den.terms.items()]
 
@@ -637,21 +627,8 @@ class RationalFunctionMatrix:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def evaluate(self, z: complex):
-        import numpy as np
-
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.evaluate(z) if e else 0j
-        return out
-
     def evaluate_exact(self, z: GaussianRational):
         return [[e.evaluate_exact(z) for e in row] for row in self.entries]
-
-    def compiled(self):
-        """List-of-lists of compiled entry evaluators (None for zero entries)."""
-        return [[(e.compiled() if e else None) for e in row] for row in self.entries]
 
     # -- serialization ----------------------------------------------------------------
 

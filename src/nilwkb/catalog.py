@@ -30,8 +30,6 @@ INV_TWO_PI = Fraction(1425859230779, 8958937768937)
 
 
 def _E(n: int, i: int, j: int, value=1) -> RationalFunctionMatrix:
-    grid = [[0] * n for _ in range(n)]
-    grid[i][j] = 0
     mat = [[BRF.zero() for _ in range(n)] for _ in range(n)]
     mat[i][j] = BRF.constant(GaussianRational.coerce(value))
     return RationalFunctionMatrix(mat)

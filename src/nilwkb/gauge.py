@@ -100,15 +100,6 @@ class GaugeProfile:
         return cls((Fraction(-1, 4), Fraction(1, 4)), block_m=(2,), m=2)
 
     @classmethod
-    def maximal_type(cls, n: int) -> "GaugeProfile":
-        """Unit-spaced profile ((1-n)/2, ..., (n-1)/2) for a full Jordan block."""
-        return cls(
-            tuple(Fraction(2 * i - 1 - n, 2) for i in range(1, n + 1)),
-            block_m=(n,),
-            m=n,
-        )
-
-    @classmethod
     def from_splitting(cls, partition: Sequence[int], block_m: Sequence[int]) -> "GaugeProfile":
         """Per-block profile e = (2j - 1 - k_i) / (2 m_i) on line j of block i.
 
@@ -196,27 +187,13 @@ def graded_decompose(A: MatrixOneForm, blocks: Sequence[int]) -> Dict[int, Matri
     n = A.n
     if sum(blocks) != n or any(b <= 0 for b in blocks):
         raise BadBlocks(f"blocks {blocks} do not partition dimension {n}")
-    zero = BiRationalFunction.zero()
-    pieces: Dict[int, Tuple[list, list]] = {}
-    for i in range(n):
-        bi = _block_index_of(i, blocks)
-        for j in range(n):
-            k = _block_index_of(j, blocks) - bi
-            dz_e = A.dz_part.entries[i][j]
-            dzb_e = A.dzbar_part.entries[i][j]
-            if not dz_e and not dzb_e:
-                continue
-            if k not in pieces:
-                pieces[k] = (
-                    [[zero] * n for _ in range(n)],
-                    [[zero] * n for _ in range(n)],
-                )
-            pieces[k][0][i][j] = dz_e
-            pieces[k][1][i][j] = dzb_e
-    return {
-        k: MatrixOneForm(RationalFunctionMatrix(dz), RationalFunctionMatrix(dzb))
-        for k, (dz, dzb) in sorted(pieces.items())
-    }
+    return _bucket(
+        (
+            (_block_index_of(j, blocks) - _block_index_of(i, blocks), i, j, dz_e, dzb_e)
+            for i, j, dz_e, dzb_e in _entries(A)
+        ),
+        n,
+    )
 
 
 def gauge_conjugate(obj, profile: GaugeProfile):
@@ -229,52 +206,58 @@ def gauge_conjugate(obj, profile: GaugeProfile):
     untouched: the gauge is constant on the chart.
     """
     if isinstance(obj, MatrixOneForm):
-        return _merge_graded(_conjugate_pieces(obj, profile, Fraction(0)), obj.n)
-    if isinstance(obj, dict):
-        out: List[Tuple[Fraction, int, int, object, object]] = []
-        for base, form in obj.items():
-            out.extend(_conjugate_pieces(form, profile, Fraction(base)))
-        return _merge_graded(out, profile.n)
-    if isinstance(obj, ConnectionFamily):
-        pieces = []
-        for _name, exponent, form in obj.terms():
-            pieces.extend(_conjugate_pieces(form, profile, exponent))
-        return _merge_graded(pieces, obj.n)
-    raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
+        based, n = [(Fraction(0), obj)], obj.n
+    elif isinstance(obj, dict):
+        based, n = [(Fraction(base), form) for base, form in obj.items()], profile.n
+    elif isinstance(obj, ConnectionFamily):
+        based, n = [(exponent, form) for _name, exponent, form in obj.terms()], obj.n
+    else:
+        raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
+    for _base, form in based:
+        if form.n != profile.n:
+            raise DimensionMismatch(f"profile of length {profile.n} on a rank-{form.n} form")
+    return _bucket(
+        (
+            (base + profile.shift(i, j), i, j, dz_e, dzb_e)
+            for base, form in based
+            for i, j, dz_e, dzb_e in _entries(form)
+        ),
+        n,
+    )
 
 
-def _conjugate_pieces(form: MatrixOneForm, profile: GaugeProfile, base: Fraction):
-    if form.n != profile.n:
-        raise DimensionMismatch(
-            f"profile of length {profile.n} on a rank-{form.n} form"
-        )
-    out = []
-    for i in range(form.n):
-        for j in range(form.n):
-            dz_e = form.dz_part.entries[i][j]
-            dzb_e = form.dzbar_part.entries[i][j]
-            if not dz_e and not dzb_e:
-                continue
-            out.append((base + profile.shift(i, j), i, j, dz_e, dzb_e))
-    return out
+def _entries(form: MatrixOneForm):
+    """(i, j, dz_e, dzbar_e) for every position where the form is nonzero."""
+    for i, (dz_row, dzb_row) in enumerate(zip(form.dz_part.entries, form.dzbar_part.entries)):
+        for j, (dz_e, dzb_e) in enumerate(zip(dz_row, dzb_row)):
+            if dz_e or dzb_e:
+                yield i, j, dz_e, dzb_e
 
 
-def _merge_graded(pieces, n: int) -> GradedForm:
-    if not pieces:
-        return {}
+def _bucket(pieces, n: int) -> dict:
+    """Sum (key, i, j, dz_e, dzbar_e) pieces into one rank-n form per key.
+
+    Keys come back in sorted order and forms that sum to zero are dropped.
+    An entry landing on an empty slot is stored as is: only a second entry
+    at the same key and position costs an exact addition (and its gcd).
+    """
+    slots: dict = {}
+    for key, i, j, dz_e, dzb_e in pieces:
+        at = slots.setdefault(key, {})
+        if (i, j) in at:
+            dz_prev, dzb_prev = at[(i, j)]
+            dz_e, dzb_e = dz_prev + dz_e, dzb_prev + dzb_e
+        at[(i, j)] = (dz_e, dzb_e)
     zero = BiRationalFunction.zero()
-    grids: Dict[Fraction, Tuple[list, list]] = {}
-    for exp, i, j, dz_e, dzb_e in pieces:
-        if exp not in grids:
-            grids[exp] = ([[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)])
-        dzg, dzbg = grids[exp]
-        dzg[i][j] = dzg[i][j] + dz_e
-        dzbg[i][j] = dzbg[i][j] + dzb_e
     out = {}
-    for exp, (dzg, dzbg) in sorted(grids.items()):
-        form = MatrixOneForm(RationalFunctionMatrix(dzg), RationalFunctionMatrix(dzbg))
+    for key in sorted(slots):
+        dz = [[zero] * n for _ in range(n)]
+        dzb = [[zero] * n for _ in range(n)]
+        for (i, j), (dz_e, dzb_e) in slots[key].items():
+            dz[i][j], dzb[i][j] = dz_e, dzb_e
+        form = MatrixOneForm(RationalFunctionMatrix(dz), RationalFunctionMatrix(dzb))
         if not form.is_zero:
-            out[exp] = form
+            out[key] = form
     return out
 
 
@@ -415,51 +398,33 @@ def secondary_higgs(
 
     profile = GaugeProfile.from_splitting(splitting, block_m)
 
-    zero = BiRationalFunction.zero()
-    phi_dz = [[zero] * n for _ in range(n)]
-    phi_dzb = [[zero] * n for _ in range(n)]
-    diag_dz = [[zero] * n for _ in range(n)]
-    diag_dzb = [[zero] * n for _ in range(n)]
-    residual_pieces: List[Tuple[Fraction, int, int, object, object]] = []
-
+    lead, diag, residual = [], [], []
     for name, term_exp, form in family.terms():
-        for r in range(n):
-            for c in range(n):
-                dz_e = form.dz_part.entries[r][c]
-                dzb_e = form.dzbar_part.entries[r][c]
-                if not dz_e and not dzb_e:
-                    continue
-                lr, sr = layout[r]
-                lc, sc = layout[c]
-                shift = profile.shift(r, c)
-                exponent = m * term_exp + m * shift
-                same_block = sr == sc
-                weight = lc - lr
-                if name == "phi" and same_block and weight == 1 and block_m[sr - 1] == m:
-                    phi_dz[r][c] = dz_e
-                    phi_dzb[r][c] = dzb_e
-                elif name == "conn" and same_block and weight == 1 - m and block_m[sr - 1] == m:
-                    phi_dz[r][c] = dz_e
-                    phi_dzb[r][c] = dzb_e
-                elif name == "conn" and shift == 0 and weight == 0:
-                    diag_dz[r][c] = dz_e
-                    diag_dzb[r][c] = dzb_e
-                else:
-                    residual_pieces.append((exponent, r, c, dz_e, dzb_e))
+        for r, c, dz_e, dzb_e in _entries(form):
+            lr, sr = layout[r]
+            lc, sc = layout[c]
+            shift = profile.shift(r, c)
+            weight = lc - lr
+            top_block = sr == sc and block_m[sr - 1] == m
+            if top_block and (name == "phi" and weight == 1 or name == "conn" and weight == 1 - m):
+                lead.append((0, r, c, dz_e, dzb_e))
+            elif name == "conn" and shift == 0 and weight == 0:
+                diag.append((0, r, c, dz_e, dzb_e))
+            else:
+                residual.append((m * term_exp + m * shift, r, c, dz_e, dzb_e))
 
-    Phi = MatrixOneForm(RationalFunctionMatrix(phi_dz), RationalFunctionMatrix(phi_dzb))
+    zero = MatrixOneForm.zero(n)
+    Phi = _bucket(lead, n).get(0, zero)
     if not Phi.dzbar_part.is_zero:
         raise ValueError(
             "the weight (1-m) connection piece has a (0,1) component; flat "
             "families cannot produce this, check the input"
         )
-    diag = MatrixOneForm(RationalFunctionMatrix(diag_dz), RationalFunctionMatrix(diag_dzb))
-    residual = tuple(sorted(_merge_graded(residual_pieces, n).items()))
     return SecondaryData(
         Phi=Phi,
-        diag_connection=diag,
+        diag_connection=_bucket(diag, n).get(0, zero),
         m=m,
-        residual_terms=residual,
+        residual_terms=tuple(_bucket(residual, n).items()),
         profile=profile,
         splitting=splitting,
     )
@@ -474,32 +439,18 @@ def undo_gauge(data: SecondaryData) -> Tuple[MatrixOneForm, MatrixOneForm, Matri
     """
     m = data.m
     n = data.Phi.n
-    zero = BiRationalFunction.zero()
-    grids = {
-        Fraction(-1): ([[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]),
-        Fraction(0): ([[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]),
-        Fraction(1): ([[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]),
-    }
+    pieces = []
     for exponent, form in data.graded_family().items():
-        for r in range(n):
-            for c in range(n):
-                dz_e = form.dz_part.entries[r][c]
-                dzb_e = form.dzbar_part.entries[r][c]
-                if not dz_e and not dzb_e:
-                    continue
-                original = (exponent - m * data.profile.shift(r, c)) / m
-                if original not in grids:
-                    raise ValueError(
-                        f"entry ({r},{c}) ungauges to exponent {original}, not in (-1,0,1)"
-                    )
-                dzg, dzbg = grids[original]
-                dzg[r][c] = dzg[r][c] + dz_e
-                dzbg[r][c] = dzbg[r][c] + dzb_e
-    forms = {
-        e: MatrixOneForm(RationalFunctionMatrix(dz), RationalFunctionMatrix(dzb))
-        for e, (dz, dzb) in grids.items()
-    }
-    return forms[Fraction(-1)], forms[Fraction(0)], forms[Fraction(1)]
+        for r, c, dz_e, dzb_e in _entries(form):
+            original = (exponent - m * data.profile.shift(r, c)) / m
+            if original not in (-1, 0, 1):
+                raise ValueError(
+                    f"entry ({r},{c}) ungauges to exponent {original}, not in (-1,0,1)"
+                )
+            pieces.append((original, r, c, dz_e, dzb_e))
+    forms = _bucket(pieces, n)
+    zero = MatrixOneForm.zero(n)
+    return forms.get(-1, zero), forms.get(0, zero), forms.get(1, zero)
 
 
 def is_m_cyclic(Phi: MatrixOneForm, profile: GaugeProfile, m: int) -> bool:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -254,6 +252,42 @@ class HolonomySample:
     est_error: float
 
 
+def _pulled_back(
+    weighted_forms: Sequence[Tuple[float, MatrixOneForm]], gamma: ParamPath, n: int
+) -> Callable[[float], np.ndarray]:
+    """t -> sum of w (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))) over (w, P dz + Q dzbar).
+
+    Each nonzero entry is compiled once into a flat list.  Per entry the
+    value is dz(z) v, plus dzbar(z) conj(v), times w, summed into the matrix
+    in form order; transport results depend on that order to the last bit.
+    """
+    entries = []
+    for w, form in weighted_forms:
+        for i in range(n):
+            for j in range(n):
+                dz_e, dzbar_e = form.dz_part.entries[i][j], form.dzbar_part.entries[i][j]
+                if dz_e or dzbar_e:
+                    dz_fn = dz_e.compiled() if dz_e else None
+                    dzbar_fn = dzbar_e.compiled() if dzbar_e else None
+                    entries.append((i, j, w, dz_fn, dzbar_fn))
+
+    def M(t: float) -> np.ndarray:
+        z = gamma.point(t)
+        v = gamma.velocity(t)
+        vv = v.conjugate()
+        out = np.zeros((n, n), dtype=complex)
+        for i, j, w, dz_fn, dzbar_fn in entries:
+            acc = 0j
+            if dz_fn is not None:
+                acc += dz_fn(z) * v
+            if dzbar_fn is not None:
+                acc += dzbar_fn(z) * vv
+            out[i, j] += w * acc
+        return out
+
+    return M
+
+
 def pullback(
     family: ConnectionFamily,
     gamma: ParamPath,
@@ -262,46 +296,14 @@ def pullback(
 ) -> Callable[[float], np.ndarray]:
     """t -> sum over terms of eps^exponent (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))).
 
-    Entries are compiled to double-precision closures once; fractional term
-    exponents become real powers of the (positive) parameter here and only
-    here.
+    Fractional term exponents become real powers of the (positive) parameter
+    here and only here.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     gamma.check_clearance(family.punctures, clearance)
-    n = family.n
-    compiled = []
-    for _name, exponent, form in family.terms():
-        if form.is_zero:
-            continue
-        compiled.append(
-            (
-                float(epsilon) ** float(exponent),
-                form.dz_part.compiled(),
-                form.dzbar_part.compiled(),
-            )
-        )
-
-    def M(t: float) -> np.ndarray:
-        z = gamma.point(t)
-        v = gamma.velocity(t)
-        vv = v.conjugate()
-        out = np.zeros((n, n), dtype=complex)
-        for coeff, dz_fns, dzbar_fns in compiled:
-            for i in range(n):
-                row_dz = dz_fns[i]
-                row_dzbar = dzbar_fns[i]
-                for j in range(n):
-                    acc = 0j
-                    if row_dz[j] is not None:
-                        acc += row_dz[j](z) * v
-                    if row_dzbar[j] is not None:
-                        acc += row_dzbar[j](z) * vv
-                    if acc:
-                        out[i, j] += coeff * acc
-        return out
-
-    return M
+    weights = [(float(epsilon) ** float(exp), form) for _name, exp, form in family.terms()]
+    return _pulled_back(weights, gamma, family.n)
 
 
 def _integrate(M, breaks, n, rtol) -> Tuple[np.ndarray, int]:
@@ -364,21 +366,12 @@ def transport_grid(
     gamma: ParamPath,
     epsilons: Sequence[float],
     rel_tol: float = 1e-10,
-    workers: Optional[int] = None,
 ) -> List[HolonomySample]:
-    """Transport over a parameter grid; results keyed to input order.
+    """One :func:`transport` per grid member, serially, in input order.
 
-    Grid members are independent; NILWKB_THREADS (or ``workers``) caps the
-    worker pool.  Output ordering never depends on completion order.
+    Each sample equals a single ``transport`` call at its epsilon.
     """
-    if workers is None:
-        workers = int(os.environ.get("NILWKB_THREADS", "1"))
-    eps_list = list(epsilons)
-    if workers <= 1 or len(eps_list) <= 1:
-        return [transport(family, gamma, e, rel_tol) for e in eps_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(transport, family, gamma, e, rel_tol) for e in eps_list]
-        return [f.result() for f in futures]
+    return [transport(family, gamma, e, rel_tol) for e in epsilons]
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +399,9 @@ class EigenvalueTrack:
             self._f = lambda t: qf(gamma.point(t)) * gamma.velocity(t) ** 2
             self._build_sqrt_grid(grid_size)
         else:
-            mats = Phi.dz_part.compiled()
             if not Phi.dzbar_part.is_zero:
                 raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-
-            def matval(t):
-                z = gamma.point(t)
-                v = gamma.velocity(t)
-                out = np.zeros((self.n, self.n), dtype=complex)
-                for i in range(self.n):
-                    for j in range(self.n):
-                        if mats[i][j] is not None:
-                            out[i, j] = mats[i][j](z) * v
-                return out
-
-            self._matval = matval
+            self._matval = _pulled_back([(1.0, Phi)], gamma, self.n)
             self._build_eig_grid(grid_size)
 
     # -- rank 2 ------------------------------------------------------------------

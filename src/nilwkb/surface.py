@@ -340,6 +340,7 @@ def trace_flow(
     crossings: List[Tuple[EdgeRef, EdgeRef, int]] = []
     traveled = 0.0
     guard = 0
+    probe = _recurrence if _recurrence is not None else _closure_probe((p0, z0, d), close_tol)
     while True:
         guard += 1
         if guard > 1_000_000:
@@ -348,9 +349,6 @@ def trace_flow(
         seg_len = s  # |direction| = 1
 
         # events on this piece, earliest along the ray wins
-        probe = _recurrence if _recurrence is not None else _closure_probe(
-            (p0, z0, d), close_tol
-        )
         events = []
         res = probe(state, hit, traveled)
         if res is not None:
@@ -397,13 +395,15 @@ def trace_flow(
         )
 
 
-def _closure_probe(start, close_tol):
+def _closure_probe(start, close_tol, dir_tol=1e-9):
+    """Flow event hook: ClosedUp once a piece passes within close_tol of the
+    start point while heading within dir_tol of the start direction."""
     p0, z0, d0 = start
 
     def probe(state: FlowState, hit: complex, traveled: float):
         if state.polygon != p0:
             return None
-        if abs(state.direction - d0) > 1e-9:
+        if abs(state.direction - d0) > dir_tol:
             return None
         seg = hit - state.point
         L2 = abs(seg) ** 2
@@ -494,7 +494,7 @@ def find_wkb_loop(
     p0, z0 = start[0], complex(start[1])
     d0 = cmath.exp(1j * theta_seed)
 
-    probe = _make_recurrence_probe((p0, z0, d0), eta)
+    probe = _closure_probe((p0, z0, d0), eta, 1e-6)
     traj = trace_flow(surface, start, theta_seed, max_length, _recurrence=probe)
     if traj.terminated == "ConePoint":
         raise NoRecurrenceWithinBudget(
@@ -539,31 +539,6 @@ def find_wkb_loop(
         margin=margin,
         convention=convention,
     )
-
-
-def _make_recurrence_probe(start, eta):
-    p0, z0, d0 = start
-
-    def probe(state: FlowState, hit: complex, traveled: float):
-        if state.polygon != p0:
-            return None
-        if abs(state.direction - d0) > 1e-6:
-            return None
-        seg = hit - state.point
-        L2 = abs(seg) ** 2
-        if L2 == 0:
-            return None
-        t = ((z0 - state.point) * seg.conjugate()).real / L2
-        if t < 0 or t > 1:
-            return None
-        foot = state.point + t * seg
-        if abs(foot - z0) > eta:
-            return None
-        if traveled + abs(foot - state.point) < 10 * eta:
-            return None
-        return foot, "ClosedUp"
-
-    return probe
 
 
 def lift_check(surface: PolygonSurface, loop: WkbLoop) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nilwkb.algebra import GaussianRational, RationalFunctionMatrix, BiRationalFunction as BRF
-from nilwkb.catalog import catalog, nilpotent_sl2, regular_diagonal
+from nilwkb.catalog import catalog, nilpotent_sl2, nilpotent_sl2_full, regular_diagonal
 from nilwkb.connection import ConnectionFamily, MatrixOneForm
 from nilwkb.errors import (
     BranchPointOnPath,
@@ -95,6 +95,15 @@ def test_pullback_examples():
     with pytest.raises(ClearanceViolated):
         pullback(fam, ParamPath.segment(-1, 1), 0.5)
 
+    # all three terms, dzbar parts included, on a non-real segment:
+    # eps^-1 E12 v + (E21 v + E12 conj(v)) + eps E21 conj(v)
+    v, eps = 0.9 + 0.6j, 0.3
+    E12, E21 = np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])
+    M = pullback(nilpotent_sl2_full(), ParamPath.segment(0.2 + 0.1j, 1.1 + 0.7j), eps)
+    expected = E12 * v / eps + (E21 * v + E12 * v.conjugate()) + eps * E21 * v.conjugate()
+    assert np.allclose(M(0.0), expected)
+    assert np.allclose(M(0.6), expected)
+
 
 # -- transport --------------------------------------------------------------------
 
@@ -161,10 +170,8 @@ def test_transport_grid_ordering():
     eps = [0.5, 0.25, 0.125]
     out = transport_grid(nilpotent_sl2(), SEG, eps)
     assert [s.epsilon for s in out] == eps
-    out2 = transport_grid(nilpotent_sl2(), SEG, eps, workers=3)
-    assert [s.epsilon for s in out2] == eps
-    for a, b in zip(out, out2):
-        assert np.allclose(a.holonomy, b.holonomy)
+    for s, e in zip(out, eps):
+        assert np.array_equal(s.holonomy, transport(nilpotent_sl2(), SEG, e).holonomy)
 
 
 # -- spectral tracking -----------------------------------------------------------------
