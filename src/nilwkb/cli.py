@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -79,6 +80,8 @@ def _parse_eps_grid(spec: str) -> list:
         start, end, count = float(start_s), float(end_s), int(count_s)
     except ValueError as exc:
         raise ValueError(f"bad eps grid {spec!r}; want start:end:spacing:count") from exc
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError("eps grid endpoints must be finite")
     if start <= 0 or end <= 0:
         raise ValueError("eps grid must be strictly positive")
     if start == end:
@@ -115,7 +118,11 @@ def _surface_from_args(args) -> PolygonSurface:
 
 def _cmd_flatness(args) -> int:
     if args.family.startswith("catalog:"):
-        family = catalog_mod.catalog()[args.family.split(":", 1)[1]]
+        name = args.family.split(":", 1)[1]
+        families = catalog_mod.catalog()
+        if name not in families:
+            raise ValueError(f"unknown catalog family {name!r}; known: {', '.join(sorted(families))}")
+        family = families[name]
     else:
         family = _load_family(args.family)
     report = check_flatness(family)
@@ -181,9 +188,11 @@ def _cmd_holonomy(args) -> int:
     eps = _parse_eps_grid(args.eps)
     samples = transport_grid(family, gamma, eps, rel_tol=args.rel_tol)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["epsilon", "re_trace", "im_trace", "est_error"])
+    writer.writerow(["epsilon", "re_trace", "im_trace", "est_error", "steps", "rhs_evals"])
     for s in samples:
-        writer.writerow([repr(s.epsilon), repr(s.trace.real), repr(s.trace.imag), repr(s.est_error)])
+        writer.writerow(
+            [repr(s.epsilon), repr(s.trace.real), repr(s.trace.imag), repr(s.est_error), s.steps, s.rhs_evals]
+        )
     return 0
 
 

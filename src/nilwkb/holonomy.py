@@ -1,13 +1,16 @@
 """Parallel transport of parameter families, spectral periods, WKB rate fits.
 
 Paths are piecewise lines/arcs parametrized proportionally to arc length.
-Transport solves the flat-section system s'(t) = -M(t) s(t) with an adaptive
-embedded pair (DOP853), segment by segment; the error estimate comes from
-comparing a second run at a hundredfold tighter tolerance, so est_error is a
-conservative bound for the reported matrix.  Determinant fidelity of a sample
-is meaningful while eps_machine * ||H||^2 stays below est_error; at extreme
-magnitudes the determinant of the stored double-precision matrix is dominated
-by representation roundoff.
+Transport solves the flat-section system S'(t) = -M(t) S(t) for a whole eps
+grid as one stacked (B, n, n) system with an adaptive embedded pair (DOP853),
+segment by segment, so all members share one step count; a single transport
+is the one-member grid.  The error estimate compares a second run at a
+hundredfold tighter tolerance, floored by the roundoff the fine run can
+accumulate, so est_error is a conservative bound for each reported matrix,
+also for members the stiffest one forces to be over-resolved.  Determinant
+fidelity of a sample is meaningful while eps_machine * ||H||^2 stays below
+est_error; at extreme magnitudes the determinant of the stored
+double-precision matrix is dominated by representation roundoff.
 
 Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
 path flips its orientation flag, and the branch seed follows the orientation,
@@ -244,48 +247,71 @@ class ParamPath:
 
 @dataclass(frozen=True)
 class HolonomySample:
-    """One transported family member: eps, fundamental matrix at t=1, trace."""
+    """One transported family member: eps, fundamental matrix at t=1, trace.
+
+    ``steps`` and ``rhs_evals`` are the accepted steps and right-hand-side
+    evaluations of the fine solve; the members of one grid share them.
+    """
 
     epsilon: float
     holonomy: np.ndarray
     trace: complex
     est_error: float
+    steps: int = 0
+    rhs_evals: int = 0
 
 
-def _pulled_back(
-    weighted_forms: Sequence[Tuple[float, MatrixOneForm]], gamma: ParamPath, n: int
-) -> Callable[[float], np.ndarray]:
-    """t -> sum of w (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))) over (w, P dz + Q dzbar).
+def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Callable[[float], np.ndarray]:
+    """t -> (K, n*n) array; row k is P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))
+    for form k = P dz + Q dzbar, flattened row-major.
 
-    Each nonzero entry is compiled once into a flat list.  Per entry the
-    value is dz(z) v, plus dzbar(z) conj(v), times w, summed into the matrix
-    in form order; transport results depend on that order to the last bit.
+    Each nonzero entry is compiled once.  Per t the path is located once and
+    the point and velocity are Python scalars, so the compiled closures run
+    on plain complex arithmetic.  Per entry the value is dz(z) v, plus
+    dzbar(z) conj(v).
     """
     entries = []
-    for w, form in weighted_forms:
+    for k, form in enumerate(forms):
         for i in range(n):
             for j in range(n):
                 dz_e, dzbar_e = form.dz_part.entries[i][j], form.dzbar_part.entries[i][j]
                 if dz_e or dzbar_e:
                     dz_fn = dz_e.compiled() if dz_e else None
                     dzbar_fn = dzbar_e.compiled() if dzbar_e else None
-                    entries.append((i, j, w, dz_fn, dzbar_fn))
+                    entries.append(((k * n + i) * n + j, dz_fn, dzbar_fn))
+    shape = (len(forms), n * n)
+    segments = gamma.segments
 
-    def M(t: float) -> np.ndarray:
-        z = gamma.point(t)
-        v = gamma.velocity(t)
+    def P(t: float) -> np.ndarray:
+        k, s, dt = gamma._locate(float(t))
+        z = segments[k].point(s)
+        v = segments[k].velocity(s) / dt
         vv = v.conjugate()
-        out = np.zeros((n, n), dtype=complex)
-        for i, j, w, dz_fn, dzbar_fn in entries:
+        out = np.zeros(shape[0] * shape[1], dtype=complex)
+        for idx, dz_fn, dzbar_fn in entries:
             acc = 0j
             if dz_fn is not None:
                 acc += dz_fn(z) * v
             if dzbar_fn is not None:
                 acc += dzbar_fn(z) * vv
-            out[i, j] += w * acc
-        return out
+            out[idx] = acc
+        return out.reshape(shape)
 
-    return M
+    return P
+
+
+def _term_weights(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[List[MatrixOneForm], np.ndarray]:
+    """The family's nonzero term forms and the (B, K) weights eps_b^exponent_k.
+
+    Fractional term exponents become real powers of the (positive) parameter
+    here and only here.
+    """
+    for e in epsilons:
+        if not (math.isfinite(e) and e > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {e!r}")
+    terms = [(float(x), form) for _name, x, form in family.terms() if not form.is_zero]
+    weights = [[float(e) ** x for x, _form in terms] for e in epsilons]
+    return [form for _x, form in terms], np.array(weights, dtype=complex).reshape(len(epsilons), len(terms))
 
 
 def pullback(
@@ -294,42 +320,30 @@ def pullback(
     epsilon: float,
     clearance: float = DEFAULT_CLEARANCE,
 ) -> Callable[[float], np.ndarray]:
-    """t -> sum over terms of eps^exponent (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))).
-
-    Fractional term exponents become real powers of the (positive) parameter
-    here and only here.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """t -> sum over terms of eps^exponent (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t)))."""
+    n = family.n
+    forms, weights = _term_weights(family, [epsilon])
     gamma.check_clearance(family.punctures, clearance)
-    weights = [(float(epsilon) ** float(exp), form) for _name, exp, form in family.terms()]
-    return _pulled_back(weights, gamma, family.n)
+    P = _pulled_back(forms, gamma, n)
+    return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
 
-def _integrate(M, breaks, n, rtol) -> Tuple[np.ndarray, int]:
-    y = np.eye(n, dtype=complex).reshape(-1)
-    steps = 0
+def _integrate(rhs, y, breaks, rtol) -> Tuple[np.ndarray, int, int]:
+    """The flat state y carried along the path by DOP853, one solve per segment.
 
-    def rhs(t, yv):
-        return (-M(t) @ yv.reshape(n, n)).reshape(-1)
-
+    Returns the final state, the accepted steps and the RHS evaluations.
+    """
+    steps = rhs_evals = 0
     for t0, t1 in zip(breaks, breaks[1:]):
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y,
-            method="DOP853",
-            rtol=rtol,
-            atol=rtol * 1e-3,
-            dense_output=False,
-        )
+        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
-        steps += len(sol.t)
+        steps += len(sol.t) - 1
+        rhs_evals += sol.nfev
         if steps > STEP_BUDGET:
             raise StiffnessBudgetExceeded(f"step budget {STEP_BUDGET} exceeded")
-        y = sol.y[:, -1]
-    return y.reshape(n, n), steps
+        y = sol.y[:, -1].copy()  # not a view that keeps the whole solution history alive
+    return y, steps, rhs_evals
 
 
 def transport(
@@ -340,25 +354,9 @@ def transport(
 ) -> HolonomySample:
     """Fundamental matrix S(1) of s' = -M(t)s, S(0) = 1, along the path.
 
-    Integrates with the requested tolerance and again a hundredfold tighter;
-    the Frobenius distance between the two runs is the reported error bound
-    and the tighter run is the reported matrix.
+    The one-member grid of :func:`transport_grid`.
     """
-    M = pullback(family, gamma, epsilon)
-    n = family.n
-    coarse_tol = max(rel_tol, 3e-14)
-    fine_tol = max(rel_tol * 1e-2, 3e-14)
-    coarse, _ = _integrate(M, gamma.breaks, n, coarse_tol)
-    fine, _ = _integrate(M, gamma.breaks, n, fine_tol)
-    diff = float(np.linalg.norm(coarse - fine))
-    scale = float(np.linalg.norm(fine))
-    est = max(diff, 2.3e-16 * (1.0 + scale))
-    return HolonomySample(
-        epsilon=float(epsilon),
-        holonomy=fine,
-        trace=complex(np.trace(fine)),
-        est_error=est,
-    )
+    return transport_grid(family, gamma, [epsilon], rel_tol)[0]
 
 
 def transport_grid(
@@ -367,11 +365,47 @@ def transport_grid(
     epsilons: Sequence[float],
     rel_tol: float = 1e-10,
 ) -> List[HolonomySample]:
-    """One :func:`transport` per grid member, serially, in input order.
+    """Fundamental matrices S_b(1) of S_b' = -M_b(t) S_b, S_b(0) = 1, in input order.
 
-    Each sample equals a single ``transport`` call at its epsilon.
+    The whole grid is one stacked (B, n, n) system: per t the term matrices
+    P_k(t) are evaluated once and combined as M_b = sum_k eps_b^x_k P_k(t).
+    It is solved at the requested tolerance and again a hundredfold tighter;
+    the tighter run is reported, with its step and RHS counts.  A member's
+    est_error is the Frobenius distance between its two runs, but at least
+    2.3e-16 (1 + ||S_b||) steps, the roundoff that many steps can pile up: a
+    member far less stiff than the stiffest one ends both runs at roundoff.
     """
-    return [transport(family, gamma, e, rel_tol) for e in epsilons]
+    eps = [float(e) for e in epsilons]
+    if not eps:
+        return []
+    forms, weights = _term_weights(family, eps)
+    gamma.check_clearance(family.punctures)
+    P = _pulled_back(forms, gamma, family.n)
+    n, B = family.n, len(eps)
+    neg_weights = -weights
+
+    def rhs(t, y):
+        M = (neg_weights @ P(t)).reshape(B, n, n)
+        return (M @ y.reshape(B, n, n)).reshape(-1)
+
+    y0 = np.tile(np.eye(n, dtype=complex).reshape(-1), B)
+    coarse = _integrate(rhs, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
+    fine, steps, rhs_evals = _integrate(rhs, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
+    samples = []
+    for e, c, f in zip(eps, coarse.reshape(B, n, n), fine.reshape(B, n, n)):
+        scale = float(np.linalg.norm(f))
+        est = max(float(np.linalg.norm(c - f)), 2.3e-16 * (1.0 + scale) * steps)
+        samples.append(
+            HolonomySample(
+                epsilon=e,
+                holonomy=f,
+                trace=complex(np.trace(f)),
+                est_error=est,
+                steps=steps,
+                rhs_evals=rhs_evals,
+            )
+        )
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +435,8 @@ class EigenvalueTrack:
         else:
             if not Phi.dzbar_part.is_zero:
                 raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-            self._matval = _pulled_back([(1.0, Phi)], gamma, self.n)
+            P = _pulled_back([Phi], gamma, self.n)
+            self._matval = lambda t: P(t).reshape(self.n, self.n)
             self._build_eig_grid(grid_size)
 
     # -- rank 2 ------------------------------------------------------------------

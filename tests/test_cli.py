@@ -213,3 +213,29 @@ def test_bad_eps_grid(family_file, segment_file, capsys):
     capsys.readouterr()
     assert main(["holonomy", family_file, segment_file, "--eps", "1:1:geometric:5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["nan:0.1:geometric:8", "0.5:nan:geometric:8", "inf:0.1:geometric:8", "0.5:-inf:linear:4"])
+def test_non_finite_eps_grid_exits_1(family_file, segment_file, spec, capsys):
+    assert main(["holonomy", family_file, segment_file, "--eps", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_unknown_catalog_name_exits_1(capsys):
+    assert main(["flatness", "catalog:nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "'nope'" in err["message"] and "nilpotent_sl2" in err["message"]
+
+
+def test_holonomy_csv_carries_cost_counters(family_file, segment_file, capsys):
+    assert main(["holonomy", family_file, segment_file, "--eps", "0.25:0.01:geometric:3"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert header == ["epsilon", "re_trace", "im_trace", "est_error", "steps", "rhs_evals"]
+    assert len(rows) == 3
+    assert len({(r[4], r[5]) for r in rows}) == 1
+    assert 0 < int(rows[0][4]) <= int(rows[0][5])

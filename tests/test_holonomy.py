@@ -171,7 +171,37 @@ def test_transport_grid_ordering():
     out = transport_grid(nilpotent_sl2(), SEG, eps)
     assert [s.epsilon for s in out] == eps
     for s, e in zip(out, eps):
-        assert np.array_equal(s.holonomy, transport(nilpotent_sl2(), SEG, e).holonomy)
+        single = transport(nilpotent_sl2(), SEG, e)
+        assert np.linalg.norm(s.holonomy - single.holonomy) <= s.est_error + single.est_error
+
+
+def test_transport_grid_counters_shared():
+    out = transport_grid(nilpotent_sl2(), SEG, [0.5, 0.01])
+    assert out[0].steps == out[1].steps > 0
+    assert out[0].rhs_evals == out[1].rhs_evals >= out[0].steps
+    assert transport_grid(nilpotent_sl2(), SEG, []) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_transport_rejects_bad_epsilon(bad):
+    with pytest.raises(ValueError):
+        transport(nilpotent_sl2(), SEG, bad)
+    with pytest.raises(ValueError):
+        transport_grid(nilpotent_sl2(), SEG, [0.5, bad, 0.1])
+
+
+@pytest.mark.parametrize(
+    "family, path, eps, closed_form",
+    [
+        (nilpotent_sl2, SEG, np.geomspace(0.25, 5e-4, 12), lambda e: 2 * math.cosh(e**-0.5)),
+        (regular_diagonal, ParamPath.circle(), np.geomspace(0.5, 0.05, 12), lambda e: 2 * math.cosh(1 / e)),
+    ],
+)
+def test_est_error_bounds_every_grid_member(family, path, eps, closed_form):
+    # the acceptance grids of criteria 3 and 4: each member's est_error bounds
+    # its actual trace error, also for members far less stiff than the stiffest
+    for s in transport_grid(family(), path, eps, rel_tol=1e-11):
+        assert abs(s.trace - closed_form(s.epsilon)) <= s.est_error, s.epsilon
 
 
 # -- spectral tracking -----------------------------------------------------------------
