@@ -7,6 +7,11 @@ second formal variable ``zbar``; conjugation becomes a substitution at
 evaluation time, which keeps unitary-frame connection terms such as
 ``dz/z - dzbar/zbar`` rational.
 
+Canonical forms divide out the gcd of numerator and denominator.  When either
+polynomial has a single term (a constant included) the gcd and the exact
+division are exponent arithmetic; sympy is used only for the gcd or division
+of two polynomials that each have several terms.
+
 Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
 place where coefficients become floats and near-poles raise ``PoleHit``.
 Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
@@ -54,6 +59,14 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """An arithmetic result whose parts are already Fractions: no coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
+    @classmethod
     def coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
@@ -69,20 +82,20 @@ class GaussianRational:
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational._of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational(
+        return GaussianRational._of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -94,7 +107,7 @@ class GaussianRational:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return GaussianRational._of(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -103,10 +116,10 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._of(self.re, -self.im)
 
     # -- predicates and conversions ------------------------------------------
 
@@ -173,6 +186,14 @@ class BiPolynomial:
     def __setattr__(self, *args):
         raise AttributeError("BiPolynomial is immutable")
 
+    @classmethod
+    def _of(cls, terms: dict) -> "BiPolynomial":
+        """An arithmetic result keyed by int pairs with GaussianRational values:
+        no coercion; zero coefficients are dropped, insertion order is kept."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -196,14 +217,15 @@ class BiPolynomial:
     def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, GR_ZERO) + c
-        return BiPolynomial(out)
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return BiPolynomial._of(out)
 
     def __sub__(self, other: "BiPolynomial") -> "BiPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "BiPolynomial":
-        return BiPolynomial({k: -c for k, c in self.terms.items()})
+        return BiPolynomial._of({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BiPolynomial") -> "BiPolynomial":
         out: dict = {}
@@ -212,11 +234,11 @@ class BiPolynomial:
                 k = (i1 + i2, j1 + j2)
                 prev = out.get(k)
                 out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiPolynomial(out)
+        return BiPolynomial._of(out)
 
     def scale(self, c) -> "BiPolynomial":
         c = GaussianRational.coerce(c)
-        return BiPolynomial({k: v * c for k, v in self.terms.items()})
+        return BiPolynomial._of({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, BiPolynomial) and self.terms == other.terms
@@ -266,7 +288,7 @@ class BiPolynomial:
             total = total + term
         return total
 
-    # -- sympy bridge (gcd only) --------------------------------------------------
+    # -- sympy bridge (gcd and division of two multi-term polynomials) -------------
 
     def _to_sympy(self):
         d = {k: _domain_elt(c) for k, c in self.terms.items()}
@@ -288,14 +310,30 @@ class BiPolynomial:
 
 
 def _poly_gcd(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
+    """Monic gcd.  With a one-term operand it is the monomial z^i zbar^j whose
+    exponents are the smallest over both operands' terms."""
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        keys = a.terms.keys() | b.terms.keys()
+        return BiPolynomial._of({(min(i for i, _ in keys), min(j for _, j in keys)): GR_ONE})
     return BiPolynomial._from_sympy(a._to_sympy().gcd(b._to_sympy()))
 
 
 def _poly_div_exact(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
+    """Exact quotient a / b, its terms in ascending (deg_z, deg_zbar) order as
+    sympy returns them; raises ArithmeticError when b does not divide a."""
+    if len(b.terms) == 1:
+        ((bi, bj), c), = b.terms.items()
+        if any(i < bi or j < bj for i, j in a.terms):
+            raise ArithmeticError("inexact polynomial division during normalization")
+        q = BiPolynomial._of({(i - bi, j - bj): v for (i, j), v in sorted(a.terms.items())})
+        return q if c == GR_ONE else q.scale(GR_ONE / c)
     q, r = a._to_sympy().div(b._to_sympy())
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division during normalization")
     return BiPolynomial._from_sympy(q)
+
+
+_POLY_ONE = BiPolynomial.constant(1)
 
 
 class BiRationalFunction:
@@ -310,7 +348,7 @@ class BiRationalFunction:
 
     def __init__(self, num: BiPolynomial, den: BiPolynomial | None = None, _normalized=False):
         if den is None:
-            den = BiPolynomial.constant(1)
+            den = _POLY_ONE
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in BiRationalFunction")
         if not _normalized:
@@ -324,7 +362,7 @@ class BiRationalFunction:
     @staticmethod
     def _normalize(num: BiPolynomial, den: BiPolynomial):
         if num.is_zero:
-            return BiPolynomial(), BiPolynomial.constant(1)
+            return BiPolynomial(), _POLY_ONE
         g = _poly_gcd(num, den)
         if g.degree() != (0, 0) or g.terms.get((0, 0)) != GR_ONE:
             num = _poly_div_exact(num, g)
@@ -344,11 +382,11 @@ class BiRationalFunction:
 
     @classmethod
     def zero(cls) -> "BiRationalFunction":
-        return cls(BiPolynomial())
+        return _BRF_ZERO
 
     @classmethod
     def one(cls) -> "BiRationalFunction":
-        return cls(BiPolynomial.constant(1))
+        return _BRF_ONE
 
     @classmethod
     def z(cls) -> "BiRationalFunction":
@@ -494,6 +532,8 @@ class BiRationalFunction:
 
 
 BRF = BiRationalFunction
+_BRF_ZERO = BiRationalFunction(BiPolynomial(), _POLY_ONE, _normalized=True)
+_BRF_ONE = BiRationalFunction(_POLY_ONE, _POLY_ONE, _normalized=True)
 
 
 class RationalFunctionMatrix:

@@ -13,6 +13,7 @@ conjugated into its kernel-adapted frame, where the rescaling applies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     BiRationalFunction,
@@ -163,19 +164,21 @@ def toy_aligned_p(p=2) -> ConnectionFamily:
     )
 
 
+# Every shipped family's zero-argument builder, keyed by name.
+FAMILIES = {
+    "trivial": trivial,
+    "uniformization_rank2": uniformization_rank2,
+    "uniformization_rank3": uniformization_rank3,
+    "nilpotent_sl2": nilpotent_sl2,
+    "nilpotent_sl2_full": nilpotent_sl2_full,
+    "nilpotent_sl3": nilpotent_sl3,
+    "nilpotent_sl2_parabolic": nilpotent_sl2_parabolic,
+    "regular_diagonal": regular_diagonal,
+    "toy_aligned_p": toy_aligned_p,
+    **{f"toy_{which}": partial(toy_skeleton, which) for which in ("phi_p", "phi_0", "phi_1", "phi_inf")},
+}
+
+
 def catalog() -> dict:
     """Every shipped family, keyed by name."""
-    entries = {
-        "trivial": trivial(),
-        "uniformization_rank2": uniformization_rank2(),
-        "uniformization_rank3": uniformization_rank3(),
-        "nilpotent_sl2": nilpotent_sl2(),
-        "nilpotent_sl2_full": nilpotent_sl2_full(),
-        "nilpotent_sl3": nilpotent_sl3(),
-        "nilpotent_sl2_parabolic": nilpotent_sl2_parabolic(),
-        "regular_diagonal": regular_diagonal(),
-        "toy_aligned_p": toy_aligned_p(),
-    }
-    for which in ("phi_p", "phi_0", "phi_1", "phi_inf"):
-        entries[f"toy_{which}"] = toy_skeleton(which)
-    return entries
+    return {name: build() for name, build in FAMILIES.items()}

@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from .algebra import GaussianRational
 from .connection import ConnectionFamily, check_flatness
-from .errors import NilwkbError, NoRecurrenceWithinBudget, StiffnessBudgetExceeded
+from .errors import HolonomyOverflow, NilwkbError, NoRecurrenceWithinBudget, StiffnessBudgetExceeded
 from .gauge import (
     is_m_cyclic,
     jordan_type,
@@ -54,7 +54,7 @@ from .toymodel import (
     residues,
 )
 
-BUDGET_ERRORS = (StiffnessBudgetExceeded, NoRecurrenceWithinBudget)
+BUDGET_ERRORS = (StiffnessBudgetExceeded, NoRecurrenceWithinBudget, HolonomyOverflow)
 
 
 def _emit(payload) -> None:
@@ -119,10 +119,10 @@ def _surface_from_args(args) -> PolygonSurface:
 def _cmd_flatness(args) -> int:
     if args.family.startswith("catalog:"):
         name = args.family.split(":", 1)[1]
-        families = catalog_mod.catalog()
+        families = catalog_mod.FAMILIES
         if name not in families:
             raise ValueError(f"unknown catalog family {name!r}; known: {', '.join(sorted(families))}")
-        family = families[name]
+        family = families[name]()
     else:
         family = _load_family(args.family)
     report = check_flatness(family)

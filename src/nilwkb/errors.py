@@ -74,6 +74,15 @@ class NonDecayingSequence(NilwkbError):
     """Trace samples do not grow as the parameter decreases; nothing to fit."""
 
 
+class NonFiniteSample(NilwkbError):
+    """A sample handed to the rate fit has a non-finite trace, or a parameter
+    that is not finite and positive."""
+
+
+class HolonomyOverflow(NilwkbError):
+    """A transported holonomy or its error estimate exceeds double precision."""
+
+
 # --- surface ---------------------------------------------------------------
 
 class GluingLengthMismatch(NilwkbError):

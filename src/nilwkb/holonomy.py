@@ -23,7 +23,7 @@ import cmath
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -34,8 +34,10 @@ from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
     ClearanceViolated,
+    HolonomyOverflow,
     InsufficientSamples,
     NonDecayingSequence,
+    NonFiniteSample,
     StiffnessBudgetExceeded,
     TieAtStart,
 )
@@ -132,8 +134,9 @@ Segment = LineSegment | ArcSegment
 class ParamPath:
     """Piecewise path, parametrized over [0,1] proportionally to arc length.
 
-    Consecutive segments must share endpoints; a closed path returns to its
-    start.  ``orientation`` records whether the path is a reversal: the
+    Every endpoint, centre, radius and angle must be finite.  Consecutive
+    segments must share endpoints; a closed path returns to its start.
+    ``orientation`` records whether the path is a reversal: the
     eigenvalue-branch seed follows it, making periods odd under reversal.
     """
 
@@ -141,6 +144,9 @@ class ParamPath:
         segments = tuple(segments)
         if not segments:
             raise ValueError("a path needs at least one segment")
+        for s in segments:
+            if not all(cmath.isfinite(x) for x in astuple(s)):
+                raise ValueError(f"non-finite path coordinate in {s!r}")
         scale = max(1.0, max(abs(s.point(0.0)) + abs(s.point(1.0)) for s in segments))
         for a, b in zip(segments, segments[1:]):
             if abs(a.point(1.0) - b.point(0.0)) > 1e-12 * scale:
@@ -328,6 +334,17 @@ def pullback(
     return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a; when the plain sum of squares overflows (entries
+    past about 1e154) on a finite matrix, it is taken on a / max|a_ij|."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isinf(norm) and np.isfinite(a).all():
+        top = float(np.abs(a).max())
+        norm = top * float(np.linalg.norm(a / top))
+    return norm
+
+
 def _integrate(rhs, y, breaks, rtol) -> Tuple[np.ndarray, int, int]:
     """The flat state y carried along the path by DOP853, one solve per segment.
 
@@ -374,6 +391,7 @@ def transport_grid(
     est_error is the Frobenius distance between its two runs, but at least
     2.3e-16 (1 + ||S_b||) steps, the roundoff that many steps can pile up: a
     member far less stiff than the stiffest one ends both runs at roundoff.
+    A member whose holonomy or est_error is not finite raises HolonomyOverflow.
     """
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -393,8 +411,11 @@ def transport_grid(
     fine, steps, rhs_evals = _integrate(rhs, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
     samples = []
     for e, c, f in zip(eps, coarse.reshape(B, n, n), fine.reshape(B, n, n)):
-        scale = float(np.linalg.norm(f))
-        est = max(float(np.linalg.norm(c - f)), 2.3e-16 * (1.0 + scale) * steps)
+        if not np.isfinite(f).all():
+            raise HolonomyOverflow(f"holonomy at eps={e!r} exceeds double precision")
+        est = max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps)
+        if not math.isfinite(est):
+            raise HolonomyOverflow(f"est_error at eps={e!r} exceeds double precision")
         samples.append(
             HolonomySample(
                 epsilon=e,
@@ -717,6 +738,9 @@ def wkb_fit(
     the whole sample set.  The complex log is unwound along the
     decreasing-eps sequence.
     """
+    for s in samples:
+        if not (math.isfinite(s.epsilon) and s.epsilon > 0 and cmath.isfinite(s.trace)):
+            raise NonFiniteSample(f"need finite eps > 0 and a finite trace; got eps={s.epsilon!r}, trace={s.trace!r}")
     samples = sorted(samples, key=lambda s: -s.epsilon)
     eps = np.array([s.epsilon for s in samples], dtype=float)
     if len(samples) < 6:

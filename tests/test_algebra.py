@@ -6,6 +6,8 @@ import pytest
 
 from nilwkb.algebra import (
     BiPolynomial,
+    _poly_div_exact,
+    _poly_gcd,
     BiRationalFunction as BRF,
     GaussianRational,
     RationalFunctionMatrix,
@@ -148,3 +150,31 @@ def test_matrix_algebra_and_trace():
     assert A.trace() == BRF.constant(5)
     assert (A - A).is_zero
     assert A.power(0) == RationalFunctionMatrix.identity(2)
+
+
+def _random_gr(rng: random.Random) -> GaussianRational:
+    return GaussianRational(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    )
+
+
+def test_monomial_shortcuts_match_sympy():
+    # a one-term operand (constants included) never reaches sympy; the
+    # results must be the polynomials sympy gives, with the same term order
+    rng = random.Random(29)
+    for _ in range(200):
+        p = BiPolynomial({(rng.randint(0, 3), rng.randint(0, 3)): _random_gr(rng) for _ in range(rng.randint(1, 4))})
+        if p.is_zero:
+            continue
+        c = _random_gr(rng) or GaussianRational(1)
+        m = BiPolynomial.monomial(rng.randint(0, 3), rng.randint(0, 3), c) if rng.random() < 0.7 else BiPolynomial.constant(c)
+        expected = BiPolynomial._from_sympy(m._to_sympy().gcd(p._to_sympy()))
+        assert _poly_gcd(m, p) == expected and _poly_gcd(p, m) == expected
+        q = _poly_div_exact(p * m, m)
+        q_sympy, _r = (p * m)._to_sympy().div(m._to_sympy())
+        assert q == p and list(q.terms) == list(BiPolynomial._from_sympy(q_sympy).terms)
+    with pytest.raises(ArithmeticError):
+        _poly_div_exact(BiPolynomial.z() + BiPolynomial.zbar(), BiPolynomial.z())
+    with pytest.raises(ArithmeticError):
+        _poly_div_exact(BiPolynomial.monomial(3, 0), BiPolynomial.monomial(1, 1, 2))

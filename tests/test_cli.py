@@ -239,3 +239,50 @@ def test_holonomy_csv_carries_cost_counters(family_file, segment_file, capsys):
     assert len(rows) == 3
     assert len({(r[4], r[5]) for r in rows}) == 1
     assert 0 < int(rows[0][4]) <= int(rows[0][5])
+
+
+def test_flatness_catalog_builds_only_the_named_family(monkeypatch, capsys):
+    from nilwkb import catalog as catalog_mod
+
+    def unbuildable():
+        raise AssertionError("built a family that was not asked for")
+
+    for name in catalog_mod.FAMILIES:
+        if name != "nilpotent_sl3":
+            monkeypatch.setitem(catalog_mod.FAMILIES, name, unbuildable)
+    assert main(["flatness", "catalog:nilpotent_sl3"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_flat"] is True
+
+
+def test_wkbfit_non_finite_trace_exits_1(tmp_path, capsys):
+    rows = ["epsilon,re_trace,im_trace,est_error"]
+    rows += [f"{0.5 / 2**k},{2 + k},0,0" for k in range(7)]
+    rows.append(f"{0.5 / 2**7},inf,0,0")
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(rows) + "\n")
+    assert main(["wkbfit", str(samples)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NonFiniteSample"
+
+
+def test_non_finite_path_exits_1(family_file, tmp_path, capsys):
+    path = tmp_path / "nan_path.json"
+    path.write_text('{"segments": [{"type": "line", "from": [0, 0], "to": [NaN, 1]}]}')
+    assert main(["period", family_file, str(path), "--blocks", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "non-finite" in err["message"]
+
+
+def test_holonomy_overflow_exits_2(family_file, segment_file, monkeypatch, capsys):
+    import numpy as np
+
+    import nilwkb.holonomy as hol
+
+    monkeypatch.setattr(hol, "_integrate", lambda rhs, y, breaks, rtol: (np.full_like(y, np.inf), 1, 1))
+    assert main(["holonomy", family_file, segment_file, "--eps", "0.25:0.1:geometric:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "HolonomyOverflow"

@@ -9,7 +9,7 @@ from nilwkb.algebra import (
     GaussianRational,
     RationalFunctionMatrix,
 )
-from nilwkb.catalog import catalog, nilpotent_sl2
+from nilwkb.catalog import FAMILIES, catalog, nilpotent_sl2
 from nilwkb.connection import (
     ConnectionFamily,
     MatrixOneForm,
@@ -139,6 +139,18 @@ def test_scale_orbit_preserves_flatness_with_inverse_psi():
 def test_catalog_is_exactly_flat():
     for name, fam in catalog().items():
         assert check_flatness(fam).is_flat, name
+
+
+def test_catalog_builds_from_families_by_name():
+    cat = catalog()
+    names = [
+        "trivial", "uniformization_rank2", "uniformization_rank3", "nilpotent_sl2",
+        "nilpotent_sl2_full", "nilpotent_sl3", "nilpotent_sl2_parabolic", "regular_diagonal",
+        "toy_aligned_p", "toy_phi_p", "toy_phi_0", "toy_phi_1", "toy_phi_inf",
+    ]
+    assert list(FAMILIES) == list(cat) == names
+    for name in ("regular_diagonal", "toy_phi_inf"):
+        assert FAMILIES[name]().to_json() == cat[name].to_json()
 
 
 def _random_constant_gauge(rng, n):

@@ -12,8 +12,10 @@ from nilwkb.connection import ConnectionFamily, MatrixOneForm
 from nilwkb.errors import (
     BranchPointOnPath,
     ClearanceViolated,
+    HolonomyOverflow,
     InsufficientSamples,
     NonDecayingSequence,
+    NonFiniteSample,
     TieAtStart,
 )
 from nilwkb.holonomy import (
@@ -58,6 +60,24 @@ def test_path_geometry():
     assert seg.point(0.5) == pytest.approx(0.5 + 0.5j)
     with pytest.raises(ValueError):
         ParamPath.from_points([0, 1, 1])  # zero-length second segment collapses
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ParamPath.segment(0, complex(math.nan, 0)),
+        lambda: ParamPath.segment(complex(0, math.inf), 1),
+        lambda: ParamPath.from_points([0, 1, complex(1, math.nan)]),
+        lambda: ParamPath.circle(complex(math.inf, 0)),
+        lambda: ParamPath.circle(0j, math.nan),
+        lambda: ParamPath.circle(0j, math.inf),
+        lambda: ParamPath.from_json({"segments": [{"type": "line", "from": [0, 0], "to": [math.nan, 1]}]}),
+        lambda: ParamPath.from_json({"segments": [{"type": "arc", "center": [0, 0], "radius": math.inf, "angles": [0, 1]}]}),
+    ],
+)
+def test_path_rejects_non_finite_coordinates(build):
+    with pytest.raises(ValueError, match="non-finite"):
+        build()
 
 
 def test_path_json_round_trip():
@@ -207,6 +227,22 @@ def test_est_error_bounds_every_grid_member(family, path, eps, closed_form):
 # -- spectral tracking -----------------------------------------------------------------
 
 
+def test_est_error_finite_past_norm_overflow():
+    # entries near 1e217: the plain Frobenius norm overflows, the rescaled one does not
+    s = transport_grid(regular_diagonal(), ParamPath.circle(), [2e-3], rel_tol=1e-8)[0]
+    exact = 2 * math.cosh(1 / 2e-3)
+    assert math.isfinite(s.est_error)
+    assert abs(s.trace - exact) <= s.est_error < 1e-4 * exact
+
+
+def test_non_finite_holonomy_raises_overflow(monkeypatch):
+    import nilwkb.holonomy as hol
+
+    monkeypatch.setattr(hol, "_integrate", lambda rhs, y, breaks, rtol: (np.full_like(y, math.inf), 1, 1))
+    with pytest.raises(HolonomyOverflow):
+        transport(nilpotent_sl2(), SEG, 0.1)
+
+
 def test_track_examples():
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     track = spectral_eigenvalue_track(Phi, SEG)
@@ -328,6 +364,17 @@ def test_wkb_fit_errors():
         wkb_fit(_cosh_samples(1.0, np.geomspace(0.5, 0.05, 5)))
     with pytest.raises(InsufficientSamples):
         wkb_fit(_cosh_samples(1.0, np.geomspace(0.5, 0.1, 8)))
+
+
+@pytest.mark.parametrize(
+    "eps, trace",
+    [(0.1, math.inf), (0.1, complex(1, math.inf)), (0.1, complex(math.nan, 0)), (math.inf, 3.0), (0.0, 3.0)],
+)
+def test_wkb_fit_rejects_non_finite_sample(eps, trace):
+    samples = _cosh_samples(1.0, np.geomspace(0.5, 0.05, 12))
+    samples[4] = HolonomySample(epsilon=eps, holonomy=None, trace=trace, est_error=0.0)
+    with pytest.raises(NonFiniteSample):
+        wkb_fit(samples)
 
 
 def test_wkb_fit_complex_unwinding():
