@@ -61,17 +61,25 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, build):
+    """build(data) for the JSON object in the file at path; a missing field
+    raises a ValueError that names the file and the field."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
 
 
 def _load_family(path: str) -> ConnectionFamily:
-    return ConnectionFamily.from_json(_load_json(path))
+    return _load_json(path, ConnectionFamily.from_json)
 
 
 def _load_path(path: str) -> ParamPath:
-    return ParamPath.from_json(_load_json(path))
+    return _load_json(path, ParamPath.from_json)
 
 
 def _parse_eps_grid(spec: str) -> list:
@@ -109,7 +117,7 @@ def _surface_from_args(args) -> PolygonSurface:
     if getattr(args, "torus", False):
         return flat_torus()
     if getattr(args, "surface", None):
-        return PolygonSurface.from_json(_load_json(args.surface))
+        return _load_json(args.surface, PolygonSurface.from_json)
     raise ValueError("provide a surface file, --staircase N, or --torus")
 
 
@@ -222,7 +230,11 @@ def _cmd_wkbcheck(args) -> int:
 
 def _cmd_wkbfit(args) -> int:
     with open(args.samples) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in ("epsilon", "re_trace", "im_trace") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.samples}: missing column {missing[0]!r}")
+        rows = list(reader)
     samples = [
         HolonomySample(
             epsilon=float(r["epsilon"]),

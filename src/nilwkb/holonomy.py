@@ -3,18 +3,24 @@
 Paths are piecewise lines/arcs parametrized proportionally to arc length.
 Transport solves the flat-section system S'(t) = -M(t) S(t) for a whole eps
 grid as one stacked (B, n, n) system with an adaptive embedded pair (DOP853),
-segment by segment, so all members share one step count; a single transport
-is the one-member grid.  The error estimate compares a second run at a
-hundredfold tighter tolerance, floored by the roundoff the fine run can
-accumulate, so est_error is a conservative bound for each reported matrix,
-also for members the stiffest one forces to be over-resolved.  Determinant
-fidelity of a sample is meaningful while eps_machine * ||H||^2 stays below
-est_error; at extreme magnitudes the determinant of the stored
-double-precision matrix is dominated by representation roundoff.
+one solve per segment, so all members share one step count; a single
+transport is the one-member grid.  Each solve reads only its own segment.
+Whether a segment's pulled-back term matrices depend on t is decided once:
+a z-independent family on a line segment has constant M, built once, so its
+right-hand side is one batched product M @ S.  The error estimate compares
+a second run at a hundredfold tighter tolerance, floored by the roundoff the
+fine run can accumulate, so est_error is a conservative bound for each
+reported matrix, also for members the stiffest one forces to be
+over-resolved.  Determinant fidelity of a sample is meaningful while
+eps_machine * ||H||^2 stays below est_error; at extreme magnitudes the
+determinant of the stored double-precision matrix is dominated by
+representation roundoff.
 
 Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
 path flips its orientation flag, and the branch seed follows the orientation,
-so periods are exactly odd under reversal.
+so periods are exactly odd under reversal.  The track's grid nodes are
+evaluated once, when it is built; the WKB predicate reads them back, and the
+period's real and imaginary quadratures share their evaluations.
 """
 
 from __future__ import annotations
@@ -129,6 +135,8 @@ class ArcSegment:
 
 
 Segment = LineSegment | ArcSegment
+# a segment's (K, n*n) term matrices: the array itself, or a map t -> array
+TermMatrices = np.ndarray | Callable[[float], np.ndarray]
 
 
 class ParamPath:
@@ -267,31 +275,36 @@ class HolonomySample:
     rhs_evals: int = 0
 
 
-def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Callable[[float], np.ndarray]:
-    """t -> (K, n*n) array; row k is P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))
-    for form k = P dz + Q dzbar, flattened row-major.
+def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> List[TermMatrices]:
+    """Per segment of gamma, its (K, n*n) term matrices: row k is
+    P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t)) for form k = P dz + Q dzbar,
+    flattened row-major.
 
-    Each nonzero entry is compiled once.  Per t the path is located once and
-    the point and velocity are Python scalars, so the compiled closures run
-    on plain complex arithmetic.  Per entry the value is dz(z) v, plus
-    dzbar(z) conj(v).
+    Each nonzero entry is compiled once and evaluated on Python scalars as
+    dz(z) v, plus dzbar(z) conj(v).  Whether the matrices depend on t is
+    decided once per segment.  On a line segment (constant velocity) where
+    every nonzero entry is constant in z (numerator and denominator of
+    degree (0, 0)) they do not: that segment's item is the read-only array,
+    evaluated once by the same per-entry code.  Any other segment's item is
+    a map t -> array evaluated at s = (t - t_k) / (t_{k+1} - t_k), clamped to
+    [0, 1], on that segment alone.
     """
     entries = []
+    constant = True
     for k, form in enumerate(forms):
         for i in range(n):
             for j in range(n):
                 dz_e, dzbar_e = form.dz_part.entries[i][j], form.dzbar_part.entries[i][j]
                 if dz_e or dzbar_e:
+                    constant = constant and all(
+                        e.num.degree() == e.den.degree() == (0, 0) for e in (dz_e, dzbar_e) if e
+                    )
                     dz_fn = dz_e.compiled() if dz_e else None
                     dzbar_fn = dzbar_e.compiled() if dzbar_e else None
                     entries.append(((k * n + i) * n + j, dz_fn, dzbar_fn))
     shape = (len(forms), n * n)
-    segments = gamma.segments
 
-    def P(t: float) -> np.ndarray:
-        k, s, dt = gamma._locate(float(t))
-        z = segments[k].point(s)
-        v = segments[k].velocity(s) / dt
+    def evaluate(z: complex, v: complex) -> np.ndarray:
         vv = v.conjugate()
         out = np.zeros(shape[0] * shape[1], dtype=complex)
         for idx, dz_fn, dzbar_fn in entries:
@@ -302,6 +315,30 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Ca
                 acc += dzbar_fn(z) * vv
             out[idx] = acc
         return out.reshape(shape)
+
+    def on_segment(seg: Segment, t0: float, t1: float) -> TermMatrices:
+        dt = t1 - t0
+        if constant and isinstance(seg, LineSegment):
+            P = evaluate(seg.point(0.0), seg.velocity(0.0) / dt)
+            P.flags.writeable = False
+            return P
+
+        def P(t: float) -> np.ndarray:
+            s = min(1.0, max(0.0, (float(t) - t0) / dt))
+            return evaluate(seg.point(s), seg.velocity(s) / dt)
+
+        return P
+
+    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:])]
+
+
+def _on_path(pieces: Sequence[TermMatrices], gamma: ParamPath) -> Callable[[float], np.ndarray]:
+    """t -> (K, n*n) term matrices along the whole path, from the item of
+    :func:`_pulled_back` for the segment that holds t."""
+
+    def P(t: float) -> np.ndarray:
+        piece = pieces[gamma._locate(float(t))[0]]
+        return piece(t) if callable(piece) else piece
 
     return P
 
@@ -330,7 +367,7 @@ def pullback(
     n = family.n
     forms, weights = _term_weights(family, [epsilon])
     gamma.check_clearance(family.punctures, clearance)
-    P = _pulled_back(forms, gamma, n)
+    P = _on_path(_pulled_back(forms, gamma, n), gamma)
     return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
 
@@ -345,13 +382,14 @@ def _frobenius(a: np.ndarray) -> float:
     return norm
 
 
-def _integrate(rhs, y, breaks, rtol) -> Tuple[np.ndarray, int, int]:
-    """The flat state y carried along the path by DOP853, one solve per segment.
+def _integrate(rhss, y, breaks, rtol) -> Tuple[np.ndarray, int, int]:
+    """The flat state y carried along the path by DOP853: one solve per
+    segment [t_k, t_{k+1}], with that segment's right-hand side rhss[k].
 
     Returns the final state, the accepted steps and the RHS evaluations.
     """
     steps = rhs_evals = 0
-    for t0, t1 in zip(breaks, breaks[1:]):
+    for rhs, t0, t1 in zip(rhss, breaks, breaks[1:]):
         sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
@@ -384,9 +422,12 @@ def transport_grid(
 ) -> List[HolonomySample]:
     """Fundamental matrices S_b(1) of S_b' = -M_b(t) S_b, S_b(0) = 1, in input order.
 
-    The whole grid is one stacked (B, n, n) system: per t the term matrices
-    P_k(t) are evaluated once and combined as M_b = sum_k eps_b^x_k P_k(t).
-    It is solved at the requested tolerance and again a hundredfold tighter;
+    The whole grid is one stacked (B, n, n) system, solved segment by
+    segment, each solve with its own segment's term matrices P_k, combined as
+    M_b = sum_k eps_b^x_k P_k.  Where P_k do not depend on t (see
+    :func:`_pulled_back`) M_b is formed once per segment; elsewhere once per
+    right-hand side.  It is solved at the requested tolerance and again a
+    hundredfold tighter;
     the tighter run is reported, with its step and RHS counts.  A member's
     est_error is the Frobenius distance between its two runs, but at least
     2.3e-16 (1 + ||S_b||) steps, the roundoff that many steps can pile up: a
@@ -398,17 +439,19 @@ def transport_grid(
         return []
     forms, weights = _term_weights(family, eps)
     gamma.check_clearance(family.punctures)
-    P = _pulled_back(forms, gamma, family.n)
     n, B = family.n, len(eps)
     neg_weights = -weights
 
-    def rhs(t, y):
-        M = (neg_weights @ P(t)).reshape(B, n, n)
-        return (M @ y.reshape(B, n, n)).reshape(-1)
+    def segment_rhs(P: TermMatrices):
+        if callable(P):
+            return lambda t, y: ((neg_weights @ P(t)).reshape(B, n, n) @ y.reshape(B, n, n)).reshape(-1)
+        M = (neg_weights @ P).reshape(B, n, n)
+        return lambda t, y: (M @ y.reshape(B, n, n)).reshape(-1)
 
+    rhss = [segment_rhs(P) for P in _pulled_back(forms, gamma, n)]
     y0 = np.tile(np.eye(n, dtype=complex).reshape(-1), B)
-    coarse = _integrate(rhs, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
-    fine, steps, rhs_evals = _integrate(rhs, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
+    coarse = _integrate(rhss, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
+    fine, steps, rhs_evals = _integrate(rhss, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
     samples = []
     for e, c, f in zip(eps, coarse.reshape(B, n, n), fine.reshape(B, n, n)):
         if not np.isfinite(f).all():
@@ -451,12 +494,18 @@ class EigenvalueTrack:
         if self.n == 2:
             q = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2))
             qf = q.compiled()
-            self._f = lambda t: qf(gamma.point(t)) * gamma.velocity(t) ** 2
+            segments = gamma.segments
+
+            def f(t: float) -> complex:
+                k, s, dt = gamma._locate(t)
+                return qf(segments[k].point(s)) * (segments[k].velocity(s) / dt) ** 2
+
+            self._f = f
             self._build_sqrt_grid(grid_size)
         else:
             if not Phi.dzbar_part.is_zero:
                 raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-            P = _pulled_back([Phi], gamma, self.n)
+            P = _on_path(_pulled_back([Phi], gamma, self.n), gamma)
             self._matval = lambda t: P(t).reshape(self.n, self.n)
             self._build_eig_grid(grid_size)
 
@@ -500,10 +549,11 @@ class EigenvalueTrack:
         self._sign = 1.0 if seed.real > 0 else -1.0
 
     def _mu2(self, t: float) -> complex:
-        k = min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)
-        f = self._f(t)
-        base = self._fs[k]
-        arg = self._args[k] + cmath.phase(f / base)
+        return self._mu2_from(min(bisect_right(self._ts, t) - 1, len(self._ts) - 2), self._f(t))
+
+    def _mu2_from(self, k: int, f: complex) -> complex:
+        """The branch of sqrt(f) continued from node k."""
+        arg = self._args[k] + cmath.phase(f / self._fs[k])
         return self._sign * math.sqrt(abs(f)) * cmath.exp(0.5j * arg)
 
     # -- higher rank -----------------------------------------------------------------
@@ -567,6 +617,20 @@ class EigenvalueTrack:
     def grid(self) -> List[float]:
         return list(self._ts)
 
+    def node_values(self) -> List[np.ndarray]:
+        """values(t) at every node of grid(), without evaluating the field again.
+
+        Rank 2 continues the stored f(t_k) from node k (the last node from
+        its predecessor), exactly as values(t_k) does.  Higher rank returns
+        the stored rows: matched against itself, a row of distinct
+        eigenvalues comes back unchanged.
+        """
+        if self.n == 2:
+            last = len(self._ts) - 2
+            mus = [self._mu2_from(min(k, last), f) for k, f in enumerate(self._fs)]
+            return [np.array([mu, -mu]) for mu in mus]
+        return list(self._rows)
+
 
 def spectral_eigenvalue_track(Phi: MatrixOneForm, gamma: ParamPath) -> EigenvalueTrack:
     return EigenvalueTrack(Phi, gamma)
@@ -582,6 +646,9 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     """Strict positivity of the tracked real part (rank 2) or of all
     consecutive real-part gaps (higher rank), with refinement near minima.
 
+    Margins and the scale of the tolerance come from the track's stored
+    node values; only the (at most 16) refinement midpoints are evaluated.
+
     A branch tie at the start (Re mu(0) = 0) already decides the answer: the
     path is not a WKB curve, margin zero.
     """
@@ -592,17 +659,19 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
             return WkbCurveCheck(is_wkb=False, margin=0.0)
 
     if track.n == 2:
-        margin_at = lambda t: track(t).real
-        scale_vals = [abs(track(t)) for t in track.grid()]
+        margin_of = lambda vals: complex(vals[0]).real
+        scale_of = lambda vals: abs(complex(vals[0]))
     else:
-        def margin_at(t):
-            re = np.sort(track.values(t).real)[::-1]
+        def margin_of(vals):
+            re = np.sort(vals.real)[::-1]
             return float(np.min(re[:-1] - re[1:]))
 
-        scale_vals = [float(np.abs(track.values(t)).max()) for t in track.grid()]
+        scale_of = lambda vals: float(np.abs(vals).max())
 
-    ts = list(track.grid())
-    vals = [margin_at(t) for t in ts]
+    nodes = track.node_values()
+    scale_vals = [scale_of(v) for v in nodes]
+    ts = track.grid()
+    vals = [margin_of(v) for v in nodes]
     for _ in range(16):
         k = int(np.argmin(vals))
         inserted = False
@@ -610,7 +679,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
             if hi > lo and ts[hi] - ts[lo] > 1e-10:
                 tm = 0.5 * (ts[lo] + ts[hi])
                 ts.insert(lo + 1, tm)
-                vals.insert(lo + 1, margin_at(tm))
+                vals.insert(lo + 1, margin_of(track.values(tm)))
                 inserted = True
                 break
         if not inserted:
@@ -637,10 +706,17 @@ def period(
             f"path is not a WKB curve (margin {check.margin:.3e}); period computed anyway",
             stacklevel=2,
         )
+    memo = {}  # the real and imaginary quadratures share many nodes
+
+    def mu(t: float) -> complex:
+        if t not in memo:
+            memo[t] = track(t)
+        return memo[t]
+
     total = 0j
     for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
-        re, _ = quad(lambda t: track(t).real, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
-        im, _ = quad(lambda t: track(t).imag, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
+        re, _ = quad(lambda t: mu(t).real, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
+        im, _ = quad(lambda t: mu(t).imag, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
         total += re + 1j * im
     return total
 

@@ -330,7 +330,13 @@ def trace_flow(
     VERTEX_TOL of a cone point (status ConePoint, not an exception), or when
     the flow returns within close_tol of the start with matching direction
     (status ClosedUp).  ``_recurrence`` is the loop search's wider-ball hook.
+    A non-finite theta, or a max_length that is not finite and positive,
+    raises ValueError.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"flow angle must be finite, got {theta!r}")
+    if not (math.isfinite(max_length) and max_length > 0):
+        raise ValueError(f"max_length must be finite and positive, got {max_length!r}")
     p0, z0 = start[0], complex(start[1])
     if not surface.contains(p0, z0):
         raise ValueError(f"start point {z0} is not inside polygon {p0}")

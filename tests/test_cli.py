@@ -286,3 +286,67 @@ def test_holonomy_overflow_exits_2(family_file, segment_file, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "HolonomyOverflow"
+
+
+@pytest.mark.parametrize(
+    "command", [["jordan", "{bad}"], ["kdiff", "{bad}"], ["period", "{bad}", "{segment}"], ["secondary", "{bad}", "--blocks", "1,1"]]
+)
+def test_family_without_rank_exits_1(segment_file, tmp_path, command, capsys):
+    bad = tmp_path / "norank.json"
+    bad.write_text('{"schema": "nilwkb/1"}')
+    assert main([a.format(bad=bad, segment=segment_file) for a in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert str(bad) in err["message"] and "'rank'" in err["message"]
+
+
+def test_path_without_segments_exits_1(family_file, tmp_path, capsys):
+    bad = tmp_path / "nosegments.json"
+    bad.write_text('{"schema": "nilwkb/1", "closed": false}')
+    assert main(["wkbcheck", family_file, str(bad), "--blocks", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert str(bad) in err["message"] and "'segments'" in err["message"]
+
+
+def test_surface_file_without_polygons_exits_1(tmp_path, capsys):
+    bad = tmp_path / "surface.json"
+    bad.write_text("[]")
+    assert main(["surface", "validate", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    bad.write_text('{"identifications": []}')
+    assert main(["surface", "validate", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "'polygons'" in err["message"]
+
+
+def test_wkbfit_csv_without_epsilon_exits_1(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("eps,re_trace,im_trace\n0.5,3,0\n")
+    assert main(["wkbfit", str(samples)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert str(samples) in err["message"] and "'epsilon'" in err["message"]
+    # a short row is a ValueError too, not a TypeError traceback
+    samples.write_text("epsilon,re_trace,im_trace\n0.5,3\n")
+    assert main(["wkbfit", str(samples)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-length", "-1"), ("--max-length", "nan"), ("--theta", "nan"), ("--theta", "inf")])
+def test_surface_trace_bad_flow_arguments_exit_1(flag, value, capsys):
+    args = {"--theta": "0.3", "--max-length": "3"}
+    args[flag] = value
+    argv = ["surface", "trace", "--torus", "--start", "0,0.5,0.5"]
+    for k, v in args.items():
+        argv += [k, v]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"

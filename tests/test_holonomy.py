@@ -19,8 +19,12 @@ from nilwkb.errors import (
     TieAtStart,
 )
 from nilwkb.holonomy import (
+    ArcSegment,
+    EigenvalueTrack,
     HolonomySample,
     ParamPath,
+    _pulled_back,
+    _term_weights,
     is_wkb_curve,
     period,
     pullback,
@@ -125,7 +129,81 @@ def test_pullback_examples():
     assert np.allclose(M(0.6), expected)
 
 
+def test_constant_segment_pulls_back_once_bit_for_bit():
+    # a z-independent family on a line: each segment's term matrices are one
+    # read-only array, equal bit for bit to the entries evaluated one by one
+    fam = nilpotent_sl2_full()
+    gamma = ParamPath.from_points([0.2 + 0.1j, 1.1 + 0.7j, 0.4 + 1.3j])
+    forms, _weights = _term_weights(fam, [0.3])
+    pieces = _pulled_back(forms, gamma, 2)
+    for k, (seg, P) in enumerate(zip(gamma.segments, pieces)):
+        assert isinstance(P, np.ndarray) and not P.flags.writeable
+        z = seg.point(0.0)
+        v = seg.velocity(0.0) / (gamma.breaks[k + 1] - gamma.breaks[k])
+        expected = np.zeros((len(forms), 4), dtype=complex)
+        for f, form in enumerate(forms):
+            for i in range(2):
+                for j in range(2):
+                    acc = 0j
+                    if form.dz_part.entries[i][j]:
+                        acc += form.dz_part.entries[i][j].evaluate(z) * v
+                    if form.dzbar_part.entries[i][j]:
+                        acc += form.dzbar_part.entries[i][j].evaluate(z) * v.conjugate()
+                    expected[f, 2 * i + j] = acc
+        assert np.array_equal(P, expected)
+    # an arc and a z-dependent entry keep evaluating per t
+    assert all(callable(P) for P in _pulled_back(forms, ParamPath.circle(0.3 + 0.2j, 0.7), 2))
+    diag_forms, _w = _term_weights(regular_diagonal(), [0.3])
+    assert all(callable(P) for P in _pulled_back(diag_forms, SEG, 2))
+
+
+def _counting_closures(monkeypatch):
+    calls = [0]
+    compiled = BRF.compiled
+
+    def counting(self):
+        fn = compiled(self)
+
+        def counted(z):
+            calls[0] += 1
+            return fn(z)
+
+        return counted
+
+    monkeypatch.setattr(BRF, "compiled", counting)
+    return calls
+
+
+def test_constant_segments_evaluate_entries_once_per_segment(monkeypatch):
+    # cost guard: a constant family on a polyline evaluates its two entries
+    # once per segment, not once per right-hand side (~12 per step)
+    calls = _counting_closures(monkeypatch)
+    poly = ParamPath.from_points([0, 1, 1 + 1j, 0.2 + 1.5j])
+    s = transport(nilpotent_sl2(), poly, 0.3)
+    assert 0 < calls[0] <= 2 * len(poly.segments)
+    assert s.rhs_evals > 10 * calls[0]
+    # the shortcut must not widen: a z-dependent field on the circle still
+    # evaluates per right-hand side
+    calls[0] = 0
+    s = transport(regular_diagonal(), ParamPath.circle(), 0.3)
+    assert calls[0] >= s.rhs_evals
+
+
 # -- transport --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [nilpotent_sl2, nilpotent_sl2_full])
+def test_polyline_transport_solves_each_segment_on_its_own(build):
+    # each solve reads only its own segment, also in the last stage of a step
+    # that ends on a corner, so the polyline costs about what its three
+    # segments cost alone (40 steps; reading the next segment there costs 157)
+    pts = [0, 1, 1 + 1j, 0.2 + 1.5j]
+    fam, eps = build(), 0.3
+    whole = transport(fam, ParamPath.from_points(pts), eps)
+    parts = [transport(fam, ParamPath.segment(a, b), eps) for a, b in zip(pts, pts[1:])]
+    assert whole.steps <= 1.1 * sum(p.steps for p in parts)
+    product = parts[2].holonomy @ parts[1].holonomy @ parts[0].holonomy
+    assert np.linalg.norm(whole.holonomy - product) <= whole.est_error + sum(p.est_error for p in parts)
 
 
 def test_transport_trivial():
@@ -271,6 +349,43 @@ def test_track_continuous_branch_on_circle():
     track = spectral_eigenvalue_track(fam.phi, ParamPath.circle())
     values = [track(t) for t in np.linspace(0, 1, 17)]
     assert max(abs(v - values[0]) for v in values) < 1e-9
+
+
+_ARC = ParamPath([ArcSegment(0.3 + 0.2j, 0.7, 0.1, 2.0)])
+
+
+def _phi(grid):
+    return MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars(grid))
+
+
+def _zpow(k):
+    out = BRF.one()
+    for _ in range(k):
+        out = out * BRF.z()
+    return out
+
+
+@pytest.mark.parametrize(
+    "Phi, gamma",
+    [
+        (_phi([[0, 2], [3, 0]]), ParamPath.segment(0.1 + 0.2j, 1.3 - 0.1j)),
+        (_phi([[0, 2], [3, 0]]), _ARC.reversed()),
+        # z^40 on a circle winds fast enough to refine the track grid
+        (MatrixOneForm.from_dz(RationalFunctionMatrix([[BRF.zero(), _zpow(40)], [BRF.one(), BRF.zero()]])),
+         ParamPath([ArcSegment(0j, 1.0, 0.3, 0.3 + 2 * math.pi)])),
+        (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), ParamPath.segment(0.1 + 0.2j, 1.3 - 0.1j)),
+        (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), _ARC.reversed()),
+    ],
+)
+def test_track_node_values_equal_values_at_nodes(Phi, gamma):
+    track = EigenvalueTrack(Phi, gamma)
+    nodes, ts = track.node_values(), track.grid()
+    assert len(nodes) == len(ts)
+    for vals, t in zip(nodes, ts):
+        assert np.array_equal(vals, track.values(t))
+        assert vals[0] == track(t)
+    # is_wkb_curve reads the node values: same margin from a prebuilt track
+    assert is_wkb_curve(Phi, gamma, track) == is_wkb_curve(Phi, gamma)
 
 
 def test_is_wkb_curve_examples():

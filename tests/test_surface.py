@@ -116,6 +116,20 @@ def test_trace_flow_max_length():
     assert sum(abs(b - a) for _p, a, b in tr.pieces) == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize(
+    "theta, max_length",
+    [(math.nan, 3.0), (math.inf, 3.0), (-math.inf, 3.0), (0.3, -1.0), (0.3, 0.0), (0.3, math.nan), (0.3, math.inf)],
+)
+def test_flow_rejects_bad_arguments(theta, max_length):
+    # unchecked, a negative length emits a piece outside the polygon, a NaN
+    # length runs the whole crossing budget and a NaN angle reports a
+    # non-manifold corner
+    with pytest.raises(ValueError):
+        trace_flow(flat_torus(), (0, 0.5 + 0.5j), theta, max_length)
+    with pytest.raises(ValueError):
+        find_wkb_loop(flat_torus(), (0, 0.5 + 0.5j), theta, max_length=max_length)
+
+
 def test_trace_flow_length_additivity():
     T = flat_torus()
     first = trace_flow(T, (0, 0.5 + 0.3j), 0.9, 0.7)
