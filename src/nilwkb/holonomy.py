@@ -1,20 +1,18 @@
 """Parallel transport of parameter families, spectral periods, WKB rate fits.
 
 Paths are piecewise lines/arcs parametrized proportionally to arc length.
-Transport solves the flat-section system S'(t) = -M(t) S(t) for a whole eps
-grid as one stacked (B, n, n) system with an adaptive embedded pair (DOP853),
-one solve per segment, so all members share one step count; a single
-transport is the one-member grid.  Each solve reads only its own segment.
-Whether a segment's pulled-back term matrices depend on t is decided once:
-a z-independent family on a line segment has constant M, built once, so its
-right-hand side is one batched product M @ S.  The error estimate compares
-a second run at a hundredfold tighter tolerance, floored by the roundoff the
-fine run can accumulate, so est_error is a conservative bound for each
-reported matrix, also for members the stiffest one forces to be
-over-resolved.  Determinant fidelity of a sample is meaningful while
-eps_machine * ||H||^2 stays below est_error; at extreme magnitudes the
-determinant of the stored double-precision matrix is dominated by
-representation roundoff.
+Transport carries the flat-section system S'(t) = -M(t) S(t) for a whole eps
+grid as one stacked (B, n, n) system, segment by segment; a single transport
+is the one-member grid.  Whether a segment's pulled-back term matrices depend
+on t is decided once: a z-independent family on a line segment has constant
+M there, and S is multiplied by the closed form expm(-M dt) (scaling and
+squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
+pair (DOP853), all members sharing one step count.  est_error compares a
+second run at a hundredfold tighter tolerance, plus the roundoff the steps
+and the exponentials can accumulate, so it bounds each reported matrix.
+Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
+stays below est_error; beyond, the determinant of the stored double-precision
+matrix is dominated by representation roundoff.
 
 Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
 path flips its orientation flag, and the branch seed follows the orientation,
@@ -35,6 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
@@ -50,6 +49,8 @@ from .errors import (
 
 DEFAULT_CLEARANCE = 1e-6
 STEP_BUDGET = 10_000_000
+# roundoff of expm(X) in units of 2.3e-16 (1 + ||X||) ||expm(X)||, calibrated against mpmath.expm
+EXPM_ROUNDOFF = 10
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +264,8 @@ class ParamPath:
 class HolonomySample:
     """One transported family member: eps, fundamental matrix at t=1, trace.
 
-    ``steps`` and ``rhs_evals`` are the accepted steps and right-hand-side
-    evaluations of the fine solve; the members of one grid share them.
+    ``steps`` and ``rhs_evals`` are DOP853's accepted steps and RHS evaluations
+    in the fine run, none on constant segments; one grid's members share them.
     """
 
     epsilon: float
@@ -382,23 +383,38 @@ def _frobenius(a: np.ndarray) -> float:
     return norm
 
 
-def _integrate(rhss, y, breaks, rtol) -> Tuple[np.ndarray, int, int]:
-    """The flat state y carried along the path by DOP853: one solve per
-    segment [t_k, t_{k+1}], with that segment's right-hand side rhss[k].
+def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, int, np.ndarray]:
+    """The stacked (B, n, n) state y carried across the path one segment at a
+    time: a constant segment (an array item P of :func:`_pulled_back`) by its
+    closed form expm(X_b), X_b = -M_b (t_{k+1} - t_k), any other by DOP853.
 
-    Returns the final state, the accepted steps and the RHS evaluations.
+    Returns the final state, DOP853's accepted steps and RHS evaluations, and
+    per member the exponentials' roundoff bound: EXPM_ROUNDOFF 2.3e-16
+    (1 + ||X_b||) ||y_b|| each, times the norms of this and later propagators.
     """
+    norms = lambda a: np.linalg.norm(a, axis=(1, 2))
     steps = rhs_evals = 0
-    for rhs, t0, t1 in zip(rhss, breaks, breaks[1:]):
-        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=rtol * 1e-3)
+    roundoff = np.zeros(len(y))
+    for P, t0, t1 in zip(pieces, breaks, breaks[1:]):
+        if not callable(P):
+            X = (neg_weights @ P).reshape(y.shape) * (t1 - t0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                E = expm(X)
+                roundoff = norms(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + norms(X)) * norms(y))
+                y = E @ y
+            continue
+        rhs = lambda t, s: ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
+        sol = solve_ivp(rhs, (t0, t1), y.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
         steps += len(sol.t) - 1
         rhs_evals += sol.nfev
         if steps > STEP_BUDGET:
             raise StiffnessBudgetExceeded(f"step budget {STEP_BUDGET} exceeded")
-        y = sol.y[:, -1].copy()  # not a view that keeps the whole solution history alive
-    return y, steps, rhs_evals
+        y, y_start = sol.y[:, -1].reshape(y.shape).copy(), y  # a copy: a view keeps the whole solution history alive
+        if roundoff.any():  # an earlier exponential's roundoff, carried through this segment
+            roundoff = roundoff * norms(y @ np.linalg.inv(y_start))
+    return y, steps, rhs_evals, roundoff
 
 
 def transport(
@@ -422,16 +438,12 @@ def transport_grid(
 ) -> List[HolonomySample]:
     """Fundamental matrices S_b(1) of S_b' = -M_b(t) S_b, S_b(0) = 1, in input order.
 
-    The whole grid is one stacked (B, n, n) system, solved segment by
-    segment, each solve with its own segment's term matrices P_k, combined as
-    M_b = sum_k eps_b^x_k P_k.  Where P_k do not depend on t (see
-    :func:`_pulled_back`) M_b is formed once per segment; elsewhere once per
-    right-hand side.  It is solved at the requested tolerance and again a
-    hundredfold tighter;
-    the tighter run is reported, with its step and RHS counts.  A member's
-    est_error is the Frobenius distance between its two runs, but at least
-    2.3e-16 (1 + ||S_b||) steps, the roundoff that many steps can pile up: a
-    member far less stiff than the stiffest one ends both runs at roundoff.
+    The whole grid is one stacked (B, n, n) system, carried across the path
+    by :func:`_integrate` at the requested tolerance and again a hundredfold
+    tighter; the tighter run is reported.  A member's est_error is the
+    Frobenius distance between its two runs, but at least 2.3e-16 (1 + ||S_b||)
+    steps (a member far less stiff than the stiffest one ends both runs at
+    roundoff), plus the exponentials' roundoff bound, which both runs share.
     A member whose holonomy or est_error is not finite raises HolonomyOverflow.
     """
     eps = [float(e) for e in epsilons]
@@ -439,24 +451,15 @@ def transport_grid(
         return []
     forms, weights = _term_weights(family, eps)
     gamma.check_clearance(family.punctures)
-    n, B = family.n, len(eps)
-    neg_weights = -weights
-
-    def segment_rhs(P: TermMatrices):
-        if callable(P):
-            return lambda t, y: ((neg_weights @ P(t)).reshape(B, n, n) @ y.reshape(B, n, n)).reshape(-1)
-        M = (neg_weights @ P).reshape(B, n, n)
-        return lambda t, y: (M @ y.reshape(B, n, n)).reshape(-1)
-
-    rhss = [segment_rhs(P) for P in _pulled_back(forms, gamma, n)]
-    y0 = np.tile(np.eye(n, dtype=complex).reshape(-1), B)
-    coarse = _integrate(rhss, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
-    fine, steps, rhs_evals = _integrate(rhss, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
+    pieces = _pulled_back(forms, gamma, family.n)
+    y0 = np.tile(np.eye(family.n, dtype=complex), (len(eps), 1, 1))
+    coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
+    fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
     samples = []
-    for e, c, f in zip(eps, coarse.reshape(B, n, n), fine.reshape(B, n, n)):
+    for e, c, f, r in zip(eps, coarse, fine, roundoff):
         if not np.isfinite(f).all():
             raise HolonomyOverflow(f"holonomy at eps={e!r} exceeds double precision")
-        est = max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps)
+        est = float(max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps) + r)
         if not math.isfinite(est):
             raise HolonomyOverflow(f"est_error at eps={e!r} exceeds double precision")
         samples.append(
@@ -673,16 +676,14 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     ts = track.grid()
     vals = [margin_of(v) for v in nodes]
     for _ in range(16):
-        k = int(np.argmin(vals))
-        inserted = False
+        k = vals.index(min(vals))
         for lo, hi in ((max(k - 1, 0), k), (k, min(k + 1, len(ts) - 1))):
             if hi > lo and ts[hi] - ts[lo] > 1e-10:
                 tm = 0.5 * (ts[lo] + ts[hi])
                 ts.insert(lo + 1, tm)
                 vals.insert(lo + 1, margin_of(track.values(tm)))
-                inserted = True
                 break
-        if not inserted:
+        else:
             break
     margin = float(min(vals))
     tol = 1e-12 * max(scale_vals)
@@ -783,7 +784,11 @@ def _tail_linear_fit(u: np.ndarray, y: np.ndarray, tail: int) -> Tuple[complex, 
 
 
 def _free_fit_exponent(eps: np.ndarray, traces: Sequence[complex]) -> float:
-    """Log-log slope of log|T| against 1/eps, with one outlier-trim pass."""
+    """Least-squares log-log slope of log|T| against 1/eps over every sample with |T| > 1.
+
+    Every sample counts: where the trace changes sign its dips are one-sided
+    outliers, and dropping those at the large-eps end tilts the slope.
+    """
     logmag = np.array([math.log(abs(T)) if T != 0 else -math.inf for T in traces])
     good = logmag > 0
     if good.sum() < 3:
@@ -792,12 +797,6 @@ def _free_fit_exponent(eps: np.ndarray, traces: Sequence[complex]) -> float:
     y = np.log(logmag[good])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    med = np.median(resid)
-    mad = np.median(np.abs(resid - med)) + 1e-30
-    keep = np.abs(resid - med) < 5 * mad
-    if 3 <= keep.sum() < len(x):
-        coef, *_ = np.linalg.lstsq(A[keep], y[keep], rcond=None)
     return float(coef[0])
 
 

@@ -232,8 +232,10 @@ def test_unknown_catalog_name_exits_1(capsys):
     assert "'nope'" in err["message"] and "nilpotent_sl2" in err["message"]
 
 
-def test_holonomy_csv_carries_cost_counters(family_file, segment_file, capsys):
-    assert main(["holonomy", family_file, segment_file, "--eps", "0.25:0.01:geometric:3"]) == 0
+def test_holonomy_csv_carries_cost_counters(family_file, tmp_path, capsys):
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps(ParamPath.circle().to_json()))
+    assert main(["holonomy", family_file, str(circle), "--eps", "0.25:0.01:geometric:3"]) == 0
     header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     assert header == ["epsilon", "re_trace", "im_trace", "est_error", "steps", "rhs_evals"]
     assert len(rows) == 3
@@ -276,13 +278,9 @@ def test_non_finite_path_exits_1(family_file, tmp_path, capsys):
     assert err["error"] == "ValueError" and "non-finite" in err["message"]
 
 
-def test_holonomy_overflow_exits_2(family_file, segment_file, monkeypatch, capsys):
-    import numpy as np
-
-    import nilwkb.holonomy as hol
-
-    monkeypatch.setattr(hol, "_integrate", lambda rhs, y, breaks, rtol: (np.full_like(y, np.inf), 1, 1))
-    assert main(["holonomy", family_file, segment_file, "--eps", "0.25:0.1:geometric:2"]) == 2
+def test_holonomy_overflow_exits_2(family_file, segment_file, capsys):
+    # the trace 2 cosh(eps^-1/2) at eps 1e-7 is past a double
+    assert main(["holonomy", family_file, segment_file, "--eps", "1e-6:1e-7:geometric:2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "HolonomyOverflow"
