@@ -372,9 +372,15 @@ def pullback(
     return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a; when the plain sum of squares overflows (entries
-    past about 1e154) on a finite matrix, it is taken on a / max|a_ij|."""
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of a, per member if a is (B, n, n); where the plain sum of squares
+    overflows (entries past about 1e154) on a finite matrix, it is taken on a / max|a_ij|."""
+    if a.ndim == 3:
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(a, axis=(1, 2))
+        for b in np.flatnonzero(np.isinf(norms)):
+            norms[b] = _frobenius(a[b])
+        return norms
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
     if math.isinf(norm) and np.isfinite(a).all():
@@ -391,8 +397,10 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     Returns the final state, DOP853's accepted steps and RHS evaluations, and
     per member the exponentials' roundoff bound: EXPM_ROUNDOFF 2.3e-16
     (1 + ||X_b||) ||y_b|| each, times the norms of this and later propagators.
+    After an exponential, DOP853 solves for its segment's propagator from the
+    identity, which carries that bound; its steps and the product with y add
+    2.3e-16 ||y_b|| each.
     """
-    norms = lambda a: np.linalg.norm(a, axis=(1, 2))
     steps = rhs_evals = 0
     roundoff = np.zeros(len(y))
     for P, t0, t1 in zip(pieces, breaks, breaks[1:]):
@@ -400,20 +408,22 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             X = (neg_weights @ P).reshape(y.shape) * (t1 - t0)
             with np.errstate(over="ignore", invalid="ignore"):
                 E = expm(X)
-                roundoff = norms(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + norms(X)) * norms(y))
+                roundoff = _frobenius(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + _frobenius(X)) * _frobenius(y))
                 y = E @ y
             continue
         rhs = lambda t, s: ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
-        sol = solve_ivp(rhs, (t0, t1), y.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
+        start = np.broadcast_to(np.eye(y.shape[-1], dtype=complex), y.shape) if roundoff.any() else y
+        sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
         steps += len(sol.t) - 1
         rhs_evals += sol.nfev
         if steps > STEP_BUDGET:
             raise StiffnessBudgetExceeded(f"step budget {STEP_BUDGET} exceeded")
-        y, y_start = sol.y[:, -1].reshape(y.shape).copy(), y  # a copy: a view keeps the whole solution history alive
-        if roundoff.any():  # an earlier exponential's roundoff, carried through this segment
-            roundoff = roundoff * norms(y @ np.linalg.inv(y_start))
+        end = sol.y[:, -1].reshape(y.shape).copy()  # a copy: a view keeps the whole solution history alive
+        if roundoff.any():
+            roundoff, end = _frobenius(end) * (roundoff + 2.3e-16 * len(sol.t) * _frobenius(y)), end @ y
+        y = end
     return y, steps, rhs_evals, roundoff
 
 
@@ -462,16 +472,7 @@ def transport_grid(
         est = float(max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps) + r)
         if not math.isfinite(est):
             raise HolonomyOverflow(f"est_error at eps={e!r} exceeds double precision")
-        samples.append(
-            HolonomySample(
-                epsilon=e,
-                holonomy=f,
-                trace=complex(np.trace(f)),
-                est_error=est,
-                steps=steps,
-                rhs_evals=rhs_evals,
-            )
-        )
+        samples.append(HolonomySample(e, f, complex(np.trace(f)), est, steps=steps, rhs_evals=rhs_evals))
     return samples
 
 
@@ -784,13 +785,13 @@ def _tail_linear_fit(u: np.ndarray, y: np.ndarray, tail: int) -> Tuple[complex, 
 
 
 def _free_fit_exponent(eps: np.ndarray, traces: Sequence[complex]) -> float:
-    """Least-squares log-log slope of log|T| against 1/eps over every sample with |T| > 1.
+    """Least-squares log-log slope of log|T| against 1/eps over the samples with log|T| > median / 10.
 
-    Every sample counts: where the trace changes sign its dips are one-sided
-    outliers, and dropping those at the large-eps end tilts the slope.
-    """
+    A shift d of log|T| moves log log|T| by d / log|T|: the cut drops samples near |T| = 1, where
+    that is unbounded.  No other trim: where the trace changes sign its dips are one-sided, and
+    trimming those at the large-eps end tilts the slope."""
     logmag = np.array([math.log(abs(T)) if T != 0 else -math.inf for T in traces])
-    good = logmag > 0
+    good = logmag > 0.1 * np.median(np.maximum(logmag, 0.0))
     if good.sum() < 3:
         return math.nan
     x = np.log(1.0 / eps[good])

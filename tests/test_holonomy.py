@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 from nilwkb.algebra import GaussianRational, RationalFunctionMatrix, BiRationalFunction as BRF
-from nilwkb.catalog import catalog, nilpotent_sl2, nilpotent_sl2_full, nilpotent_sl3, regular_diagonal
+from nilwkb.catalog import (
+    catalog,
+    nilpotent_sl2,
+    nilpotent_sl2_full,
+    nilpotent_sl2_parabolic,
+    nilpotent_sl3,
+    regular_diagonal,
+)
 from nilwkb.connection import ConnectionFamily, MatrixOneForm
 from nilwkb.errors import (
     BranchPointOnPath,
@@ -20,9 +28,11 @@ from nilwkb.errors import (
 )
 from nilwkb.holonomy import (
     ArcSegment,
+    LineSegment,
     EigenvalueTrack,
     HolonomySample,
     ParamPath,
+    _free_fit_exponent,
     _pulled_back,
     _term_weights,
     is_wkb_curve,
@@ -192,12 +202,13 @@ def test_constant_segments_evaluate_entries_once_per_segment(monkeypatch):
 # -- transport --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("build", [nilpotent_sl2, nilpotent_sl2_full])
+@pytest.mark.parametrize("build", [nilpotent_sl2, nilpotent_sl2_full, regular_diagonal, nilpotent_sl2_parabolic])
 def test_polyline_transport_solves_each_segment_on_its_own(build):
     # each solve reads only its own segment, also in the last stage of a step
     # that ends on a corner, so the polyline costs about what its three
-    # segments cost alone (40 steps; reading the next segment there costs 157)
-    pts = [0, 1, 1 + 1j, 0.2 + 1.5j]
+    # segments cost alone (regular_diagonal, z-dependent: 26 steps against 28;
+    # reading the next segment there costs 134); constant families take none
+    pts = [0.5, 1.5, 1.5 + 1j, 0.7 + 1.5j]
     fam, eps = build(), 0.3
     whole = transport(fam, ParamPath.from_points(pts), eps)
     parts = [transport(fam, ParamPath.segment(a, b), eps) for a, b in zip(pts, pts[1:])]
@@ -299,6 +310,27 @@ def test_constant_segment_est_error_bounds_mpmath_expm(n, count):
                     assert s.steps == 0 and err <= s.est_error, (trial, k)
 
 
+@pytest.mark.parametrize("n, count", [(2, 60), (3, 30)])
+def test_line_arc_line_est_error_bounds_mpmath_expm(n, count):
+    # a constant dz-family on a line, an arc, a line: the arc is solved by
+    # DOP853 for its propagator, which must carry the first exponential's
+    # roundoff bound; the holonomy of the whole path is expm(-M (end - start))
+    import mpmath as mp
+
+    rng = random.Random(200 + n)
+    with mp.workdps(50):
+        for trial in range(count):
+            phi, conn = _random_constant_family(rng, n)
+            eps, a = rng.uniform(0.1, 1.0), rng.uniform(0.5, 3.0)
+            end = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            arc = ArcSegment(0j, 1.0, 0.0, a)
+            gamma = ParamPath([LineSegment(-1 + 0j, 1 + 0j), arc, LineSegment(cmath.exp(1j * a), end)])
+            s = transport(_const_family(phi, conn), gamma, eps)
+            exact = mp.expm(-(mp.matrix(phi) / mp.mpf(eps) + mp.matrix(conn)) * (mp.mpc(end) + 1))
+            err = mp.mnorm(mp.matrix(s.holonomy.tolist()) - exact, "f")
+            assert s.steps > 0 and err <= s.est_error, trial
+
+
 def test_transport_trace_constant_gauge_invariant():
     rng = random.Random(47)
     fam = nilpotent_sl2()
@@ -370,6 +402,15 @@ def test_est_error_finite_past_norm_overflow():
     exact = 2 * math.cosh(1 / 2e-3)
     assert math.isfinite(s.est_error)
     assert abs(s.trace - exact) <= s.est_error < 1e-4 * exact
+
+
+def test_constant_segment_est_error_finite_past_norm_overflow():
+    # the same on a constant segment: entries near 1e219, where the
+    # exponential's roundoff bound takes the rescaled norm
+    s = transport(nilpotent_sl2(), SEG, 4e-6)
+    exact = 2 * math.cosh(500)
+    assert math.isfinite(s.est_error)
+    assert abs(s.trace - exact) <= s.est_error
 
 
 def test_non_finite_holonomy_raises_overflow():
@@ -533,6 +574,18 @@ def test_free_fit_exponent_on_jittered_sl3_grids(start, end):
     # dips at the large-eps end tilted the free slope 5.9% and 5.4% off 2/3
     fit = wkb_fit(transport_grid(nilpotent_sl3(), SEG, np.geomspace(start, end, 32), rel_tol=1e-10))
     assert abs(fit.free_fit_exponent - 2 / 3) / (2 / 3) <= 0.05
+
+
+def test_free_fit_exponent_ignores_a_sample_near_one():
+    # log log|T| of a trace just above 1 is an unbounded outlier: one such
+    # sample anywhere on the grid must not move the free slope past 5%
+    sl2 = [2 * math.cosh(e**-0.5) for e in np.geomspace(0.25, 5e-4, 12)]
+    sl3 = [s.trace for s in transport_grid(nilpotent_sl3(), SEG, np.geomspace(0.1, 1e-3, 32), rel_tol=1e-10)]
+    for traces, eps, p in ((sl2, np.geomspace(0.25, 5e-4, 12), 0.5), (sl3, np.geomspace(0.1, 1e-3, 32), 2 / 3)):
+        for k in range(len(traces)):
+            for d in (1e-9, 1e-3, 1e-1):
+                moved = traces[:k] + [1 + d] + traces[k + 1 :]
+                assert abs(_free_fit_exponent(eps, moved) - p) / p <= 0.05, (p, k, d)
 
 
 def test_wkb_fit_errors():
