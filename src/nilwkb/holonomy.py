@@ -7,7 +7,8 @@ is the one-member grid.  Whether a segment's pulled-back term matrices depend
 on t is decided once: a z-independent family on a line segment has constant
 M there, and S is multiplied by the closed form expm(-M dt) (scaling and
 squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
-pair (DOP853), all members sharing one step count.  est_error compares a
+pair (DOP853), all members sharing one step count; a state that overflows
+a double there raises HolonomyOverflow.  est_error compares a
 second run at a hundredfold tighter tolerance, plus the roundoff the steps
 and the exponentials can accumulate, so it bounds each reported matrix.
 Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
@@ -16,9 +17,12 @@ matrix is dominated by representation roundoff.
 
 Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
 path flips its orientation flag, and the branch seed follows the orientation,
-so periods are exactly odd under reversal.  The track's grid nodes are
-evaluated once, when it is built; the WKB predicate reads them back, and the
-period's real and imaginary quadratures share their evaluations.
+so periods are exactly odd under reversal.  The track takes the same
+per-segment decision as transport: where the field is constant it is
+evaluated once, the segment's ends are its only grid nodes, and the period
+adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
+are evaluated once, when it is built; the WKB predicate reads them back,
+and the period's real and imaginary quadratures share their evaluations.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
+from .algebra import BiRationalFunction, RationalFunctionMatrix
 from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
@@ -276,6 +281,15 @@ class HolonomySample:
     rhs_evals: int = 0
 
 
+def _constant_segments(forms: Sequence[MatrixOneForm], gamma: ParamPath) -> List[bool]:
+    """Per segment of gamma, whether the forms pull back to constants there:
+    a line segment (constant velocity) on which every nonzero entry is
+    constant in z (numerator and denominator of degree (0, 0))."""
+    parts = (part for form in forms for part in (form.dz_part, form.dzbar_part))
+    flat = all(e.num.degree() == e.den.degree() == (0, 0) for part in parts for row in part.entries for e in row if e)
+    return [flat and isinstance(seg, LineSegment) for seg in gamma.segments]
+
+
 def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> List[TermMatrices]:
     """Per segment of gamma, its (K, n*n) term matrices: row k is
     P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t)) for form k = P dz + Q dzbar,
@@ -283,23 +297,18 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Li
 
     Each nonzero entry is compiled once and evaluated on Python scalars as
     dz(z) v, plus dzbar(z) conj(v).  Whether the matrices depend on t is
-    decided once per segment.  On a line segment (constant velocity) where
-    every nonzero entry is constant in z (numerator and denominator of
-    degree (0, 0)) they do not: that segment's item is the read-only array,
-    evaluated once by the same per-entry code.  Any other segment's item is
-    a map t -> array evaluated at s = (t - t_k) / (t_{k+1} - t_k), clamped to
-    [0, 1], on that segment alone.
+    decided once per segment, by :func:`_constant_segments`.  Where they do
+    not, that segment's item is the read-only array, evaluated once by the
+    same per-entry code.  Any other segment's item is a map t -> array
+    evaluated at s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1], on that
+    segment alone.
     """
     entries = []
-    constant = True
     for k, form in enumerate(forms):
         for i in range(n):
             for j in range(n):
                 dz_e, dzbar_e = form.dz_part.entries[i][j], form.dzbar_part.entries[i][j]
                 if dz_e or dzbar_e:
-                    constant = constant and all(
-                        e.num.degree() == e.den.degree() == (0, 0) for e in (dz_e, dzbar_e) if e
-                    )
                     dz_fn = dz_e.compiled() if dz_e else None
                     dzbar_fn = dzbar_e.compiled() if dzbar_e else None
                     entries.append(((k * n + i) * n + j, dz_fn, dzbar_fn))
@@ -317,9 +326,9 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Li
             out[idx] = acc
         return out.reshape(shape)
 
-    def on_segment(seg: Segment, t0: float, t1: float) -> TermMatrices:
+    def on_segment(seg: Segment, t0: float, t1: float, constant: bool) -> TermMatrices:
         dt = t1 - t0
-        if constant and isinstance(seg, LineSegment):
+        if constant:
             P = evaluate(seg.point(0.0), seg.velocity(0.0) / dt)
             P.flags.writeable = False
             return P
@@ -330,7 +339,8 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Li
 
         return P
 
-    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:])]
+    constant = _constant_segments(forms, gamma)
+    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:], constant)]
 
 
 def _on_path(pieces: Sequence[TermMatrices], gamma: ParamPath) -> Callable[[float], np.ndarray]:
@@ -400,10 +410,13 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     After an exponential, DOP853 solves for its segment's propagator from the
     identity, which carries that bound; its steps and the product with y add
     2.3e-16 ||y_b|| each.
+
+    A DOP853 state that overflows a double raises HolonomyOverflow naming the
+    segment; a step that fails otherwise raises StiffnessBudgetExceeded.
     """
     steps = rhs_evals = 0
     roundoff = np.zeros(len(y))
-    for P, t0, t1 in zip(pieces, breaks, breaks[1:]):
+    for k, (P, t0, t1) in enumerate(zip(pieces, breaks, breaks[1:])):
         if not callable(P):
             X = (neg_weights @ P).reshape(y.shape) * (t1 - t0)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -413,7 +426,11 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             continue
         rhs = lambda t, s: ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
         start = np.broadcast_to(np.eye(y.shape[-1], dtype=complex), y.shape) if roundoff.any() else y
-        sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
+        except FloatingPointError as exc:
+            raise HolonomyOverflow(f"transported state exceeds double precision on segment {k} [{t0}, {t1}]") from exc
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
         steps += len(sol.t) - 1
@@ -481,6 +498,15 @@ def transport_grid(
 # ---------------------------------------------------------------------------
 
 
+def _half_trace_square(A: RationalFunctionMatrix) -> BiRationalFunction:
+    """Tr(A^2)/2 from the diagonal products sum_k a_ik a_ki alone, added in
+    the order (A @ A).trace() adds them, so the result is that same exact
+    function, term order included."""
+    e, zero = A.entries, BiRationalFunction.zero()
+    diagonal = (sum((e[i][k] * e[k][i] for k in range(A.rows) if e[i][k] and e[k][i]), zero) for i in range(A.rows))
+    return sum(diagonal, zero).scale(Fraction(1, 2))
+
+
 class EigenvalueTrack:
     """Continuously tracked eigenvalues of the pulled-back field along a path.
 
@@ -488,6 +514,12 @@ class EigenvalueTrack:
     branch seeded by Re(orientation * mu(0)) > 0 and continued by angle
     unwinding on an adaptively refined grid.  Higher rank: numerically
     ordered-by-real-part eigenvalue paths with nearest-matching continuity.
+
+    On a segment where :func:`_constant_segments` finds the field constant,
+    the track evaluates it once (rank 2: f = q gamma'^2; higher rank: one
+    eigvals row), the segment's ends are its only grid nodes, and nothing
+    is refined inside it.  Other segments take an even grid of grid_size
+    points over [0, 1], refined where needed.
     """
 
     BRANCH_TOL = 1e-12
@@ -496,27 +528,47 @@ class EigenvalueTrack:
         self.n = Phi.n
         self.gamma = gamma
         if self.n == 2:
-            q = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2))
-            qf = q.compiled()
-            segments = gamma.segments
+            qf = _half_trace_square(Phi.dz_part).compiled()
+            segments, breaks = gamma.segments, gamma.breaks
+            f_at = lambda k, s, dt: qf(segments[k].point(s)) * (segments[k].velocity(s) / dt) ** 2
+            self._constant = _constant_segments([Phi], gamma)
+            fixed = {k: f_at(k, 0.0, breaks[k + 1] - breaks[k]) for k, c in enumerate(self._constant) if c}
 
             def f(t: float) -> complex:
                 k, s, dt = gamma._locate(t)
-                return qf(segments[k].point(s)) * (segments[k].velocity(s) / dt) ** 2
+                return fixed[k] if k in fixed else f_at(k, s, dt)
 
             self._f = f
             self._build_sqrt_grid(grid_size)
         else:
             if not Phi.dzbar_part.is_zero:
                 raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-            P = _on_path(_pulled_back([Phi], gamma, self.n), gamma)
+            pieces = _pulled_back([Phi], gamma, self.n)
+            P = _on_path(pieces, gamma)
             self._matval = lambda t: P(t).reshape(self.n, self.n)
+            self._eig = [None if callable(p) else np.linalg.eigvals(p.reshape(self.n, self.n)) for p in pieces]
+            self._constant = [lam is not None for lam in self._eig]
             self._build_eig_grid(grid_size)
+
+    def constant_at(self, t: float) -> bool:
+        """Whether the field is constant on the segment that holds t (a break
+        belongs to the segment it starts, t = 1 to the last)."""
+        return self._constant[self.gamma._locate(t)[0]]
+
+    def _start_grid(self, grid_size: int) -> List[float]:
+        """Every break, and the points of an even grid of grid_size over
+        [0, 1] that do not lie inside a segment where the field is constant."""
+        breaks = self.gamma.breaks
+        even = np.linspace(0.0, 1.0, grid_size)
+        for t0, t1, constant in zip(breaks, breaks[1:], self._constant):
+            if constant:
+                even = even[(even <= t0) | (even >= t1)]
+        return sorted(set(even) | set(breaks))
 
     # -- rank 2 ------------------------------------------------------------------
 
     def _build_sqrt_grid(self, grid_size: int):
-        ts = sorted(set(np.linspace(0.0, 1.0, grid_size)) | set(self.gamma.breaks))
+        ts = self._start_grid(grid_size)
         fs = [self._f(t) for t in ts]
         # adaptive refinement: bounded angle increments between grid nodes
         changed = True
@@ -527,7 +579,7 @@ class EigenvalueTrack:
             for t0, t1, f0, f1 in zip(ts, ts[1:], fs, fs[1:]):
                 if abs(f0) > 0 and abs(f1) > 0:
                     dphi = abs(cmath.phase(f1 / f0))
-                    if dphi > 0.5 and t1 - t0 > 1e-9:
+                    if dphi > 0.5 and t1 - t0 > 1e-9 and not self.constant_at(0.5 * (t0 + t1)):
                         tm = 0.5 * (t0 + t1)
                         new_ts.append(tm)
                         new_fs.append(self._f(tm))
@@ -565,11 +617,11 @@ class EigenvalueTrack:
     def _build_eig_grid(self, grid_size: int):
         from scipy.optimize import linear_sum_assignment
 
-        ts = sorted(set(np.linspace(0.0, 1.0, grid_size)) | set(self.gamma.breaks))
+        ts = self._start_grid(grid_size)
         rows = []
         prev = None
         for t in ts:
-            lam = np.linalg.eigvals(self._matval(t))
+            lam = self._eigvals(t)
             if prev is None:
                 lam = lam[np.argsort(-lam.real)]
                 if self.gamma.orientation < 0:
@@ -595,11 +647,15 @@ class EigenvalueTrack:
         self._ts = ts
         self._rows = rows
 
+    def _eigvals(self, t: float) -> np.ndarray:
+        lam = self._eig[self.gamma._locate(t)[0]]
+        return np.linalg.eigvals(self._matval(t)) if lam is None else lam
+
     def _values_n(self, t: float) -> np.ndarray:
         k = min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)
         from scipy.optimize import linear_sum_assignment
 
-        lam = np.linalg.eigvals(self._matval(t))
+        lam = self._eigvals(t)
         prev = self._rows[k]
         cost = np.abs(lam[None, :] - prev[:, None])
         _r, c = linear_sum_assignment(cost)
@@ -652,6 +708,8 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
 
     Margins and the scale of the tolerance come from the track's stored
     node values; only the (at most 16) refinement midpoints are evaluated.
+    No midpoint falls inside a segment where the field is constant: the
+    margin there is the node value at the segment's start.
 
     A branch tie at the start (Re mu(0) = 0) already decides the answer: the
     path is not a WKB curve, margin zero.
@@ -679,7 +737,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     for _ in range(16):
         k = vals.index(min(vals))
         for lo, hi in ((max(k - 1, 0), k), (k, min(k + 1, len(ts) - 1))):
-            if hi > lo and ts[hi] - ts[lo] > 1e-10:
+            if hi > lo and ts[hi] - ts[lo] > 1e-10 and not track.constant_at(0.5 * (ts[lo] + ts[hi])):
                 tm = 0.5 * (ts[lo] + ts[hi])
                 ts.insert(lo + 1, tm)
                 vals.insert(lo + 1, margin_of(track.values(tm)))
@@ -697,7 +755,12 @@ def period(
     track: Optional[EigenvalueTrack] = None,
     abs_tol: float = 1e-10,
 ) -> complex:
-    """Adaptive quadrature of the tracked eigenvalue over the path.
+    """Integral of the tracked eigenvalue over the path.
+
+    On a segment where the field is constant, mu is constant and the
+    segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its
+    start.  Any other segment is integrated by adaptive quadrature of the
+    real and imaginary parts, which share their evaluations.
 
     Warns (but still integrates) when the path fails the WKB predicate.
     """
@@ -717,6 +780,9 @@ def period(
 
     total = 0j
     for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
+        if track.constant_at(t0):
+            total += track(t0) * (t1 - t0)
+            continue
         re, _ = quad(lambda t: mu(t).real, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
         im, _ = quad(lambda t: mu(t).imag, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
         total += re + 1j * im

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -284,6 +285,24 @@ def test_holonomy_overflow_exits_2(family_file, segment_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "HolonomyOverflow"
+
+
+def test_holonomy_dop853_overflow_exits_2(tmp_path, capsys):
+    # regular_diagonal on the unit circle at eps 1.42e-3 and 1e-3 overflows inside
+    # DOP853: exit 2 with a HolonomyOverflow, not a stiffness error, and no numpy warning
+    from nilwkb.catalog import regular_diagonal
+
+    family, circle = tmp_path / "diag.json", tmp_path / "circle.json"
+    family.write_text(json.dumps(regular_diagonal().to_json()))
+    circle.write_text(json.dumps(ParamPath.circle().to_json()))
+    argv = ["holonomy", str(family), str(circle), "--eps", "1.42e-3:1e-3:geometric:2", "--rel-tol", "1e-11"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "HolonomyOverflow" and "segment 0" in err["message"]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nilwkb.algebra import GaussianRational, RationalFunctionMatrix, BiRationalFunction as BRF
 from nilwkb.catalog import (
@@ -24,6 +25,7 @@ from nilwkb.errors import (
     InsufficientSamples,
     NonDecayingSequence,
     NonFiniteSample,
+    StiffnessBudgetExceeded,
     TieAtStart,
 )
 from nilwkb.holonomy import (
@@ -33,6 +35,7 @@ from nilwkb.holonomy import (
     HolonomySample,
     ParamPath,
     _free_fit_exponent,
+    _half_trace_square,
     _pulled_back,
     _term_weights,
     is_wkb_curve,
@@ -181,6 +184,18 @@ def _counting_closures(monkeypatch):
         return counted
 
     monkeypatch.setattr(BRF, "compiled", counting)
+    return calls
+
+
+def _counting(monkeypatch, owner, name):
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -419,6 +434,25 @@ def test_non_finite_holonomy_raises_overflow():
         transport(nilpotent_sl2(), SEG, 1e-7)
 
 
+@pytest.mark.parametrize("eps", [1.42e-3, 1e-3])
+def test_overflowing_dop853_state_raises_overflow(eps):
+    # the circle transport of regular_diagonal passes 1e308 before t = 1: an
+    # overflow, not a stiffness failure, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HolonomyOverflow, match="segment 0"):
+            transport_grid(regular_diagonal(), ParamPath.circle(), [0.5, eps], rel_tol=1e-11)
+
+
+def test_failed_dop853_step_raises_stiffness(monkeypatch):
+    class Failed:
+        status, message = -1, "Required step size is less than spacing between numbers."
+
+    monkeypatch.setattr("nilwkb.holonomy.solve_ivp", lambda *args, **kwargs: Failed())
+    with pytest.raises(StiffnessBudgetExceeded):
+        transport(regular_diagonal(), ParamPath.circle(), 0.3)
+
+
 def test_track_examples():
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     track = spectral_eigenvalue_track(Phi, SEG)
@@ -450,6 +484,7 @@ def test_track_continuous_branch_on_circle():
 
 
 _ARC = ParamPath([ArcSegment(0.3 + 0.2j, 0.7, 0.1, 2.0)])
+_POLY = ParamPath.from_points([0.2, 0.9 + 0.1j, 1.4 + 0.6j, 1.2 + 1.4j])
 
 
 def _phi(grid):
@@ -473,6 +508,10 @@ def _zpow(k):
          ParamPath([ArcSegment(0j, 1.0, 0.3, 0.3 + 2 * math.pi)])),
         (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), ParamPath.segment(0.1 + 0.2j, 1.3 - 0.1j)),
         (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), _ARC.reversed()),
+        # constant fields on a polyline: the nodes are the breaks
+        (_phi([[0, 2], [3, 0]]), _POLY),
+        (_phi([[0, 2], [3, 0]]), _POLY.reversed()),
+        (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), _POLY),
     ],
 )
 def test_track_node_values_equal_values_at_nodes(Phi, gamma):
@@ -524,6 +563,127 @@ def test_period_reversal_antisymmetry_randomized():
             Zrev = period(Phi, gamma.reversed())
         assert abs(Z + Zrev) <= 1e-10
         count += 1
+
+
+def _quad_period(Phi, gamma):
+    # reference: adaptive quadrature of track(t) on every segment
+    track = EigenvalueTrack(Phi, gamma)
+    total = 0j
+    for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
+        re, _ = quad(lambda t: track(t).real, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+        im, _ = quad(lambda t: track(t).imag, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+        total += re + 1j * im
+    return total
+
+
+def _gaussian(rng):
+    return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def _random_traceless(rng, n):
+    grid = [[_gaussian(rng) for _ in range(n)] for _ in range(n)]
+    grid[n - 1][n - 1] = -sum((grid[i][i] for i in range(n - 1)), GaussianRational(0))
+    return _phi(grid)
+
+
+@pytest.mark.parametrize("n, count", [(2, 40), (3, 20)])
+def test_closed_form_period_matches_quadrature(n, count):
+    # a constant field on segments and 2-4 point polylines: mu (t_{k+1} - t_k)
+    # per segment against quadrature of the track
+    rng = random.Random(400 + n)
+    done = 0
+    while done < count:
+        Phi = _random_traceless(rng, n)
+        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 4))]
+        gamma = ParamPath.from_points(pts)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                Z = period(Phi, gamma)
+        except (TieAtStart, BranchPointOnPath):
+            continue
+        assert abs(Z - _quad_period(Phi, gamma)) <= 1e-10, (done, pts)
+        assert EigenvalueTrack(Phi, gamma).grid() == gamma.breaks
+        done += 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_period_exactly_odd_on_a_constant_segment(n):
+    rng = random.Random(500 + n)
+    done = 0
+    while done < 30:
+        Phi = _random_traceless(rng, n)
+        z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(0.2, 1.5), rng.uniform(-0.4, 0.4)))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                total = period(Phi, gamma) + period(Phi, gamma.reversed())
+        except (TieAtStart, BranchPointOnPath):
+            continue
+        assert total == 0, done
+        done += 1
+
+
+def _parabolic_secondary():
+    from nilwkb.gauge import secondary_higgs
+
+    return secondary_higgs(nilpotent_sl2_parabolic(), [1, 1]).Phi
+
+
+@pytest.mark.parametrize(
+    "Phi, gamma",
+    [
+        # a constant field on line, arc, line: closed form on the lines, quadrature on the arc
+        (_phi([[0, 2], [3, 0]]), ParamPath([LineSegment(-1 + 0j, 1 + 0j), ArcSegment(0j, 1.0, 0.0, 1.2),
+                                             LineSegment(cmath.exp(1.2j), 0.3 + 1.4j)])),
+        (_phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]]), ParamPath([LineSegment(1.5 + 0j, 1 + 0j),
+                                                              ArcSegment(0j, 1.0, 0.0, 1.0)])),
+        # a z-dependent field (q = 1/z) on a polyline: quadrature on every segment
+        (_parabolic_secondary(), ParamPath.from_points([0.5, 1.5, 1.5 + 1j, 0.7 + 1.5j])),
+    ],
+)
+def test_period_on_mixed_paths_matches_quadrature(Phi, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert abs(period(Phi, gamma) - _quad_period(Phi, gamma)) <= 1e-10
+
+
+@pytest.mark.parametrize("Phi", [_phi([[0, 2], [3, 0]]), _phi([[1, 2], [3, -1]]), _phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]])])
+def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
+    # cost guard: on a constant polyline the track evaluates q (rank 2) or
+    # each nonzero entry and its eigenvalues (rank 3) once per segment, the
+    # WKB predicate refines nothing and the period reads mu once per segment
+    calls = _counting_closures(monkeypatch)
+    eigvals, refined = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
+    mu = _counting(monkeypatch, EigenvalueTrack, "__call__")
+    entries = 1 if Phi.n == 2 else sum(bool(e) for row in Phi.dz_part.entries for e in row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        period(Phi, _POLY)
+    assert 0 < calls[0] <= entries * len(_POLY.segments)
+    assert eigvals[0] <= (0 if Phi.n == 2 else len(_POLY.segments)) and refined[0] == 0
+    assert mu[0] == len(_POLY.segments)
+    # the shortcut must not widen: a z-dependent field evaluates every node
+    calls[0] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        period(_parabolic_secondary(), _POLY)
+    assert calls[0] >= 257
+
+
+def test_half_trace_square_is_the_trace_of_the_square():
+    # Tr(A^2)/2 from the diagonal alone: the same exact function, with the same
+    # term order, as (A @ A).trace() / 2
+    rng = random.Random(53)
+    fields = [_phi([[0, rng.randint(1, 4)], [rng.randint(1, 4), 0]]) for _ in range(20)]
+    fields += [f.phi for f in catalog().values()]
+    fields += [_random_traceless(rng, n) for n in (2, 3) for _ in range(5)]
+    for Phi in fields:
+        A = Phi.dz_part
+        q, ref = _half_trace_square(A), (A @ A).trace().scale(Fraction(1, 2))
+        assert q.to_json() == ref.to_json()
+        assert list(q.num.terms) == list(ref.num.terms) and list(q.den.terms) == list(ref.den.terms)
 
 
 # -- rate fitting -----------------------------------------------------------------------
