@@ -7,8 +7,8 @@ is the one-member grid.  Whether a segment's pulled-back term matrices depend
 on t is decided once: a z-independent family on a line segment has constant
 M there, and S is multiplied by the closed form expm(-M dt) (scaling and
 squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
-pair (DOP853), all members sharing one step count; a state that overflows
-a double there raises HolonomyOverflow.  est_error compares a
+pair (DOP853), all members sharing one step count; a solve that fails on
+an overflowed double raises HolonomyOverflow.  est_error compares a
 second run at a hundredfold tighter tolerance, plus the roundoff the steps
 and the exponentials can accumulate, so it bounds each reported matrix.
 Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
@@ -39,7 +39,6 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from .algebra import BiRationalFunction, RationalFunctionMatrix
 from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
@@ -411,8 +410,11 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     identity, which carries that bound; its steps and the product with y add
     2.3e-16 ||y_b|| each.
 
-    A DOP853 state that overflows a double raises HolonomyOverflow naming the
-    segment; a step that fails otherwise raises StiffnessBudgetExceeded.
+    A DOP853 solve that fails with a floating-point overflow or invalid
+    operation after its last RHS evaluation began raises HolonomyOverflow
+    naming the segment; one that fails otherwise raises
+    StiffnessBudgetExceeded.  Overflows in steps DOP853 rejects and retries
+    change nothing, and none of them warns.
     """
     steps = rhs_evals = 0
     roundoff = np.zeros(len(y))
@@ -424,13 +426,17 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
                 roundoff = _frobenius(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + _frobenius(X)) * _frobenius(y))
                 y = E @ y
             continue
-        rhs = lambda t, s: ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
+        overflows = []  # floating-point errors since the latest RHS call began
+
+        def rhs(t, s):
+            overflows.clear()
+            return ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
+
         start = np.broadcast_to(np.eye(y.shape[-1], dtype=complex), y.shape) if roundoff.any() else y
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
-        except FloatingPointError as exc:
-            raise HolonomyOverflow(f"transported state exceeds double precision on segment {k} [{t0}, {t1}]") from exc
+        with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
+            sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
+        if sol.status != 0 and overflows:
+            raise HolonomyOverflow(f"DOP853 overflowed a double on segment {k} [{t0}, {t1}] after t = {sol.t[-1]:.6g}")
         if sol.status != 0:
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
         steps += len(sol.t) - 1
@@ -498,15 +504,6 @@ def transport_grid(
 # ---------------------------------------------------------------------------
 
 
-def _half_trace_square(A: RationalFunctionMatrix) -> BiRationalFunction:
-    """Tr(A^2)/2 from the diagonal products sum_k a_ik a_ki alone, added in
-    the order (A @ A).trace() adds them, so the result is that same exact
-    function, term order included."""
-    e, zero = A.entries, BiRationalFunction.zero()
-    diagonal = (sum((e[i][k] * e[k][i] for k in range(A.rows) if e[i][k] and e[k][i]), zero) for i in range(A.rows))
-    return sum(diagonal, zero).scale(Fraction(1, 2))
-
-
 class EigenvalueTrack:
     """Continuously tracked eigenvalues of the pulled-back field along a path.
 
@@ -528,7 +525,8 @@ class EigenvalueTrack:
         self.n = Phi.n
         self.gamma = gamma
         if self.n == 2:
-            qf = _half_trace_square(Phi.dz_part).compiled()
+            q = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2))
+            qf = q.compiled()
             segments, breaks = gamma.segments, gamma.breaks
             f_at = lambda k, s, dt: qf(segments[k].point(s)) * (segments[k].velocity(s) / dt) ** 2
             self._constant = _constant_segments([Phi], gamma)

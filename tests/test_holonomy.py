@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from nilwkb.holonomy import (
     HolonomySample,
     ParamPath,
     _free_fit_exponent,
-    _half_trace_square,
     _pulled_back,
     _term_weights,
     is_wkb_curve,
@@ -436,8 +436,9 @@ def test_non_finite_holonomy_raises_overflow():
 
 @pytest.mark.parametrize("eps", [1.42e-3, 1e-3])
 def test_overflowing_dop853_state_raises_overflow(eps):
-    # the circle transport of regular_diagonal passes 1e308 before t = 1: an
-    # overflow, not a stiffness failure, and no numpy warning on the way
+    # the circle transport of regular_diagonal (trace 2 cosh(1/eps)) reaches
+    # states near 1e303, where DOP853's arithmetic overflows a double before
+    # t = 1: an overflow, not a stiffness failure, and no numpy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(HolonomyOverflow, match="segment 0"):
@@ -451,6 +452,33 @@ def test_failed_dop853_step_raises_stiffness(monkeypatch):
     monkeypatch.setattr("nilwkb.holonomy.solve_ivp", lambda *args, **kwargs: Failed())
     with pytest.raises(StiffnessBudgetExceeded):
         transport(regular_diagonal(), ParamPath.circle(), 0.3)
+
+
+@pytest.mark.parametrize("order, error", [(("overflow", "rhs"), StiffnessBudgetExceeded), (("rhs", "overflow"), HolonomyOverflow)])
+def test_failed_dop853_solve_is_an_overflow_only_after_its_last_rhs_call(monkeypatch, order, error):
+    # an overflow in a step DOP853 went on from does not make a later failure an overflow
+    def failing_solve(fun, t_span, y0, **kwargs):
+        for op in order:
+            fun(t_span[0], y0) if op == "rhs" else np.array([1e300]) * 1e10
+        return SimpleNamespace(status=-1, message="step failed", t=np.array([t_span[0]]), y=y0[:, None])
+
+    monkeypatch.setattr("nilwkb.holonomy.solve_ivp", failing_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            transport(regular_diagonal(), ParamPath.circle(), 0.3)
+
+
+def test_overflow_in_a_finished_dop853_solve_changes_nothing(monkeypatch):
+    from nilwkb import holonomy
+
+    before = transport(regular_diagonal(), ParamPath.circle(), 0.3)
+    solve = holonomy.solve_ivp
+    monkeypatch.setattr("nilwkb.holonomy.solve_ivp", lambda *args, **kwargs: (np.array([1e300]) * 1e10, solve(*args, **kwargs))[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        after = transport(regular_diagonal(), ParamPath.circle(), 0.3)
+    assert after.holonomy.tobytes() == before.holonomy.tobytes() and after.est_error == before.est_error
 
 
 def test_track_examples():
@@ -566,13 +594,17 @@ def test_period_reversal_antisymmetry_randomized():
 
 
 def _quad_period(Phi, gamma):
-    # reference: adaptive quadrature of track(t) on every segment
-    track = EigenvalueTrack(Phi, gamma)
-    total = 0j
-    for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
-        re, _ = quad(lambda t: track(t).real, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-        im, _ = quad(lambda t: track(t).imag, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += re + 1j * im
+    # reference: adaptive quadrature of track(t) on every segment, the track
+    # built as if no segment were constant, so the field is evaluated at every
+    # node and every quadrature point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nilwkb.holonomy._constant_segments", lambda forms, gamma: [False] * len(gamma.segments))
+        track = EigenvalueTrack(Phi, gamma)
+        total = 0j
+        for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
+            re, _ = quad(lambda t: track(t).real, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+            im, _ = quad(lambda t: track(t).imag, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+            total += re + 1j * im
     return total
 
 
@@ -670,20 +702,6 @@ def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
         warnings.simplefilter("ignore")
         period(_parabolic_secondary(), _POLY)
     assert calls[0] >= 257
-
-
-def test_half_trace_square_is_the_trace_of_the_square():
-    # Tr(A^2)/2 from the diagonal alone: the same exact function, with the same
-    # term order, as (A @ A).trace() / 2
-    rng = random.Random(53)
-    fields = [_phi([[0, rng.randint(1, 4)], [rng.randint(1, 4), 0]]) for _ in range(20)]
-    fields += [f.phi for f in catalog().values()]
-    fields += [_random_traceless(rng, n) for n in (2, 3) for _ in range(5)]
-    for Phi in fields:
-        A = Phi.dz_part
-        q, ref = _half_trace_square(A), (A @ A).trace().scale(Fraction(1, 2))
-        assert q.to_json() == ref.to_json()
-        assert list(q.num.terms) == list(ref.num.terms) and list(q.den.terms) == list(ref.den.terms)
 
 
 # -- rate fitting -----------------------------------------------------------------------
