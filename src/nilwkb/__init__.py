@@ -13,7 +13,6 @@ from .algebra import (
     BiRationalFunction,
     GaussianRational,
     RationalFunctionMatrix,
-    evaluate,
     matrix_rank_exact,
     wedge_bracket,
 )
@@ -50,7 +49,6 @@ from .holonomy import (
     is_wkb_curve,
     period,
     pullback,
-    spectral_eigenvalue_track,
     transport,
     transport_grid,
     wkb_fit,

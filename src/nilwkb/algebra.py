@@ -761,11 +761,6 @@ def matrix_rank_exact(
     return best
 
 
-def evaluate(f: BiRationalFunction, z: complex) -> complex:
-    """Substitute zbar := conj(z) and return num/den in double precision."""
-    return f.evaluate(z)
-
-
 def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
     """True when every irreducible factor of den divides allowed.
 

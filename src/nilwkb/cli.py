@@ -107,6 +107,11 @@ def _parse_blocks(text: str):
     return [int(b) for b in text.split(",")]
 
 
+def _field(args, family: ConnectionFamily):
+    """The family's leading field, or with --blocks the secondary field of that splitting."""
+    return secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed).Phi if args.blocks else family.phi
+
+
 def _parse_exponents(text: str):
     return [Fraction(p) for p in text.split(",")]
 
@@ -168,12 +173,7 @@ def _cmd_cyclic(args) -> int:
 
 
 def _cmd_kdiff(args) -> int:
-    family = _load_family(args.family)
-    if args.blocks:
-        field = secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed).Phi
-    else:
-        field = family.phi
-    diffs = k_differentials(field, args.up_to)
+    diffs = k_differentials(_field(args, _load_family(args.family)), args.up_to)
     _emit(
         {
             "schema": "nilwkb/1",
@@ -205,25 +205,15 @@ def _cmd_holonomy(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    family = _load_family(args.family)
-    gamma = _load_path(args.path)
-    if args.blocks:
-        field = secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed).Phi
-    else:
-        field = family.phi
-    Z = period(field, gamma)
+    family, gamma = _load_family(args.family), _load_path(args.path)
+    Z = period(_field(args, family), gamma)
     _emit({"schema": "nilwkb/1", "Z": [Z.real, Z.imag]})
     return 0
 
 
 def _cmd_wkbcheck(args) -> int:
-    family = _load_family(args.family)
-    gamma = _load_path(args.path)
-    if args.blocks:
-        field = secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed).Phi
-    else:
-        field = family.phi
-    check = is_wkb_curve(field, gamma)
+    family, gamma = _load_family(args.family), _load_path(args.path)
+    check = is_wkb_curve(_field(args, family), gamma)
     _emit({"schema": "nilwkb/1", "is_wkb": check.is_wkb, "margin": check.margin})
     return 0
 

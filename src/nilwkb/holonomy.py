@@ -9,20 +9,26 @@ M there, and S is multiplied by the closed form expm(-M dt) (scaling and
 squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
 pair (DOP853), all members sharing one step count; a solve that fails on
 an overflowed double raises HolonomyOverflow.  est_error compares a
-second run at a hundredfold tighter tolerance, plus the roundoff the steps
-and the exponentials can accumulate, so it bounds each reported matrix.
+second run at a hundredfold tighter tolerance (only where DOP853 runs: the
+exponentials do not depend on it), plus the roundoff the steps and the
+exponentials can accumulate, so it bounds each reported matrix.
 Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
 stays below est_error; beyond, the determinant of the stored double-precision
 matrix is dominated by representation roundoff.
 
 Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
 path flips its orientation flag, and the branch seed follows the orientation,
-so periods are exactly odd under reversal.  The track takes the same
-per-segment decision as transport: where the field is constant it is
-evaluated once, the segment's ends are its only grid nodes, and the period
-adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
-are evaluated once, when it is built; the WKB predicate reads them back,
-and the period's real and imaginary quadratures share their evaluations.
+so periods are exactly odd under reversal.
+
+Transport's M(t) and the track's field are read by one per-segment sampler,
+_pulled_back(forms, gamma, value): where the forms are constant it evaluates
+value(z, v) once, elsewhere on Python scalars at each t.  The value is the
+term matrices for transport, q gamma'^2 (q = Tr(Phi^2)/2) for the rank-2
+track and an eigvals row at higher rank.  On a constant segment the track's
+ends are its only grid nodes and the period adds mu (t_{k+1} - t_k) in
+closed form.  Elsewhere the track's grid nodes are evaluated once, when it
+is built; the WKB predicate reads them back, and the period's real and
+imaginary quadratures share their evaluations.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -140,8 +146,6 @@ class ArcSegment:
 
 
 Segment = LineSegment | ArcSegment
-# a segment's (K, n*n) term matrices: the array itself, or a map t -> array
-TermMatrices = np.ndarray | Callable[[float], np.ndarray]
 
 
 class ParamPath:
@@ -289,19 +293,10 @@ def _constant_segments(forms: Sequence[MatrixOneForm], gamma: ParamPath) -> List
     return [flat and isinstance(seg, LineSegment) for seg in gamma.segments]
 
 
-def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> List[TermMatrices]:
-    """Per segment of gamma, its (K, n*n) term matrices: row k is
-    P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t)) for form k = P dz + Q dzbar,
-    flattened row-major.
-
-    Each nonzero entry is compiled once and evaluated on Python scalars as
-    dz(z) v, plus dzbar(z) conj(v).  Whether the matrices depend on t is
-    decided once per segment, by :func:`_constant_segments`.  Where they do
-    not, that segment's item is the read-only array, evaluated once by the
-    same per-entry code.  Any other segment's item is a map t -> array
-    evaluated at s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1], on that
-    segment alone.
-    """
+def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Callable[[complex, complex], np.ndarray]:
+    """(z, v) -> the (K, n*n) term matrices P(z) v + Q(z) conj(v), row k for
+    form k = P dz + Q dzbar, flattened row-major.  Each nonzero entry is
+    compiled once and evaluated on Python scalars."""
     entries = []
     for k, form in enumerate(forms):
         for i in range(n):
@@ -325,16 +320,30 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Li
             out[idx] = acc
         return out.reshape(shape)
 
-    def on_segment(seg: Segment, t0: float, t1: float, constant: bool) -> TermMatrices:
+    return evaluate
+
+
+def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, value: Callable[[complex, complex], Any]) -> List[Any]:
+    """Per segment of gamma, value(gamma(t), gamma'(t)) of a field built from forms.
+
+    Whether the forms depend on t is decided once per segment, by
+    :func:`_constant_segments`.  Where they do not, that segment's item is
+    value evaluated once (read-only if it is an array).  Any other segment's
+    item is a map t -> value at s = (t - t_k) / (t_{k+1} - t_k), clamped to
+    [0, 1], on that segment alone.  Both evaluate on Python scalars.
+    """
+
+    def on_segment(seg: Segment, t0: float, t1: float, constant: bool):
         dt = t1 - t0
         if constant:
-            P = evaluate(seg.point(0.0), seg.velocity(0.0) / dt)
-            P.flags.writeable = False
+            P = value(seg.point(0.0), seg.velocity(0.0) / dt)
+            if isinstance(P, np.ndarray):
+                P.flags.writeable = False
             return P
 
-        def P(t: float) -> np.ndarray:
+        def P(t: float):
             s = min(1.0, max(0.0, (float(t) - t0) / dt))
-            return evaluate(seg.point(s), seg.velocity(s) / dt)
+            return value(seg.point(s), seg.velocity(s) / dt)
 
         return P
 
@@ -342,11 +351,11 @@ def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, n: int) -> Li
     return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:], constant)]
 
 
-def _on_path(pieces: Sequence[TermMatrices], gamma: ParamPath) -> Callable[[float], np.ndarray]:
-    """t -> (K, n*n) term matrices along the whole path, from the item of
+def _on_path(pieces: Sequence[Any], gamma: ParamPath) -> Callable[[float], Any]:
+    """t -> the value along the whole path, from the item of
     :func:`_pulled_back` for the segment that holds t."""
 
-    def P(t: float) -> np.ndarray:
+    def P(t: float):
         piece = pieces[gamma._locate(float(t))[0]]
         return piece(t) if callable(piece) else piece
 
@@ -377,7 +386,7 @@ def pullback(
     n = family.n
     forms, weights = _term_weights(family, [epsilon])
     gamma.check_clearance(family.punctures, clearance)
-    P = _on_path(_pulled_back(forms, gamma, n), gamma)
+    P = _on_path(_pulled_back(forms, gamma, _term_matrices(forms, n)), gamma)
     return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
 
@@ -473,10 +482,12 @@ def transport_grid(
 
     The whole grid is one stacked (B, n, n) system, carried across the path
     by :func:`_integrate` at the requested tolerance and again a hundredfold
-    tighter; the tighter run is reported.  A member's est_error is the
-    Frobenius distance between its two runs, but at least 2.3e-16 (1 + ||S_b||)
-    steps (a member far less stiff than the stiffest one ends both runs at
-    roundoff), plus the exponentials' roundoff bound, which both runs share.
+    tighter; the tighter run is reported.  A path with no DOP853 segment is
+    carried once: its coarse run would be the same bits.  A member's
+    est_error is the Frobenius distance between its two runs, but at least
+    2.3e-16 (1 + ||S_b||) steps (a member far less stiff than the stiffest
+    one ends both runs at roundoff), plus the exponentials' roundoff bound,
+    which both runs share.
     A member whose holonomy or est_error is not finite raises HolonomyOverflow.
     """
     eps = [float(e) for e in epsilons]
@@ -484,12 +495,12 @@ def transport_grid(
         return []
     forms, weights = _term_weights(family, eps)
     gamma.check_clearance(family.punctures)
-    pieces = _pulled_back(forms, gamma, family.n)
+    pieces = _pulled_back(forms, gamma, _term_matrices(forms, family.n))
     y0 = np.tile(np.eye(family.n, dtype=complex), (len(eps), 1, 1))
-    coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0]
+    coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0] if any(map(callable, pieces)) else None
     fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
     samples = []
-    for e, c, f, r in zip(eps, coarse, fine, roundoff):
+    for e, c, f, r in zip(eps, fine if coarse is None else coarse, fine, roundoff):
         if not np.isfinite(f).all():
             raise HolonomyOverflow(f"holonomy at eps={e!r} exceeds double precision")
         est = float(max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps) + r)
@@ -504,6 +515,13 @@ def transport_grid(
 # ---------------------------------------------------------------------------
 
 
+def _matched(prev: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """lam reordered by the one-to-one match nearest to prev."""
+    from scipy.optimize import linear_sum_assignment
+
+    return lam[linear_sum_assignment(np.abs(lam[None, :] - prev[:, None]))[1]]
+
+
 class EigenvalueTrack:
     """Continuously tracked eigenvalues of the pulled-back field along a path.
 
@@ -512,41 +530,30 @@ class EigenvalueTrack:
     unwinding on an adaptively refined grid.  Higher rank: numerically
     ordered-by-real-part eigenvalue paths with nearest-matching continuity.
 
-    On a segment where :func:`_constant_segments` finds the field constant,
-    the track evaluates it once (rank 2: f = q gamma'^2; higher rank: one
-    eigvals row), the segment's ends are its only grid nodes, and nothing
-    is refined inside it.  Other segments take an even grid of grid_size
-    points over [0, 1], refined where needed.
+    The field is read through :func:`_pulled_back`, as transport reads M:
+    on a segment where the field is constant it is evaluated once (rank 2:
+    f = q gamma'^2; higher rank: one eigvals row), the segment's ends are
+    its only grid nodes, and nothing is refined inside it.  Other segments
+    take an even grid of grid_size points over [0, 1], refined where needed.
     """
 
     BRANCH_TOL = 1e-12
 
     def __init__(self, Phi: MatrixOneForm, gamma: ParamPath, grid_size: int = 257):
-        self.n = Phi.n
+        self.n = n = Phi.n
         self.gamma = gamma
-        if self.n == 2:
-            q = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2))
-            qf = q.compiled()
-            segments, breaks = gamma.segments, gamma.breaks
-            f_at = lambda k, s, dt: qf(segments[k].point(s)) * (segments[k].velocity(s) / dt) ** 2
-            self._constant = _constant_segments([Phi], gamma)
-            fixed = {k: f_at(k, 0.0, breaks[k + 1] - breaks[k]) for k, c in enumerate(self._constant) if c}
-
-            def f(t: float) -> complex:
-                k, s, dt = gamma._locate(t)
-                return fixed[k] if k in fixed else f_at(k, s, dt)
-
-            self._f = f
-            self._build_sqrt_grid(grid_size)
+        if n == 2:
+            qf = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2)).compiled()
+            value = lambda z, v: qf(z) * v**2
+        elif not Phi.dzbar_part.is_zero:
+            raise ValueError("eigenvalue tracking expects a (1,0)-form field")
         else:
-            if not Phi.dzbar_part.is_zero:
-                raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-            pieces = _pulled_back([Phi], gamma, self.n)
-            P = _on_path(pieces, gamma)
-            self._matval = lambda t: P(t).reshape(self.n, self.n)
-            self._eig = [None if callable(p) else np.linalg.eigvals(p.reshape(self.n, self.n)) for p in pieces]
-            self._constant = [lam is not None for lam in self._eig]
-            self._build_eig_grid(grid_size)
+            term = _term_matrices([Phi], n)
+            value = lambda z, v: np.linalg.eigvals(term(z, v).reshape(n, n))
+        pieces = _pulled_back([Phi], gamma, value)
+        self._at = _on_path(pieces, gamma)
+        self._constant = [not callable(p) for p in pieces]
+        (self._build_sqrt_grid if n == 2 else self._build_eig_grid)(grid_size)
 
     def constant_at(self, t: float) -> bool:
         """Whether the field is constant on the segment that holds t (a break
@@ -567,7 +574,7 @@ class EigenvalueTrack:
 
     def _build_sqrt_grid(self, grid_size: int):
         ts = self._start_grid(grid_size)
-        fs = [self._f(t) for t in ts]
+        fs = [self._at(t) for t in ts]
         # adaptive refinement: bounded angle increments between grid nodes
         changed = True
         depth = 0
@@ -580,7 +587,7 @@ class EigenvalueTrack:
                     if dphi > 0.5 and t1 - t0 > 1e-9 and not self.constant_at(0.5 * (t0 + t1)):
                         tm = 0.5 * (t0 + t1)
                         new_ts.append(tm)
-                        new_fs.append(self._f(tm))
+                        new_fs.append(self._at(tm))
                         changed = True
                 new_ts.append(t1)
                 new_fs.append(f1)
@@ -602,9 +609,6 @@ class EigenvalueTrack:
             raise TieAtStart("Re mu(0) vanishes within tolerance; cannot seed the branch")
         self._sign = 1.0 if seed.real > 0 else -1.0
 
-    def _mu2(self, t: float) -> complex:
-        return self._mu2_from(min(bisect_right(self._ts, t) - 1, len(self._ts) - 2), self._f(t))
-
     def _mu2_from(self, k: int, f: complex) -> complex:
         """The branch of sqrt(f) continued from node k."""
         arg = self._args[k] + cmath.phase(f / self._fs[k])
@@ -613,21 +617,17 @@ class EigenvalueTrack:
     # -- higher rank -----------------------------------------------------------------
 
     def _build_eig_grid(self, grid_size: int):
-        from scipy.optimize import linear_sum_assignment
-
         ts = self._start_grid(grid_size)
         rows = []
         prev = None
         for t in ts:
-            lam = self._eigvals(t)
+            lam = self._at(t)
             if prev is None:
                 lam = lam[np.argsort(-lam.real)]
                 if self.gamma.orientation < 0:
                     lam = lam[::-1]
             else:
-                cost = np.abs(lam[None, :] - prev[:, None])
-                _r, c = linear_sum_assignment(cost)
-                lam = lam[c]
+                lam = _matched(prev, lam)
             rows.append(lam)
             prev = lam
         spread = max(np.abs(np.array(rows)).max(), 1e-300)
@@ -645,32 +645,23 @@ class EigenvalueTrack:
         self._ts = ts
         self._rows = rows
 
-    def _eigvals(self, t: float) -> np.ndarray:
-        lam = self._eig[self.gamma._locate(t)[0]]
-        return np.linalg.eigvals(self._matval(t)) if lam is None else lam
-
-    def _values_n(self, t: float) -> np.ndarray:
+    def _continued(self, t: float):
+        """The field at t continued from the grid node before it: rank 2 mu,
+        higher rank the eigenvalue row matched to that node's row."""
         k = min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)
-        from scipy.optimize import linear_sum_assignment
-
-        lam = self._eigvals(t)
-        prev = self._rows[k]
-        cost = np.abs(lam[None, :] - prev[:, None])
-        _r, c = linear_sum_assignment(cost)
-        return lam[c]
+        if self.n == 2:
+            return self._mu2_from(k, self._at(t))
+        return _matched(self._rows[k], self._at(t))
 
     # -- public surface ----------------------------------------------------------------
 
     def __call__(self, t: float) -> complex:
-        if self.n == 2:
-            return self._mu2(t)
-        return self._values_n(t)[0]
+        mu = self._continued(t)
+        return mu if self.n == 2 else mu[0]
 
     def values(self, t: float) -> np.ndarray:
-        if self.n == 2:
-            mu = self._mu2(t)
-            return np.array([mu, -mu])
-        return self._values_n(t)
+        mu = self._continued(t)
+        return np.array([mu, -mu]) if self.n == 2 else mu
 
     def grid(self) -> List[float]:
         return list(self._ts)
@@ -688,10 +679,6 @@ class EigenvalueTrack:
             mus = [self._mu2_from(min(k, last), f) for k, f in enumerate(self._fs)]
             return [np.array([mu, -mu]) for mu in mus]
         return list(self._rows)
-
-
-def spectral_eigenvalue_track(Phi: MatrixOneForm, gamma: ParamPath) -> EigenvalueTrack:
-    return EigenvalueTrack(Phi, gamma)
 
 
 @dataclass(frozen=True)
@@ -781,9 +768,7 @@ def period(
         if track.constant_at(t0):
             total += track(t0) * (t1 - t0)
             continue
-        re, _ = quad(lambda t: mu(t).real, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
-        im, _ = quad(lambda t: mu(t).imag, t0, t1, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)
-        total += re + 1j * im
+        total += quad(mu, t0, t1, complex_func=True, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)[0]
     return total
 
 

@@ -363,6 +363,8 @@ def trace_flow(
         if traveled + seg_len >= max_length:
             cut = state.point + (max_length - traveled) * state.direction
             events.append((max_length - traveled, cut, "MaxLength"))
+        if not events and any(abs(hit - v) < VERTEX_TOL for v in surface.polygons[state.polygon]):
+            events.append((seg_len, hit, "ConePoint"))
         if events:
             dist, cut, status = min(events, key=lambda ev: ev[0])
             pieces.append((state.polygon, state.point, cut))
@@ -372,18 +374,6 @@ def trace_flow(
                 total_length=traveled + dist,
                 terminated=status,
                 state=FlowState(state.polygon, cut, state.direction, state.sign_flips),
-                crossings=tuple(crossings),
-            )
-
-        poly = surface.polygons[state.polygon]
-        if any(abs(hit - v) < VERTEX_TOL for v in poly):
-            pieces.append((state.polygon, state.point, hit))
-            return FlatTrajectory(
-                theta=theta,
-                pieces=tuple(pieces),
-                total_length=traveled + seg_len,
-                terminated="ConePoint",
-                state=FlowState(state.polygon, hit, state.direction, state.sign_flips),
                 crossings=tuple(crossings),
             )
 

@@ -13,7 +13,6 @@ from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import (
-    BiPolynomial,
     BiRationalFunction,
     GaussianRational,
     RationalFunctionMatrix,
@@ -274,46 +273,16 @@ def _check_strong_parabolic(res, flag, which: str, site: str) -> None:
 # -- residues ----------------------------------------------------------------
 
 
-def _univariate_coeffs(poly: BiPolynomial) -> List[GaussianRational]:
-    """Coefficient list in z of a zbar-free polynomial, low degree first."""
-    deg_z, deg_zb = poly.degree()
-    if deg_zb > 0:
-        raise ValueError("expected a holomorphic (zbar-free) polynomial")
-    coeffs = [GR0] * (deg_z + 1 if deg_z >= 0 else 1)
-    for (i, _j), c in poly.terms.items():
-        coeffs[i] = c
-    return coeffs
-
-
-def _eval_coeffs(coeffs, a: GaussianRational) -> GaussianRational:
-    total = GR0
-    for c in reversed(coeffs):
-        total = total * a + c
-    return total
-
-
-def _deflate(coeffs, a: GaussianRational):
-    """Divide by (z - a) via synthetic division; the remainder is discarded
-    (callers only deflate at verified roots)."""
-    out = [GR0] * (len(coeffs) - 1)
-    carry = GR0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * a
-        out[i - 1] = carry
-    return out
-
-
 def _entry_residue(entry: BRF, a: GaussianRational) -> GaussianRational:
-    """Exact residue at a simple pole z = a of a holomorphic rational entry."""
-    num = _univariate_coeffs(entry.num)
-    den = _univariate_coeffs(entry.den)
-    if _eval_coeffs(den, a):
+    """Exact residue num(a) / den'(a) at a simple pole z = a of a holomorphic rational entry."""
+    if entry.num.degree()[1] > 0 or entry.den.degree()[1] > 0:
+        raise ValueError("expected a holomorphic (zbar-free) polynomial")
+    if entry.den.eval_exact(a, GR0):
         return GR0
-    quotient = _deflate(den, a)
-    qa = _eval_coeffs(quotient, a)
-    if not qa:
+    slope = entry.den.derivative_z().eval_exact(a, GR0)
+    if not slope:
         raise ValueError(f"pole at {a!r} is not simple")
-    return _eval_coeffs(num, a) / qa
+    return entry.num.eval_exact(a, GR0) / slope
 
 
 def residues(field: ToyHiggsField) -> Dict[str, list]:

@@ -18,6 +18,7 @@ from nilwkb.catalog import (
     nilpotent_sl3,
     regular_diagonal,
 )
+from nilwkb import holonomy
 from nilwkb.connection import ConnectionFamily, MatrixOneForm
 from nilwkb.errors import (
     BranchPointOnPath,
@@ -37,11 +38,11 @@ from nilwkb.holonomy import (
     ParamPath,
     _free_fit_exponent,
     _pulled_back,
+    _term_matrices,
     _term_weights,
     is_wkb_curve,
     period,
     pullback,
-    spectral_eigenvalue_track,
     transport,
     transport_grid,
     wkb_fit,
@@ -148,7 +149,7 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
     fam = nilpotent_sl2_full()
     gamma = ParamPath.from_points([0.2 + 0.1j, 1.1 + 0.7j, 0.4 + 1.3j])
     forms, _weights = _term_weights(fam, [0.3])
-    pieces = _pulled_back(forms, gamma, 2)
+    pieces = _pulled_back(forms, gamma, _term_matrices(forms, 2))
     for k, (seg, P) in enumerate(zip(gamma.segments, pieces)):
         assert isinstance(P, np.ndarray) and not P.flags.writeable
         z = seg.point(0.0)
@@ -165,9 +166,9 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
                     expected[f, 2 * i + j] = acc
         assert np.array_equal(P, expected)
     # an arc and a z-dependent entry keep evaluating per t
-    assert all(callable(P) for P in _pulled_back(forms, ParamPath.circle(0.3 + 0.2j, 0.7), 2))
+    assert all(callable(P) for P in _pulled_back(forms, ParamPath.circle(0.3 + 0.2j, 0.7), _term_matrices(forms, 2)))
     diag_forms, _w = _term_weights(regular_diagonal(), [0.3])
-    assert all(callable(P) for P in _pulled_back(diag_forms, SEG, 2))
+    assert all(callable(P) for P in _pulled_back(diag_forms, SEG, _term_matrices(diag_forms, 2)))
 
 
 def _counting_closures(monkeypatch):
@@ -230,6 +231,17 @@ def test_polyline_transport_solves_each_segment_on_its_own(build):
     assert whole.steps <= 1.1 * sum(p.steps for p in parts)
     product = parts[2].holonomy @ parts[1].holonomy @ parts[0].holonomy
     assert np.linalg.norm(whole.holonomy - product) <= whole.est_error + sum(p.est_error for p in parts)
+
+
+def test_coarse_run_only_where_dop853_runs(monkeypatch):
+    # cost guard: exponentials ignore the tolerance, so a path of constant
+    # segments is carried once; a DOP853 segment needs the coarse run too
+    runs = _counting(monkeypatch, holonomy, "_integrate")
+    transport_grid(nilpotent_sl2(), ParamPath.from_points([0, 1, 1 + 1j, 0.2 + 1.5j]), [0.3, 0.1])
+    assert runs[0] == 1
+    runs[0] = 0
+    transport_grid(regular_diagonal(), ParamPath.circle(), [0.3, 0.1])
+    assert runs[0] == 2
 
 
 def test_transport_trivial():
@@ -483,12 +495,12 @@ def test_overflow_in_a_finished_dop853_solve_changes_nothing(monkeypatch):
 
 def test_track_examples():
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
-    track = spectral_eigenvalue_track(Phi, SEG)
+    track = EigenvalueTrack(Phi, SEG)
     assert track(0.0) == pytest.approx(1.0)
     assert track(0.77) == pytest.approx(1.0)
 
     diag = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[1, 0], [0, -1]]))
-    track2 = spectral_eigenvalue_track(diag, SEG)
+    track2 = EigenvalueTrack(diag, SEG)
     assert track2(0.5) == pytest.approx(1.0)
 
     z = BRF.z()
@@ -497,16 +509,16 @@ def test_track_examples():
         RationalFunctionMatrix([[z - half, BRF.zero()], [BRF.zero(), -(z - half)]])
     )
     with pytest.raises(BranchPointOnPath):
-        spectral_eigenvalue_track(vanishing, SEG)
+        EigenvalueTrack(vanishing, SEG)
 
     with pytest.raises(TieAtStart):
-        spectral_eigenvalue_track(Phi, ParamPath.segment(0, 1j))
+        EigenvalueTrack(Phi, ParamPath.segment(0, 1j))
 
 
 def test_track_continuous_branch_on_circle():
     # dz/z around the circle: mu is constant despite the winding coefficient
     fam = regular_diagonal()
-    track = spectral_eigenvalue_track(fam.phi, ParamPath.circle())
+    track = EigenvalueTrack(fam.phi, ParamPath.circle())
     values = [track(t) for t in np.linspace(0, 1, 17)]
     assert max(abs(v - values[0]) for v in values) < 1e-9
 
@@ -661,6 +673,16 @@ def _parabolic_secondary():
     from nilwkb.gauge import secondary_higgs
 
     return secondary_higgs(nilpotent_sl2_parabolic(), [1, 1]).Phi
+
+
+def test_rank2_track_reads_numpy_and_python_floats_alike():
+    # the grid nodes are numpy floats; the field is evaluated on Python
+    # scalars either way, so the track gives the same bits at t and float(t)
+    track = EigenvalueTrack(_parabolic_secondary(), ParamPath.segment(0.3 + 0.2j, 1.4 + 0.9j))
+    nodes = track.grid()
+    assert any(isinstance(t, np.floating) for t in nodes)
+    for t in nodes:
+        assert repr(complex(track(t))) == repr(complex(track(float(t)))), t
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from nilwkb.algebra import BiRationalFunction as BRF, GaussianRational
+from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational
 from nilwkb.errors import BadPuncture, UnstableWeights
 from nilwkb.toymodel import (
+    _entry_residue,
     ParabolicWeights,
     build_toy_higgs,
     check_weight_inequalities,
@@ -115,6 +118,37 @@ def test_residues_vanish_where_declared():
             assert all(not x for row in res[site] for x in row), (which, site)
         for site in field.poles:
             assert any(x for row in res[site] for x in row), (which, site)
+
+
+def test_entry_residue_matches_sympy():
+    # num / prod (z - r_k) with random Gaussian-integer coefficients and
+    # roots; the residue at a root (simple pole, or none once canonical form
+    # cancels it) and at a regular point, against sympy.residue
+    rng = random.Random(1301)
+    z = BRF.z()
+    zs = sympy.Symbol("z")
+    gauss = lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+    to_sympy = lambda g: sympy.Rational(g.re.numerator, g.re.denominator) + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)
+    for _ in range(12):
+        coeffs = [gauss() for _ in range(rng.randint(1, 4))]
+        roots = list({(r.re, r.im): r for r in (gauss() for _ in range(rng.randint(1, 3)))}.values())
+        num = BRF(BiPolynomial({(i, 0): c for i, c in enumerate(coeffs) if c}))
+        den = BRF.one()
+        for r in roots:
+            den = den * (z - BRF.constant(r))
+        expr = sum(to_sympy(c) * zs**i for i, c in enumerate(coeffs))
+        expr = expr / sympy.prod([zs - to_sympy(r) for r in roots])
+        for a in roots + [gauss()]:
+            got = _entry_residue(num / den, a)
+            assert sympy.expand(sympy.residue(expr, zs, to_sympy(a)) - to_sympy(got)) == 0, (coeffs, roots, a)
+
+
+def test_entry_residue_rejects_double_poles_and_zbar():
+    z, one = BRF.z(), BRF.one()
+    with pytest.raises(ValueError, match="not simple"):
+        _entry_residue(one / (z * z), GaussianRational(0))
+    with pytest.raises(ValueError, match="zbar-free"):
+        _entry_residue(BRF.zbar() / z, GaussianRational(0))
 
 
 def test_phi_inf_regular_at_origin():
