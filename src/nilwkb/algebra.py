@@ -12,6 +12,12 @@ polynomial has a single term (a constant included) the gcd and the exact
 division are exponent arithmetic; sympy is used only for the gcd or division
 of two polynomials that each have several terms.
 
+Zero is the identity of rational-function arithmetic here and nowhere else:
+``x + 0`` and ``0 + x`` return ``x``, ``0 - x`` returns ``-x`` and a product
+with a zero factor returns the zero singleton, all without normalising.
+Every instance is canonical, so these are the normalised results, down to
+the insertion order of their terms; callers need no zero guards of their own.
+
 Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
 place where coefficients become floats and near-poles raise ``PoleHit``.
 Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
@@ -40,7 +46,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
-        if x != int(x):
+        if not x.is_integer():
             raise TypeError(f"refusing to coerce non-integral float {x!r} to an exact rational")
         return Fraction(int(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
@@ -76,7 +82,12 @@ class GaussianRational:
 
     @classmethod
     def from_strings(cls, re: str, im: str) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        """Parse a serialized pair; a part that is not a finite number raises
+        ValueError naming the pair."""
+        try:
+            return cls(Fraction(re), Fraction(im))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"not an exact Gaussian rational: ({re!r}, {im!r})") from None
 
     # -- field operations ---------------------------------------------------
 
@@ -407,15 +418,25 @@ class BiRationalFunction:
     # -- field operations ----------------------------------------------------------
 
     def __add__(self, other: "BiRationalFunction") -> "BiRationalFunction":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return BiRationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "BiRationalFunction") -> "BiRationalFunction":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
         return BiRationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "BiRationalFunction":
         return BiRationalFunction(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other: "BiRationalFunction") -> "BiRationalFunction":
+        if self.is_zero or other.is_zero:
+            return _BRF_ZERO
         return BiRationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "BiRationalFunction") -> "BiRationalFunction":
@@ -424,10 +445,7 @@ class BiRationalFunction:
         return BiRationalFunction(self.num * other.den, self.den * other.num)
 
     def scale(self, c) -> "BiRationalFunction":
-        c = GaussianRational.coerce(c)
-        if not c:
-            return BiRationalFunction.zero()
-        return BiRationalFunction(self.num.scale(c), self.den, _normalized=False)
+        return BiRationalFunction(self.num.scale(c), self.den)
 
     def __eq__(self, other):
         return (
@@ -607,9 +625,7 @@ class RationalFunctionMatrix:
             for j in range(other.cols):
                 acc = BiRationalFunction.zero()
                 for k in range(self.cols):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(row)
         return RationalFunctionMatrix(out)

@@ -133,8 +133,6 @@ def _check_poles_declared(forms, punctures) -> None:
         for part in (form.dz_part, form.dzbar_part):
             for row in part.entries:
                 for entry in row:
-                    if entry.den.degree() == (0, 0):
-                        continue
                     if not radical_divides(entry.den, allowed):
                         raise PoleHit(
                             "entry has a pole away from the declared punctures"

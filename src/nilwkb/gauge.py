@@ -36,9 +36,6 @@ from .errors import (
     ZeroHiggsField,
 )
 
-GradedForm = Dict[Fraction, MatrixOneForm]
-
-
 @dataclass(frozen=True)
 class NilpotentType:
     """Jordan data of a nilpotent field: kernel-growth partition and its transpose.
@@ -238,17 +235,13 @@ def _bucket(pieces, n: int) -> dict:
     """Sum (key, i, j, dz_e, dzbar_e) pieces into one rank-n form per key.
 
     Keys come back in sorted order and forms that sum to zero are dropped.
-    An entry landing on an empty slot is stored as is: only a second entry
-    at the same key and position costs an exact addition (and its gcd).
     """
+    zero = BiRationalFunction.zero()
     slots: dict = {}
     for key, i, j, dz_e, dzb_e in pieces:
         at = slots.setdefault(key, {})
-        if (i, j) in at:
-            dz_prev, dzb_prev = at[(i, j)]
-            dz_e, dzb_e = dz_prev + dz_e, dzb_prev + dzb_e
-        at[(i, j)] = (dz_e, dzb_e)
-    zero = BiRationalFunction.zero()
+        dz_prev, dzb_prev = at.get((i, j), (zero, zero))
+        at[(i, j)] = (dz_prev + dz_e, dzb_prev + dzb_e)
     out = {}
     for key in sorted(slots):
         dz = [[zero] * n for _ in range(n)]
@@ -280,20 +273,6 @@ class SecondaryData:
     @property
     def leading_exponent(self) -> Fraction:
         return Fraction(1 - self.m)
-
-    def graded_family(self) -> GradedForm:
-        """All pieces keyed by exponent, leading field and diagonal included."""
-        merged: GradedForm = {}
-        items = [(self.leading_exponent, self.Phi), (Fraction(0), self.diag_connection)]
-        items += list(self.residual_terms)
-        for exp, form in items:
-            if form.is_zero:
-                continue
-            if exp in merged:
-                merged[exp] = merged[exp] + form
-            else:
-                merged[exp] = form
-        return dict(sorted(merged.items()))
 
     def to_json(self) -> dict:
         return {
@@ -440,7 +419,8 @@ def undo_gauge(data: SecondaryData) -> Tuple[MatrixOneForm, MatrixOneForm, Matri
     m = data.m
     n = data.Phi.n
     pieces = []
-    for exponent, form in data.graded_family().items():
+    graded = [(data.leading_exponent, data.Phi), (Fraction(0), data.diag_connection)]
+    for exponent, form in graded + list(data.residual_terms):
         for r, c, dz_e, dzb_e in _entries(form):
             original = (exponent - m * data.profile.shift(r, c)) / m
             if original not in (-1, 0, 1):

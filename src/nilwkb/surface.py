@@ -264,7 +264,6 @@ class FlowState:
     polygon: int
     point: complex
     direction: complex
-    sign_flips: int
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def trace_flow(
     if not surface.contains(p0, z0):
         raise ValueError(f"start point {z0} is not inside polygon {p0}")
     d = cmath.exp(1j * theta)
-    state = FlowState(p0, z0, d, 0)
+    state = FlowState(p0, z0, d)
     pieces: List[Tuple[int, complex, complex]] = []
     crossings: List[Tuple[EdgeRef, EdgeRef, int]] = []
     traveled = 0.0
@@ -373,7 +372,7 @@ def trace_flow(
                 pieces=tuple(pieces),
                 total_length=traveled + dist,
                 terminated=status,
-                state=FlowState(state.polygon, cut, state.direction, state.sign_flips),
+                state=FlowState(state.polygon, cut, state.direction),
                 crossings=tuple(crossings),
             )
 
@@ -383,12 +382,7 @@ def trace_flow(
         new_point = ident.apply(hit)
         new_dir = ident.apply_direction(state.direction)
         crossings.append((ident.a, ident.b, ident.sign))
-        state = FlowState(
-            ident.b[0],
-            new_point,
-            new_dir,
-            state.sign_flips + (1 if ident.sign == -1 else 0),
-        )
+        state = FlowState(ident.b[0], new_point, new_dir)
 
 
 def _closure_probe(start, close_tol, dir_tol=1e-9):

@@ -307,10 +307,6 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
 
 def toy_quadratic_differential(c, p=2) -> BRF:
     """c / (z (z-1) (z-p)), the dz^2 coefficient of the only available shape."""
-    c = GaussianRational.coerce(c)
-    p = GaussianRational.coerce(p)
-    if not c:
-        return BRF.zero()
     return BRF.from_poles(c, [GR0, GR1, p])
 
 

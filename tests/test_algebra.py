@@ -177,3 +177,59 @@ def test_monomial_shortcuts_match_sympy():
         _poly_div_exact(BiPolynomial.z() + BiPolynomial.zbar(), BiPolynomial.z())
     with pytest.raises(ArithmeticError):
         _poly_div_exact(BiPolynomial.monomial(3, 0), BiPolynomial.monomial(1, 1, 2))
+
+
+def _multi_term_brf(rng: random.Random) -> BRF:
+    while True:
+        f = _random_brf(rng)
+        if len(f.num.terms) > 1 and len(f.den.terms) > 1:
+            return f
+
+
+def _same_terms(f: BRF, g: BRF) -> bool:
+    return f == g and list(f.num.terms) == list(g.num.terms) and list(f.den.terms) == list(g.den.terms)
+
+
+def test_zero_operand_skips_normalising_but_matches_it():
+    # x + 0, 0 + x, x - 0, 0 - x, x * 0 and 0 * x return without normalising;
+    # the result must be what the general formula gives, term order included
+    rng = random.Random(31)
+    zero = BRF.zero()
+    general_add = lambda a, b: BRF(a.num * b.den + b.num * a.den, a.den * b.den)
+    general_sub = lambda a, b: BRF(a.num * b.den - b.num * a.den, a.den * b.den)
+    general_mul = lambda a, b: BRF(a.num * b.num, a.den * b.den)
+    for _ in range(40):
+        x = _multi_term_brf(rng)
+        for a, b in ((x, zero), (zero, x)):
+            assert _same_terms(a + b, general_add(a, b))
+            assert _same_terms(a - b, general_sub(a, b))
+            assert _same_terms(a * b, general_mul(a, b))
+
+
+def test_flatness_normalises_only_nonzero_arithmetic(monkeypatch):
+    # a zero operand costs no normalisation; normalising it too made 261 calls here
+    from nilwkb.catalog import nilpotent_sl3
+    from nilwkb.connection import check_flatness
+
+    family = nilpotent_sl3()
+    calls = []
+    normalize = BRF._normalize
+    monkeypatch.setattr(BRF, "_normalize", staticmethod(lambda num, den: calls.append(1) or normalize(num, den)))
+    assert check_flatness(family).is_flat
+    assert len(calls) <= 60
+
+
+def test_non_finite_values_are_refused():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=repr(bad)):
+            GaussianRational.from_strings(bad, "0")
+        with pytest.raises(ValueError, match=repr(bad)):
+            GaussianRational.from_strings("1/2", bad)
+        with pytest.raises(TypeError):
+            GaussianRational.coerce(bad)
+        with pytest.raises(TypeError):
+            GaussianRational.coerce(complex(bad, 0))
+    with pytest.raises(ValueError):
+        GaussianRational.from_strings(None, "0")
+    assert GaussianRational.from_strings("1/2", 3) == GaussianRational(Fraction(1, 2), 3)
+    assert GaussianRational.coerce(4.0) == GaussianRational(4)

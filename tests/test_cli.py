@@ -319,6 +319,26 @@ def test_family_without_rank_exits_1(segment_file, tmp_path, command, capsys):
     assert str(bad) in err["message"] and "'rank'" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "where, token, named",
+    [("puncture", "Infinity", "inf"), ("puncture", "NaN", "nan"), ("puncture", "null", "None"), ("coefficient", "1e400", "inf")],
+)
+def test_non_finite_family_value_exits_1(tmp_path, where, token, named, capsys):
+    # JSON admits Infinity, NaN and 1e400 (a float overflowing to inf); none is an exact rational
+    data = nilpotent_sl2().to_json()
+    if where == "puncture":
+        data["punctures"] = [["HOLE", "0"]]
+    else:
+        data["phi"]["dz"][0][1]["num"][0][2] = "HOLE"
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps(data).replace('"HOLE"', token))
+    assert main(["jordan", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and named in err["message"]
+
+
 def test_path_without_segments_exits_1(family_file, tmp_path, capsys):
     bad = tmp_path / "nosegments.json"
     bad.write_text('{"schema": "nilwkb/1", "closed": false}')
