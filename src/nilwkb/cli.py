@@ -62,8 +62,9 @@ def _emit(payload) -> None:
 
 
 def _load_json(path: str, build):
-    """build(data) for the JSON object in the file at path; a missing field
-    raises a ValueError that names the file and the field."""
+    """build(data) for the JSON object in the file at path; a missing field,
+    or a value of the wrong type, shape or size, raises a ValueError that
+    names the file."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -72,6 +73,8 @@ def _load_json(path: str, build):
         return build(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed value ({type(exc).__name__}: {exc})") from None
 
 
 def _load_family(path: str) -> ConnectionFamily:

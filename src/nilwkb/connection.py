@@ -123,20 +123,16 @@ def _check_poles_declared(forms, punctures) -> None:
     """Every denominator factor must come from a declared puncture.
 
     The allowed locus is the product of (z - p)(zbar - conj p) over declared
-    punctures; radical divisibility of each entry's denominator is exact.
+    punctures; radical divisibility of each distinct denominator is exact.
     """
     allowed = BiPolynomial.constant(1)
     for p in punctures:
         allowed = allowed * (BiPolynomial.z() - BiPolynomial.constant(p))
         allowed = allowed * (BiPolynomial.zbar() - BiPolynomial.constant(p.conjugate()))
-    for form in forms:
-        for part in (form.dz_part, form.dzbar_part):
-            for row in part.entries:
-                for entry in row:
-                    if not radical_divides(entry.den, allowed):
-                        raise PoleHit(
-                            "entry has a pole away from the declared punctures"
-                        )
+    parts = [part for form in forms for part in (form.dz_part, form.dzbar_part)]
+    dens = {entry.den for part in parts for row in part.entries for entry in row}
+    if not all(radical_divides(den, allowed) for den in dens):
+        raise PoleHit("entry has a pole away from the declared punctures")
 
 
 class ConnectionFamily:
@@ -144,8 +140,9 @@ class ConnectionFamily:
 
     Default exponents (-1, 0, +1) give the family eps^-1 phi + D + eps psi.
     phi must be of type (1,0) and psi of type (0,1); both must be exactly
-    traceless.  Entries may have poles only at the declared punctures (not
-    enforced entry-by-entry; the declared list feeds path clearance checks).
+    traceless.  Entries may have poles only at the declared punctures, which
+    the constructor checks exactly (PoleHit otherwise); the declared list also
+    feeds path clearance checks.
     """
 
     __slots__ = ("n", "phi", "conn", "psi", "punctures", "exponents")
@@ -252,14 +249,6 @@ class FlatnessReport:
 
     residuals: dict
     is_flat: bool
-
-    NAMES = (
-        "phi_wedge_phi",
-        "psi_wedge_psi",
-        "D_phi",
-        "D_psi",
-        "curvature_plus_phi_wedge_psi",
-    )
 
     def to_json(self) -> dict:
         return {

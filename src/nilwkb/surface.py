@@ -35,6 +35,10 @@ GLUE_TOL = 1e-12
 VERTEX_TOL = 1e-9
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Identification:
     """Directed gluing: w on edge a maps to sign*w + offset on edge b."""
@@ -54,9 +58,11 @@ class Identification:
 class PolygonSurface:
     """Polygons with pairwise edge identifications.
 
-    ``identifications`` entries are ((p, e), (q, f), sign); the offset of the
-    gluing map is derived from the edge endpoints.  Edge e of polygon p runs
-    from vertex e to vertex e+1 (cyclically).
+    ``identifications`` entries are ((p, e), (q, f), sign) with integer
+    in-range edge references and sign the int +1 or -1 (or the string "+1" or
+    "-1" that to_json writes); anything else is a ValueError.  The offset of
+    the gluing map is derived from the edge endpoints.  Edge e of polygon p
+    runs from vertex e to vertex e+1 (cyclically).
     """
 
     def __init__(self, polygons: Sequence[Sequence[complex]], identifications):
@@ -72,10 +78,10 @@ class PolygonSurface:
         self.glue: Dict[EdgeRef, Identification] = {}
         seen = set()
         for a, b, sign in identifications:
-            a, b = (int(a[0]), int(a[1])), (int(b[0]), int(b[1]))
-            sign = int(sign) if not isinstance(sign, str) else int(sign.replace("+", ""))
-            if sign not in (1, -1):
-                raise ValueError(f"identification sign must be +1 or -1, got {sign}")
+            a, b = self._edge_ref(a), self._edge_ref(b)
+            if not (sign in ("+1", "-1") or _is_int(sign) and sign in (1, -1)):
+                raise ValueError(f"identification sign must be +1 or -1, got {sign!r}")
+            sign = int(sign)
             for ref in {a, b}:
                 if ref in seen:
                     raise UnmatchedEdge(f"edge {ref} appears in more than one identification")
@@ -97,6 +103,13 @@ class PolygonSurface:
             for e in range(len(poly)):
                 if (p, e) not in self.glue:
                     raise UnmatchedEdge(f"edge ({p}, {e}) has no identification")
+
+    def _edge_ref(self, ref) -> EdgeRef:
+        p, e = ref
+        in_range = _is_int(p) and _is_int(e) and 0 <= p < len(self.polygons)
+        if not (in_range and 0 <= e < len(self.polygons[p])):
+            raise ValueError(f"edge reference {ref!r} is not a (polygon, edge) index pair")
+        return p, e
 
     # -- geometry helpers ------------------------------------------------------
 
@@ -321,16 +334,14 @@ def trace_flow(
     theta: float,
     max_length: float,
     close_tol: float = 1e-9,
-    _recurrence=None,
 ) -> FlatTrajectory:
     """Straight-line continuation across identifications.
 
     Gluing maps act on position and direction.  Stops at max_length, within
     VERTEX_TOL of a cone point (status ConePoint, not an exception), or when
     the flow returns within close_tol of the start with matching direction
-    (status ClosedUp).  ``_recurrence`` is the loop search's wider-ball hook.
-    A non-finite theta, or a max_length that is not finite and positive,
-    raises ValueError.
+    (status ClosedUp).  A non-finite theta, or a max_length that is not
+    finite and positive, raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"flow angle must be finite, got {theta!r}")
@@ -345,7 +356,7 @@ def trace_flow(
     crossings: List[Tuple[EdgeRef, EdgeRef, int]] = []
     traveled = 0.0
     guard = 0
-    probe = _recurrence if _recurrence is not None else _closure_probe((p0, z0, d), close_tol)
+    probe = _closure_probe((p0, z0, d), close_tol)
     while True:
         guard += 1
         if guard > 1_000_000:
@@ -385,15 +396,19 @@ def trace_flow(
         state = FlowState(ident.b[0], new_point, new_dir)
 
 
-def _closure_probe(start, close_tol, dir_tol=1e-9):
+def _closure_probe(start, close_tol):
     """Flow event hook: ClosedUp once a piece passes within close_tol of the
-    start point while heading within dir_tol of the start direction."""
+    start point while heading in the start direction.
+
+    A gluing maps a direction d to exactly sign*d with sign = +1 or -1, so
+    every piece heads in exactly +d0 or -d0 and the direction test is exact.
+    """
     p0, z0, d0 = start
 
     def probe(state: FlowState, hit: complex, traveled: float):
         if state.polygon != p0:
             return None
-        if abs(state.direction - d0) > dir_tol:
+        if state.direction != d0:
             return None
         seg = hit - state.point
         L2 = abs(seg) ** 2
@@ -482,10 +497,7 @@ def find_wkb_loop(
     if eta is None:
         eta = 0.01 * surface.min_edge_length()
     p0, z0 = start[0], complex(start[1])
-    d0 = cmath.exp(1j * theta_seed)
-
-    probe = _closure_probe((p0, z0, d0), eta, 1e-6)
-    traj = trace_flow(surface, start, theta_seed, max_length, _recurrence=probe)
+    traj = trace_flow(surface, start, theta_seed, max_length, close_tol=eta)
     if traj.terminated == "ConePoint":
         raise NoRecurrenceWithinBudget(
             "leaf ran into a cone point before recurring; change the angle"
@@ -553,11 +565,6 @@ def flat_torus(width: float = 1.0, height: float = 1.0) -> PolygonSurface:
     )
 
 
-def _square_positions(count: int) -> List[Tuple[int, int]]:
-    """Lower-left corners of the diagonal staircase squares."""
-    return [((k - 1) // 2, k // 2) for k in range(1, count + 1)]
-
-
 def staircase(n: int, style: str = "left", half: bool = False) -> PolygonSurface:
     """Staircases of unit squares reproducing the reference gluing patterns.
 
@@ -565,82 +572,40 @@ def staircase(n: int, style: str = "left", half: bool = False) -> PolygonSurface
     both have genus n.  Half-translation variants add one square (left: 2n+1,
     right: 2n) and fold the first square's outer sides, creating exactly two
     angle-pi cone points; the genus stays n.
+
+    Square k = 0, 1, ... has its lower-left corner at (k//2, (k+1)//2): an
+    even square carries square k+1 on its top, an odd one beside its right.
+    Its edges are bottom 0, right 1, top 2, left 3; the folded first square
+    splits both sides at mid-height (bottom 0, right 1 and 2, top 3, left 4
+    and 5) and is alone in row 0.  Gluings come in this order: neighbours,
+    then per column the lowest bottom to the highest top, then per row the
+    leftmost left to the rightmost right, except that the folded square's
+    row folds each of its two sides in half (sign -1) instead of wrapping.
     """
     if n < 1:
         raise ValueError("n >= 1")
     if style not in ("left", "right"):
         raise ValueError("style is left or right")
-    if not half:
-        count = 2 * n if style == "left" else 2 * n - 1
-    else:
-        count = 2 * n + 1 if style == "left" else 2 * n
-    positions = _square_positions(count)
+    count = 2 * n - (style == "right") + (1 if half else 0)
+    unit = [0, 1, 1 + 1j, 1j]
+    folded = [0, 1, 1 + 0.5j, 1 + 1j, 1j, 0.5j]
+    polygons = [
+        [complex(k // 2, (k + 1) // 2) + v for v in (folded if half and k == 0 else unit)]
+        for k in range(count)
+    ]
 
-    polygons: List[List[complex]] = []
-    edge_index: Dict[Tuple[int, str], EdgeRef] = {}
-    for k, (px, py) in enumerate(positions):
-        base = complex(px, py)
-        if half and k == 0:
-            # first square with split outer sides for the folds
-            verts = [
-                base,
-                base + 1,
-                base + 1 + 0.5j,
-                base + 1 + 1j,
-                base + 1j,
-                base + 0.5j,
-            ]
-            polygons.append(verts)
-            edge_index[(k, "bottom")] = (k, 0)
-            edge_index[(k, "right_lower")] = (k, 1)
-            edge_index[(k, "right_upper")] = (k, 2)
-            edge_index[(k, "top")] = (k, 3)
-            edge_index[(k, "left_upper")] = (k, 4)
-            edge_index[(k, "left_lower")] = (k, 5)
-        else:
-            verts = [base, base + 1, base + 1 + 1j, base + 1j]
-            polygons.append(verts)
-            edge_index[(k, "bottom")] = (k, 0)
-            edge_index[(k, "right")] = (k, 1)
-            edge_index[(k, "top")] = (k, 2)
-            edge_index[(k, "left")] = (k, 3)
+    def top(k: int) -> EdgeRef:
+        return (k, 3 if half and k == 0 else 2)
 
-    idents: List[Tuple[EdgeRef, EdgeRef, int]] = []
-
-    # internal gluings between placed neighbours
-    pos_of = {pos: k for k, pos in enumerate(positions)}
-    for k, (px, py) in enumerate(positions):
-        above = pos_of.get((px, py + 1))
-        if above is not None:
-            idents.append((edge_index[(k, "top")], edge_index[(above, "bottom")], +1))
-        rightn = pos_of.get((px + 1, py))
-        if rightn is not None:
-            if (k, "right") not in edge_index:
-                raise NonManifoldCorner("fold square cannot have a right neighbour")
-            idents.append((edge_index[(k, "right")], edge_index[(rightn, "left")], +1))
-
-    # column wrap: lowest bottom <-> highest top per column
-    columns: Dict[int, List[int]] = {}
-    rows: Dict[int, List[int]] = {}
-    for k, (px, py) in enumerate(positions):
-        columns.setdefault(px, []).append(k)
-        rows.setdefault(py, []).append(k)
-    for col in columns.values():
-        col.sort(key=lambda k: positions[k][1])
-        idents.append((edge_index[(col[0], "bottom")], edge_index[(col[-1], "top")], +1))
-    # row wrap: leftmost left <-> rightmost right, except the folded square
-    for r, row in rows.items():
-        row.sort(key=lambda k: positions[k][0])
-        left_sq, right_sq = row[0], row[-1]
-        if half and left_sq == 0:
-            # fold the outer sides of the first square instead of wrapping
-            idents.append(
-                (edge_index[(0, "right_lower")], edge_index[(0, "right_upper")], -1)
-            )
-            idents.append(
-                (edge_index[(0, "left_upper")], edge_index[(0, "left_lower")], -1)
-            )
-            continue
-        idents.append((edge_index[(left_sq, "left")], edge_index[(right_sq, "right")], +1))
-
+    idents = [
+        (top(k), (k + 1, 0), +1) if k % 2 == 0 else ((k, 1), (k + 1, 3), +1)
+        for k in range(count - 1)
+    ]
+    idents += [((2 * x, 0), top(min(2 * x + 1, count - 1)), +1) for x in range((count + 1) // 2)]
+    if half:
+        idents += [((0, 1), (0, 2), -1), ((0, 4), (0, 5), -1)]
+    idents += [
+        ((max(2 * y - 1, 0), 3), (min(2 * y, count - 1), 1), +1)
+        for y in range(1 if half else 0, count // 2 + 1)
+    ]
     return PolygonSurface(polygons, idents)

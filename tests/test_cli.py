@@ -6,6 +6,7 @@ import pytest
 from nilwkb.catalog import nilpotent_sl2
 from nilwkb.cli import main
 from nilwkb.holonomy import ParamPath
+from nilwkb.surface import flat_torus
 
 
 @pytest.fixture
@@ -387,3 +388,79 @@ def test_surface_trace_bad_flow_arguments_exit_1(flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def _term(data):
+    return data["phi"]["dz"][0][1]["num"][0]
+
+
+def _write_with_hole(tmp_path, data, mutate, token):
+    # mutate puts "HOLE" where the bad JSON value goes
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"HOLE"', token))
+    return bad
+
+
+def _exits_1_with_value_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    return err["message"]
+
+
+@pytest.mark.parametrize(
+    "kind, mutate, token",
+    [
+        ("family", lambda d: d.update(rank="HOLE"), "1e400"),
+        ("family", lambda d: d.update(exponents=[["HOLE", "phi"]]), "Infinity"),
+        ("family", lambda d: _term(d).__setitem__(0, "HOLE"), "Infinity"),
+        ("family", lambda d: _term(d).__setitem__(1, "HOLE"), "null"),
+        ("family", lambda d: d.update(phi="HOLE"), "[]"),
+        ("path", lambda d: d["segments"][0].update({"from": "HOLE"}), "null"),
+        ("path", lambda d: d["segments"][0].update({"from": "HOLE"}), '["a", 0]'),
+        ("path", lambda d: d["segments"][0].update(type="arc", center=[0, 0], radius=1, angles="HOLE"), "[0.5]"),
+        ("path", lambda d: d.update(segments="HOLE"), "3"),
+        ("path", lambda d: d.update(segments="HOLE"), '[["line"]]'),
+        ("surface", lambda d: d.update(polygons="HOLE"), "[null]"),
+        ("surface", lambda d: d["identifications"][0].__setitem__(1, "HOLE"), "7"),
+    ],
+    ids=[
+        "rank-1e400", "exponent-inf", "degree-inf", "degree-null", "phi-empty",
+        "from-null", "from-string", "arc-one-angle", "segments-int", "segment-list",
+        "polygon-null", "edge-ref-int",
+    ],
+)
+def test_malformed_input_file_exits_1_naming_it(family_file, tmp_path, kind, mutate, token, capsys):
+    # a wrong type, shape or size in an input file is a ValueError naming the file, not a traceback
+    if kind == "family":
+        bad = _write_with_hole(tmp_path, nilpotent_sl2().to_json(), mutate, token)
+        argv = ["jordan", str(bad)]
+    elif kind == "path":
+        bad = _write_with_hole(tmp_path, ParamPath.segment(0, 1).to_json(), mutate, token)
+        argv = ["wkbcheck", family_file, str(bad)]
+    else:
+        bad = _write_with_hole(tmp_path, flat_torus().to_json(), mutate, token)
+        argv = ["surface", "validate", str(bad)]
+    assert str(bad) in _exits_1_with_value_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "where, token",
+    [
+        ("sign", "1.5"), ("sign", "true"), ("sign", '"++1"'), ("sign", "1.0"),
+        ("ref", "[0, 2.0]"), ("ref", "[0, 7]"), ("ref", "[0, -2]"), ("ref", "[true, 2]"),
+    ],
+)
+def test_surface_file_with_inexact_identification_exits_1(tmp_path, where, token, capsys):
+    # a sign is exactly +1 or -1 and an edge reference a pair of in-range
+    # integers; nothing is truncated to fit
+    hole = 2 if where == "sign" else 1
+
+    def mutate(d):
+        d["identifications"][0][hole] = "HOLE"
+
+    bad = _write_with_hole(tmp_path, flat_torus().to_json(), mutate, token)
+    _exits_1_with_value_error(["surface", "validate", str(bad)], capsys)
