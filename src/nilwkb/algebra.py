@@ -26,7 +26,6 @@ transport layer's pullback included, goes through it.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -704,12 +703,16 @@ class RationalFunctionMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _exact_rank_of_grid(grid) -> int:
-    """Rank of a GaussianRational matrix by fraction-free (Bareiss) elimination."""
+def _exact_rank_of_grid(grid, one) -> int:
+    """Rank of a matrix over a field by fraction-free (Bareiss) elimination.
+
+    ``one`` is the field's unit and the first divisor: GaussianRational entries
+    with ``GR_ONE``, or BiRationalFunction entries with ``BiRationalFunction.one()``.
+    """
     m = [list(row) for row in grid]
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    prev = GR_ONE
+    prev = one
     row = 0
     for col in range(ncols):
         pivot = None
@@ -723,7 +726,6 @@ def _exact_rank_of_grid(grid) -> int:
         for r in range(row + 1, nrows):
             for c in range(col + 1, ncols):
                 m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) / prev
-            m[r][col] = GR_ZERO
         prev = m[row][col]
         rank += 1
         row += 1
@@ -732,49 +734,18 @@ def _exact_rank_of_grid(grid) -> int:
     return rank
 
 
-def _random_gaussian_rational(rng: random.Random) -> GaussianRational:
-    return GaussianRational(
-        Fraction(rng.randint(-97, 97), rng.randint(1, 29)),
-        Fraction(rng.randint(-97, 97), rng.randint(1, 29)),
-    )
+def matrix_rank_exact(M: RationalFunctionMatrix, at: GaussianRational | None = None) -> int:
+    """Exact rank of M over the function field Q(i)(z, zbar), or of M at ``at``.
 
-
-def matrix_rank_exact(
-    M: RationalFunctionMatrix,
-    at: GaussianRational | None = None,
-    fallback_generic: bool = False,
-    seed: int = 2301,
-) -> int:
-    """Exact rank of M evaluated at a point.
-
-    With ``fallback_generic`` the matrix is resampled at up to 8 pseudo-random
-    Gaussian-rational points (PoleHit points are skipped) and the maximum rank
-    is returned; rank is lower-semicontinuous, so the maximum over samples is
-    the generic rank.
+    The rank over the function field is the generic rank: every minor is a
+    rational function, so the rank at a point is this rank off the zero set
+    of one nonzero minor and never above it.  It is computed by elimination on
+    the entries themselves, with no sample point.  With ``at`` the matrix is
+    evaluated exactly there first (PoleHit at a pole).
     """
-    if at is not None and not fallback_generic:
-        return _exact_rank_of_grid(M.evaluate_exact(at))
-
-    rng = random.Random(seed)
-    candidates = []
-    if at is not None:
-        candidates.append(at)
-    while len(candidates) < 8:
-        candidates.append(_random_gaussian_rational(rng))
-
-    best = None
-    for point in candidates:
-        try:
-            grid = M.evaluate_exact(point)
-        except PoleHit:
-            continue
-        r = _exact_rank_of_grid(grid)
-        best = r if best is None else max(best, r)
-        if best == min(M.rows, M.cols):
-            break
-    if best is None:
-        raise PoleHit("all sample points hit poles while computing generic rank")
-    return best
+    if at is None:
+        return _exact_rank_of_grid(M.entries, _BRF_ONE)
+    return _exact_rank_of_grid(M.evaluate_exact(at), GR_ONE)
 
 
 def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:

@@ -1,7 +1,7 @@
 """Command-line interface: one executable, one subcommand per pipeline.
 
 All JSON payloads carry a "schema": "nilwkb/1" field and are emitted with
-sorted keys, so runs with the same inputs and seed are byte-identical.
+sorted keys, so runs with the same inputs are byte-identical.
 Validation failures exit 1, numerical-budget failures exit 2, both with a
 machine-readable error object on stderr.
 """
@@ -63,8 +63,8 @@ def _emit(payload) -> None:
 
 def _load_json(path: str, build):
     """build(data) for the JSON object in the file at path; a missing field,
-    or a value of the wrong type, shape or size, raises a ValueError that
-    names the file."""
+    a value of the wrong type, shape or size, or a value the builder refuses
+    raises a ValueError that names the file."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -75,6 +75,8 @@ def _load_json(path: str, build):
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
     except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed value ({type(exc).__name__}: {exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_family(path: str) -> ConnectionFamily:
@@ -112,7 +114,7 @@ def _parse_blocks(text: str):
 
 def _field(args, family: ConnectionFamily):
     """The family's leading field, or with --blocks the secondary field of that splitting."""
-    return secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed).Phi if args.blocks else family.phi
+    return secondary_higgs(family, _parse_blocks(args.blocks)).Phi if args.blocks else family.phi
 
 
 def _parse_exponents(text: str):
@@ -148,14 +150,14 @@ def _cmd_flatness(args) -> int:
 
 def _cmd_secondary(args) -> int:
     family = _load_family(args.family)
-    data = secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed)
+    data = secondary_higgs(family, _parse_blocks(args.blocks))
     _emit(data.to_json())
     return 0
 
 
 def _cmd_jordan(args) -> int:
     family = _load_family(args.family)
-    jt = jordan_type(family.phi, seed=args.seed)
+    jt = jordan_type(family.phi)
     _emit(
         {
             "schema": "nilwkb/1",
@@ -169,7 +171,7 @@ def _cmd_jordan(args) -> int:
 
 def _cmd_cyclic(args) -> int:
     family = _load_family(args.family)
-    data = secondary_higgs(family, _parse_blocks(args.blocks), seed=args.seed)
+    data = secondary_higgs(family, _parse_blocks(args.blocks))
     ok = is_m_cyclic(data.Phi, data.profile, data.m)
     _emit({"schema": "nilwkb/1", "m": data.m, "m_cyclic": ok})
     return 0
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
-    parser.add_argument("--seed", type=int, default=2301, help="seed for generic-point sampling")
+    parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("flatness", help="exact flatness check; exit 0 iff flat")

@@ -323,11 +323,12 @@ def scale_orbit(family: ConnectionFamily, xi) -> ConnectionFamily:
     xi = GaussianRational.coerce(xi)
     if not xi:
         raise ZeroScale("the scaling parameter must be nonzero")
-    return ConnectionFamily(
-        n=family.n,
-        phi=family.phi.scale(xi),
-        conn=family.conn,
-        psi=family.psi,
-        punctures=family.punctures,
-        exponents=family.exponents,
-    )
+    # The family passed the constructor's checks, and they still hold: a
+    # canonical entry's denominator is monic and prime to its numerator, so
+    # multiplying the entry by a nonzero constant keeps that denominator (hence
+    # the declared poles), and it keeps phi's (1,0) type and zero trace.
+    out = object.__new__(ConnectionFamily)
+    for slot in ConnectionFamily.__slots__:
+        object.__setattr__(out, slot, getattr(family, slot))
+    object.__setattr__(out, "phi", family.phi.scale(xi))
+    return out

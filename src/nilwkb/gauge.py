@@ -146,11 +146,14 @@ def _block_index_of(entry_index: int, blocks: Sequence[int]) -> int:
 
 
 def jordan_type(phi: MatrixOneForm, seed: int = 2301) -> NilpotentType:
-    """Jordan type of a nilpotent (1,0)-field from generic-point exact ranks.
+    """Jordan type of a nilpotent (1,0)-field from the generic ranks of its powers.
 
-    Ranks of phi^j at generic exact sample points give dim ker(phi^j); the
+    The rank of phi^j over the function field Q(i)(z, zbar) (exact
+    elimination, no sample points) gives the generic dim ker(phi^j); the
     kernel-dimension increments form the partition, constant away from
-    finitely many points of the chart.
+    finitely many points of the chart.  phi is nilpotent when that rank
+    reaches 0 within n powers (NotNilpotent otherwise).  ``seed`` is ignored:
+    the type is exact; it is accepted so callers that pass it keep working.
     """
     if not phi.dzbar_part.is_zero:
         raise ValueError("jordan_type expects a (1,0)-form Higgs field")
@@ -158,14 +161,15 @@ def jordan_type(phi: MatrixOneForm, seed: int = 2301) -> NilpotentType:
     n = mat.rows
     if mat.is_zero:
         raise ZeroHiggsField("phi = 0 has no Jordan type here")
-    if not mat.power(n).is_zero:
-        raise NotNilpotent("phi^n != 0")
     kernel_dims = [0]
-    power = RationalFunctionMatrix.identity(n)
-    while kernel_dims[-1] < n:
+    power = mat
+    for _ in range(n):
+        kernel_dims.append(n - matrix_rank_exact(power))
+        if kernel_dims[-1] == n:
+            break
         power = power @ mat
-        rank = matrix_rank_exact(power, fallback_generic=True, seed=seed)
-        kernel_dims.append(n - rank)
+    else:
+        raise NotNilpotent("phi^n != 0")
     partition = tuple(
         kernel_dims[j] - kernel_dims[j - 1] for j in range(1, len(kernel_dims))
     )
@@ -330,6 +334,8 @@ def secondary_higgs(
 
     Raises FixedPointDetected when m = 1: the scaling-fixed-point case, where
     the leading piece would stay nilpotent and the construction degenerates.
+    The splitting must equal phi's exact Jordan type (see jordan_type), so
+    ``seed`` is ignored; it is accepted so callers that pass it keep working.
     """
     splitting = tuple(int(b) for b in splitting)
     n = family.n
@@ -338,12 +344,9 @@ def secondary_higgs(
     phi = family.phi
     if phi.is_zero:
         raise ZeroHiggsField("cannot rescale around phi = 0")
-    if not phi.dz_part.power(n).is_zero:
-        raise NotNilpotent("phi^n != 0; the leading term must be nilpotent")
+    jt = jordan_type(phi)
     if check_flat and not check_flatness(family).is_flat:
         raise ValueError("family is not flat; secondary field needs a flat input")
-
-    jt = jordan_type(phi, seed=seed)
     if jt.partition != splitting:
         raise BadBlocks(
             f"splitting {splitting} is inconsistent with the Jordan type {jt.partition}"

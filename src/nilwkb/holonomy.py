@@ -257,7 +257,10 @@ class ParamPath:
                 )
             else:
                 raise ValueError(f"unknown segment type {s['type']!r}")
-        return cls(segs, closed=bool(data.get("closed", False)))
+        closed = data.get("closed", False)
+        if not isinstance(closed, bool):
+            raise ValueError(f"closed must be true or false, got {closed!r}")
+        return cls(segs, closed=closed)
 
     def __repr__(self):
         return f"ParamPath({len(self.segments)} segments, closed={self.closed})"

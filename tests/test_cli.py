@@ -337,7 +337,7 @@ def test_non_finite_family_value_exits_1(tmp_path, where, token, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
-    assert err["error"] == "ValueError" and named in err["message"]
+    assert err["error"] == "ValueError" and named in err["message"] and str(bad) in err["message"]
 
 
 def test_path_without_segments_exits_1(family_file, tmp_path, capsys):
@@ -424,12 +424,13 @@ def _exits_1_with_value_error(argv, capsys):
         ("path", lambda d: d["segments"][0].update(type="arc", center=[0, 0], radius=1, angles="HOLE"), "[0.5]"),
         ("path", lambda d: d.update(segments="HOLE"), "3"),
         ("path", lambda d: d.update(segments="HOLE"), '[["line"]]'),
+        ("path", lambda d: d["segments"][0].update(type="HOLE"), '"spiral"'),
         ("surface", lambda d: d.update(polygons="HOLE"), "[null]"),
         ("surface", lambda d: d["identifications"][0].__setitem__(1, "HOLE"), "7"),
     ],
     ids=[
         "rank-1e400", "exponent-inf", "degree-inf", "degree-null", "phi-empty",
-        "from-null", "from-string", "arc-one-angle", "segments-int", "segment-list",
+        "from-null", "from-string", "arc-one-angle", "segments-int", "segment-list", "segment-type",
         "polygon-null", "edge-ref-int",
     ],
 )
@@ -463,4 +464,14 @@ def test_surface_file_with_inexact_identification_exits_1(tmp_path, where, token
         d["identifications"][0][hole] = "HOLE"
 
     bad = _write_with_hole(tmp_path, flat_torus().to_json(), mutate, token)
-    _exits_1_with_value_error(["surface", "validate", str(bad)], capsys)
+    assert str(bad) in _exits_1_with_value_error(["surface", "validate", str(bad)], capsys)
+
+
+@pytest.mark.parametrize(
+    "path, token", [(ParamPath.segment(0, 1), '"false"'), (ParamPath.circle(), '"no"'), (ParamPath.circle(), "1")]
+)
+def test_path_closed_flag_other_than_a_json_bool_exits_1(family_file, tmp_path, path, token, capsys):
+    # "false" and "no" are non-empty strings and 1 is a number: none is read as true
+    bad = _write_with_hole(tmp_path, path.to_json(), lambda d: d.update(closed="HOLE"), token)
+    message = _exits_1_with_value_error(["wkbcheck", family_file, str(bad), "--blocks", "1,1"], capsys)
+    assert str(bad) in message and "closed" in message

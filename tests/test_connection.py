@@ -121,6 +121,32 @@ def test_scale_orbit():
         scale_orbit(fam, 0)
 
 
+def test_scale_orbit_equals_the_checked_constructor(monkeypatch):
+    import nilwkb.connection as connection
+
+    rng = random.Random(17)
+    xis = [
+        GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 9), rng.randint(1, 7)))
+        for _ in range(3)
+    ]
+    families = catalog()
+    rebuilt = {
+        (name, xi): ConnectionFamily(fam.n, fam.phi.scale(xi), fam.conn, fam.psi, fam.punctures, fam.exponents)
+        for name, fam in families.items()
+        for xi in xis
+    }
+    checks = []
+    monkeypatch.setattr(connection, "_check_poles_declared", lambda *args: checks.append(args))
+    for (name, xi), expected in rebuilt.items():
+        scaled = scale_orbit(families[name], xi)
+        assert type(scaled) is ConnectionFamily
+        for slot in ConnectionFamily.__slots__:
+            assert getattr(scaled, slot) == getattr(expected, slot), (name, xi, slot)
+    assert checks == []
+    with pytest.raises(ZeroScale):
+        scale_orbit(families["nilpotent_sl2"], GaussianRational(0, 0))
+
+
 def test_scale_orbit_preserves_flatness_with_inverse_psi():
     # phi -> xi phi together with psi -> xi^-1 psi keeps every catalog family flat
     xi = GaussianRational(Fraction(3), Fraction(1, 2))

@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
+
 from nilwkb.algebra import (
+    BiPolynomial,
     BiRationalFunction as BRF,
     GaussianRational,
     RationalFunctionMatrix,
+    matrix_rank_exact,
 )
 from nilwkb.catalog import catalog, nilpotent_sl2, nilpotent_sl3, uniformization_rank2
 from nilwkb.connection import ConnectionFamily, MatrixOneForm
@@ -59,6 +65,95 @@ def test_jordan_type_errors():
         jordan_type(MatrixOneForm.zero(2))
     with pytest.raises(NotNilpotent):
         jordan_type(MatrixOneForm.from_dz(RationalFunctionMatrix.identity(2)))
+
+
+def test_jordan_type_is_generic_where_sample_points_vanish():
+    # phi = prod_k (z - a_k) E12 has generic rank 1, but vanishes at the 8
+    # points a_k that random.Random(2301) draws as Gaussian rationals with
+    # parts n/d, -97 <= n <= 97, 1 <= d <= 29, so sampling there reads rank 0
+    rng = random.Random(2301)
+    f = BRF.one()
+    for _ in range(8):
+        re = Fraction(rng.randint(-97, 97), rng.randint(1, 29))
+        im = Fraction(rng.randint(-97, 97), rng.randint(1, 29))
+        f = f * (BRF.z() - BRF.constant(GaussianRational(re, im)))
+    jt = jordan_type(MatrixOneForm.from_dz(E12.scale(f)))
+    assert jt.partition == (1, 1) and jt.transpose == (2,)
+
+
+def test_jordan_type_of_a_high_order_pole():
+    pole = BRF(BiPolynomial.constant(1), BiPolynomial.monomial(2000, 0))
+    assert jordan_type(MatrixOneForm.from_dz(E12.scale(pole))).partition == (1, 1)
+
+
+def test_jordan_type_evaluates_at_no_point(monkeypatch):
+    calls = []
+    for cls in (BRF, RationalFunctionMatrix):
+        original = cls.evaluate_exact
+        monkeypatch.setattr(cls, "evaluate_exact", lambda self, z, f=original: calls.append(z) or f(self, z))
+    types = {}
+    for name, fam in catalog().items():
+        try:
+            types[name] = jordan_type(fam.phi).partition
+        except (NotNilpotent, ZeroHiggsField):
+            pass
+    assert types["nilpotent_sl3"] == (1, 1, 1) and types["nilpotent_sl2"] == (1, 1)
+    assert calls == []
+
+
+def _random_poly(rng: random.Random) -> BiPolynomial:
+    terms = {}
+    for _ in range(2):
+        key = (rng.randint(0, 1), rng.randint(0, 1))
+        terms[key] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+    return BiPolynomial(terms)
+
+
+def _seeded_nilpotent_field(rng: random.Random, n: int) -> RationalFunctionMatrix:
+    """g N g^-1: N strictly upper triangular, some entries zero and the others
+    p/(z - c) or p/zbar, g a product of two elementary matrices I + a E_ij
+    with polynomial a, each inverted as I - a E_ij."""
+    while True:
+        N = [[BRF.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    den = rng.choice([BiPolynomial.zbar(), BiPolynomial.z() - BiPolynomial.constant(rng.randint(1, 3))])
+                    N[i][j] = BRF(_random_poly(rng), den)
+        if any(e for row in N for e in row):
+            break
+    phi = RationalFunctionMatrix(N)
+    one = RationalFunctionMatrix.identity(n)
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        a = BRF(_random_poly(rng))
+        E = RationalFunctionMatrix([[a if (r, c) == (i, j) else BRF.zero() for c in range(n)] for r in range(n)])
+        phi = (one + E) @ phi @ (one - E)
+    return phi
+
+
+def test_generic_ranks_agree_with_sympy_over_the_function_field():
+    z, zbar = sympy.symbols("z zbar")
+    K = QQ_I.frac_field(z, zbar)
+    rng = random.Random(1968)
+    seen = set()
+    for n in (2, 2, 2, 2, 3, 3, 3, 3, 3, 3):
+        phi = _seeded_nilpotent_field(rng, n)
+        assert any(e.num.degree()[1] or e.den.degree()[1] for row in phi.entries for e in row)
+        sym = DomainMatrix(
+            [[K.from_sympy(e.num._to_sympy().as_expr() / e.den._to_sympy().as_expr()) for e in row]
+             for row in phi.entries],
+            (n, n),
+            K,
+        )
+        ranks = [(sym**j).rank() for j in range(1, n + 1)]
+        assert matrix_rank_exact(phi) == ranks[0]
+        kernel_dims = [0] + [n - r for r in ranks]
+        kernel_dims = kernel_dims[: kernel_dims.index(n) + 1]
+        partition = tuple(b - a for a, b in zip(kernel_dims, kernel_dims[1:]))
+        assert jordan_type(MatrixOneForm.from_dz(phi)).partition == partition
+        seen.add(partition)
+    assert seen == {(1, 1), (2, 1), (1, 1, 1)}
 
 
 def test_conjugate_partition_involution():
