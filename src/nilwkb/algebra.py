@@ -157,7 +157,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def _domain_elt(c: GaussianRational):
@@ -444,7 +443,13 @@ class BiRationalFunction:
         return BiRationalFunction(self.num * other.den, self.den * other.num)
 
     def scale(self, c) -> "BiRationalFunction":
-        return BiRationalFunction(self.num.scale(c), self.den)
+        """self times the constant c.  A nonzero constant keeps the canonical
+        form (the denominator and the gcd are unchanged), so nothing is
+        renormalised; a zero constant gives zero."""
+        c = GaussianRational.coerce(c)
+        if not c or self.is_zero:
+            return _BRF_ZERO
+        return BiRationalFunction(self.num.scale(c), self.den, _normalized=True)
 
     def __eq__(self, other):
         return (
@@ -630,9 +635,11 @@ class RationalFunctionMatrix:
         return RationalFunctionMatrix(out)
 
     def scale(self, f) -> "RationalFunctionMatrix":
-        if not isinstance(f, BiRationalFunction):
-            f = BiRationalFunction.constant(GaussianRational.coerce(f))
-        return RationalFunctionMatrix([[e * f for e in row] for row in self.entries])
+        """Every entry times f, a rational function or a constant."""
+        if isinstance(f, BiRationalFunction):
+            return self.map_entries(lambda e: e * f)
+        c = GaussianRational.coerce(f)
+        return self.map_entries(lambda e: e.scale(c))
 
     def power(self, k: int) -> "RationalFunctionMatrix":
         if self.rows != self.cols:
@@ -649,11 +656,6 @@ class RationalFunctionMatrix:
         for i in range(self.rows):
             acc = acc + self.entries[i][i]
         return acc
-
-    def transpose(self) -> "RationalFunctionMatrix":
-        return RationalFunctionMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def map_entries(self, fn) -> "RationalFunctionMatrix":
         return RationalFunctionMatrix([[fn(e) for e in row] for row in self.entries])

@@ -15,14 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .algebra import (
-    BiRationalFunction,
-    GaussianRational,
-    RationalFunctionMatrix,
-)
+from .algebra import BRF, GaussianRational, RationalFunctionMatrix
 from .connection import ConnectionFamily, MatrixOneForm
-
-BRF = BiRationalFunction
 
 # Rational approximation of 1/(2*pi), error < 4e-28; the abelian baseline
 # family needs the residue -i/(2 pi) so the unit-circle holonomy trace is

@@ -245,116 +245,116 @@ def _cmd_wkbfit(args) -> int:
     return 0
 
 
-def _cmd_surface(args) -> int:
-    if args.surface_cmd == "validate":
-        report = validate_surface(_surface_from_args(args))
-        _emit(report.to_json())
-        return 0
-    if args.surface_cmd == "generate":
-        surf = _surface_from_args(args)
-        blob = json.dumps(surf.to_json(), sort_keys=True)
-        if args.emit:
-            with open(args.emit, "w") as fh:
-                fh.write(blob + "\n")
-        else:
-            print(blob)
-        return 0
-    surf = _surface_from_args(args)
+def _cmd_surface_validate(args) -> int:
+    _emit(validate_surface(_surface_from_args(args)).to_json())
+    return 0
+
+
+def _cmd_surface_generate(args) -> int:
+    blob = json.dumps(_surface_from_args(args).to_json(), sort_keys=True)
+    if args.emit:
+        with open(args.emit, "w") as fh:
+            fh.write(blob + "\n")
+    else:
+        print(blob)
+    return 0
+
+
+def _flow_start(args):
+    """--start polygon,x,y as (polygon, point); trace_flow checks both."""
     poly_s, x_s, y_s = args.start.split(",")
-    start = (int(poly_s), complex(float(x_s), float(y_s)))
-    if args.surface_cmd == "trace":
-        traj = trace_flow(surf, start, args.theta, args.max_length)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["polygon", "x0", "y0", "x1", "y1"])
-        for p, a, b in traj.pieces:
-            writer.writerow([p, a.real, a.imag, b.real, b.imag])
-        print(
-            json.dumps(
-                {
-                    "schema": "nilwkb/1",
-                    "terminated": traj.terminated,
-                    "length": traj.total_length,
-                    "pieces": len(traj.pieces),
-                },
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
-        return 0
-    if args.surface_cmd == "wkbloop":
-        loop = find_wkb_loop(
-            surf, start, args.theta, max_length=args.max_length, convention=args.convention
-        )
-        payload = loop.to_json()
-        payload["lift_two_loops"] = lift_check(surf, loop)
-        _emit(payload)
-        return 0
-    raise ValueError(f"unknown surface subcommand {args.surface_cmd!r}")
+    return int(poly_s), complex(float(x_s), float(y_s))
 
 
-def _cmd_toy(args) -> int:
-    if args.toy_cmd == "stability":
-        report = check_weight_inequalities(ParabolicWeights.parse(args.rho))
-        _emit(report.to_json())
-        return 0 if report.all_pass else 1
-    if args.toy_cmd == "higgs":
-        field = build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p)))
-        if args.emit:
-            family = catalog_mod.toy_skeleton(args.which, Fraction(args.p))
-            with open(args.emit, "w") as fh:
-                fh.write(json.dumps(family.to_json(), sort_keys=True) + "\n")
-        _emit(
+def _cmd_surface_trace(args) -> int:
+    traj = trace_flow(_surface_from_args(args), _flow_start(args), args.theta, args.max_length)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["polygon", "x0", "y0", "x1", "y1"])
+    for p, a, b in traj.pieces:
+        writer.writerow([p, a.real, a.imag, b.real, b.imag])
+    print(
+        json.dumps(
             {
                 "schema": "nilwkb/1",
-                "which": field.which,
-                "matrix": field.matrix.to_json(),
-                "flags": field.flags.to_json(),
-                "poles": list(field.poles),
-                "vanishing": list(field.vanishing),
-            }
-        )
-        return 0
-    if args.toy_cmd == "cone":
-        graph = nilpotent_cone_graph(
-            GaussianRational.coerce(Fraction(args.p)), ParabolicWeights.parse(args.rho)
-        )
-        if args.emit:
-            with open(args.emit, "w") as fh:
-                fh.write(json.dumps(graph, sort_keys=True) + "\n")
-        _emit(graph)
-        return 0
-    if args.toy_cmd == "pdeg":
-        weights = ParabolicWeights.parse(args.rho)
-        degrees = [int(d) for d in args.degrees.split(",")]
-        rows = pdeg_table(weights, degrees)
-        _emit(
-            {
-                "schema": "nilwkb/1",
-                "table": [
-                    {
-                        "degree": r["degree"],
-                        "incidence": list(r["incidence"]),
-                        "pdeg": str(r["pdeg"]),
-                    }
-                    for r in rows
-                ],
-            }
-        )
-        return 0
-    if args.toy_cmd == "residues":
-        field = build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p)))
-        res = residues(field)
-        _emit(
-            {
-                "schema": "nilwkb/1",
-                "residues": {
-                    site: [[[str(x.re), str(x.im)] for x in row] for row in mat]
-                    for site, mat in res.items()
-                },
-            }
-        )
-        return 0
-    raise ValueError(f"unknown toy subcommand {args.toy_cmd!r}")
+                "terminated": traj.terminated,
+                "length": traj.total_length,
+                "pieces": len(traj.pieces),
+            },
+            sort_keys=True,
+        ),
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_surface_wkbloop(args) -> int:
+    surf = _surface_from_args(args)
+    loop = find_wkb_loop(surf, _flow_start(args), args.theta, max_length=args.max_length, convention=args.convention)
+    payload = loop.to_json()
+    payload["lift_two_loops"] = lift_check(surf, loop)
+    _emit(payload)
+    return 0
+
+
+def _cmd_toy_stability(args) -> int:
+    report = check_weight_inequalities(ParabolicWeights.parse(args.rho))
+    _emit(report.to_json())
+    return 0 if report.all_pass else 1
+
+
+def _cmd_toy_higgs(args) -> int:
+    field = build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p)))
+    if args.emit:
+        family = catalog_mod.toy_skeleton(args.which, Fraction(args.p))
+        with open(args.emit, "w") as fh:
+            fh.write(json.dumps(family.to_json(), sort_keys=True) + "\n")
+    _emit(
+        {
+            "schema": "nilwkb/1",
+            "which": field.which,
+            "matrix": field.matrix.to_json(),
+            "flags": field.flags.to_json(),
+            "poles": list(field.poles),
+            "vanishing": list(field.vanishing),
+        }
+    )
+    return 0
+
+
+def _cmd_toy_cone(args) -> int:
+    graph = nilpotent_cone_graph(GaussianRational.coerce(Fraction(args.p)), ParabolicWeights.parse(args.rho))
+    if args.emit:
+        with open(args.emit, "w") as fh:
+            fh.write(json.dumps(graph, sort_keys=True) + "\n")
+    _emit(graph)
+    return 0
+
+
+def _cmd_toy_pdeg(args) -> int:
+    rows = pdeg_table(ParabolicWeights.parse(args.rho), [int(d) for d in args.degrees.split(",")])
+    _emit(
+        {
+            "schema": "nilwkb/1",
+            "table": [
+                {"degree": r["degree"], "incidence": list(r["incidence"]), "pdeg": str(r["pdeg"])}
+                for r in rows
+            ],
+        }
+    )
+    return 0
+
+
+def _cmd_toy_residues(args) -> int:
+    res = residues(build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p))))
+    _emit(
+        {
+            "schema": "nilwkb/1",
+            "residues": {
+                site: [[[str(x.re), str(x.im)] for x in row] for row in mat] for site, mat in res.items()
+            },
+        }
+    )
+    return 0
 
 
 # -- parser --------------------------------------------------------------------
@@ -365,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
+    # accepted so that existing command lines keep working; nothing reads it
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("path")
     p.add_argument("--eps", required=True, help="start:end:spacing:count")
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
+    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol", help="finite, in (0, 1e-2]")
     p.set_defaults(fn=_cmd_holonomy)
 
     p = sub.add_parser("period", help="spectral period along a path")
@@ -422,7 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="half-translation surface tools")
     ssub = p.add_subparsers(dest="surface_cmd", required=True)
-    for name in ("validate", "trace", "wkbloop", "generate"):
+    surface_cmds = {
+        "validate": _cmd_surface_validate,
+        "trace": _cmd_surface_trace,
+        "wkbloop": _cmd_surface_wkbloop,
+        "generate": _cmd_surface_generate,
+    }
+    for name, fn in surface_cmds.items():
         sp = ssub.add_parser(name)
         sp.add_argument("surface", nargs="?", help="surface JSON file")
         sp.add_argument("--staircase", type=int, help="generate a staircase of this genus")
@@ -441,31 +448,31 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "generate":
             sp.add_argument("--emit", help="write the surface JSON here")
-        sp.set_defaults(fn=_cmd_surface)
+        sp.set_defaults(fn=fn)
 
     p = sub.add_parser("toy", help="four-punctured-sphere model")
     tsub = p.add_subparsers(dest="toy_cmd", required=True)
     sp = tsub.add_parser("stability")
     sp.add_argument("--rho", required=True, help="four weights, e.g. 1/4,1/4,1/4,1/8")
-    sp.set_defaults(fn=_cmd_toy)
+    sp.set_defaults(fn=_cmd_toy_stability)
     sp = tsub.add_parser("higgs")
     sp.add_argument("which", choices=("phi_p", "phi_0", "phi_1", "phi_inf"))
     sp.add_argument("--p", default="2")
     sp.add_argument("--emit", help="write a family JSON skeleton here")
-    sp.set_defaults(fn=_cmd_toy)
+    sp.set_defaults(fn=_cmd_toy_higgs)
     sp = tsub.add_parser("cone")
     sp.add_argument("--p", default="2")
     sp.add_argument("--rho", required=True)
     sp.add_argument("--emit")
-    sp.set_defaults(fn=_cmd_toy)
+    sp.set_defaults(fn=_cmd_toy_cone)
     sp = tsub.add_parser("pdeg")
     sp.add_argument("--rho", required=True)
     sp.add_argument("--degrees", default="0,-1")
-    sp.set_defaults(fn=_cmd_toy)
+    sp.set_defaults(fn=_cmd_toy_pdeg)
     sp = tsub.add_parser("residues")
     sp.add_argument("which", choices=("phi_p", "phi_0", "phi_1", "phi_inf"))
     sp.add_argument("--p", default="2")
-    sp.set_defaults(fn=_cmd_toy)
+    sp.set_defaults(fn=_cmd_toy_residues)
 
     return parser
 

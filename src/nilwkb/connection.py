@@ -84,8 +84,12 @@ class MatrixOneForm:
     def is_zero(self) -> bool:
         return self.dz_part.is_zero and self.dzbar_part.is_zero
 
-    def map_entries(self, fn) -> "MatrixOneForm":
-        return MatrixOneForm(self.dz_part.map_entries(fn), self.dzbar_part.map_entries(fn))
+    def nonzero_entries(self):
+        """(i, j, dz_e, dzbar_e), row-major, at every position where the form is nonzero."""
+        for i, (dz_row, dzb_row) in enumerate(zip(self.dz_part.entries, self.dzbar_part.entries)):
+            for j, (dz_e, dzb_e) in enumerate(zip(dz_row, dzb_row)):
+                if dz_e or dzb_e:
+                    yield i, j, dz_e, dzb_e
 
     def to_json(self) -> dict:
         return {"dz": self.dz_part.to_json(), "dzbar": self.dzbar_part.to_json()}
@@ -129,8 +133,7 @@ def _check_poles_declared(forms, punctures) -> None:
     for p in punctures:
         allowed = allowed * (BiPolynomial.z() - BiPolynomial.constant(p))
         allowed = allowed * (BiPolynomial.zbar() - BiPolynomial.constant(p.conjugate()))
-    parts = [part for form in forms for part in (form.dz_part, form.dzbar_part)]
-    dens = {entry.den for part in parts for row in part.entries for entry in row}
+    dens = {e.den for form in forms for _i, _j, *pair in form.nonzero_entries() for e in pair}
     if not all(radical_divides(den, allowed) for den in dens):
         raise PoleHit("entry has a pole away from the declared punctures")
 

@@ -145,15 +145,14 @@ def _block_index_of(entry_index: int, blocks: Sequence[int]) -> int:
     raise BadBlocks(f"index {entry_index} outside blocks {blocks}")
 
 
-def jordan_type(phi: MatrixOneForm, seed: int = 2301) -> NilpotentType:
+def jordan_type(phi: MatrixOneForm) -> NilpotentType:
     """Jordan type of a nilpotent (1,0)-field from the generic ranks of its powers.
 
     The rank of phi^j over the function field Q(i)(z, zbar) (exact
     elimination, no sample points) gives the generic dim ker(phi^j); the
     kernel-dimension increments form the partition, constant away from
     finitely many points of the chart.  phi is nilpotent when that rank
-    reaches 0 within n powers (NotNilpotent otherwise).  ``seed`` is ignored:
-    the type is exact; it is accepted so callers that pass it keep working.
+    reaches 0 within n powers (NotNilpotent otherwise).
     """
     if not phi.dzbar_part.is_zero:
         raise ValueError("jordan_type expects a (1,0)-form Higgs field")
@@ -191,7 +190,7 @@ def graded_decompose(A: MatrixOneForm, blocks: Sequence[int]) -> Dict[int, Matri
     return _bucket(
         (
             (_block_index_of(j, blocks) - _block_index_of(i, blocks), i, j, dz_e, dzb_e)
-            for i, j, dz_e, dzb_e in _entries(A)
+            for i, j, dz_e, dzb_e in A.nonzero_entries()
         ),
         n,
     )
@@ -221,18 +220,10 @@ def gauge_conjugate(obj, profile: GaugeProfile):
         (
             (base + profile.shift(i, j), i, j, dz_e, dzb_e)
             for base, form in based
-            for i, j, dz_e, dzb_e in _entries(form)
+            for i, j, dz_e, dzb_e in form.nonzero_entries()
         ),
         n,
     )
-
-
-def _entries(form: MatrixOneForm):
-    """(i, j, dz_e, dzbar_e) for every position where the form is nonzero."""
-    for i, (dz_row, dzb_row) in enumerate(zip(form.dz_part.entries, form.dzbar_part.entries)):
-        for j, (dz_e, dzb_e) in enumerate(zip(dz_row, dzb_row)):
-            if dz_e or dzb_e:
-                yield i, j, dz_e, dzb_e
 
 
 def _bucket(pieces, n: int) -> dict:
@@ -316,12 +307,7 @@ def _check_graded_frame(phi: MatrixOneForm, partition: Sequence[int]) -> None:
                     )
 
 
-def secondary_higgs(
-    family: ConnectionFamily,
-    splitting: Sequence[int],
-    check_flat: bool = True,
-    seed: int = 2301,
-) -> SecondaryData:
+def secondary_higgs(family: ConnectionFamily, splitting: Sequence[int], seed: int = 2301) -> SecondaryData:
     """Extract the secondary Higgs field and the invariant m.
 
     Blockwise over the transpose partition: within block i, m_i is the
@@ -334,8 +320,10 @@ def secondary_higgs(
 
     Raises FixedPointDetected when m = 1: the scaling-fixed-point case, where
     the leading piece would stay nilpotent and the construction degenerates.
-    The splitting must equal phi's exact Jordan type (see jordan_type), so
-    ``seed`` is ignored; it is accepted so callers that pass it keep working.
+    The family must be exactly flat (ValueError otherwise) and the splitting
+    must equal phi's exact Jordan type (see jordan_type).  ``seed`` is
+    ignored, since that type is exact; it stays accepted because callers
+    outside the package still pass it.
     """
     splitting = tuple(int(b) for b in splitting)
     n = family.n
@@ -345,7 +333,7 @@ def secondary_higgs(
     if phi.is_zero:
         raise ZeroHiggsField("cannot rescale around phi = 0")
     jt = jordan_type(phi)
-    if check_flat and not check_flatness(family).is_flat:
+    if not check_flatness(family).is_flat:
         raise ValueError("family is not flat; secondary field needs a flat input")
     if jt.partition != splitting:
         raise BadBlocks(
@@ -354,23 +342,12 @@ def secondary_higgs(
     _check_graded_frame(phi, splitting)
 
     layout = _line_layout(splitting)
-    transpose = jt.transpose
-    nblocks = len(transpose)
-
     # per-block largest t >= 2 with a nonzero weight-(1-t) connection piece
-    conn = family.conn
-    block_m = [1] * nblocks
-    for r in range(n):
-        for c in range(n):
-            if not conn.dz_part.entries[r][c] and not conn.dzbar_part.entries[r][c]:
-                continue
-            lr, sr = layout[r]
-            lc, sc = layout[c]
-            if sr != sc:
-                continue
-            t = 1 - (lc - lr)
-            if t >= 2:
-                block_m[sr - 1] = max(block_m[sr - 1], t)
+    block_m = [1] * len(jt.transpose)
+    for r, c, _dz_e, _dzb_e in family.conn.nonzero_entries():
+        (lr, sr), (lc, sc) = layout[r], layout[c]
+        if sr == sc:
+            block_m[sr - 1] = max(block_m[sr - 1], 1 - (lc - lr))
     m = max(block_m)
     if m == 1:
         raise FixedPointDetected(
@@ -382,9 +359,8 @@ def secondary_higgs(
 
     lead, diag, residual = [], [], []
     for name, term_exp, form in family.terms():
-        for r, c, dz_e, dzb_e in _entries(form):
-            lr, sr = layout[r]
-            lc, sc = layout[c]
+        for r, c, dz_e, dzb_e in form.nonzero_entries():
+            (lr, sr), (lc, sc) = layout[r], layout[c]
             shift = profile.shift(r, c)
             weight = lc - lr
             top_block = sr == sc and block_m[sr - 1] == m
@@ -424,7 +400,7 @@ def undo_gauge(data: SecondaryData) -> Tuple[MatrixOneForm, MatrixOneForm, Matri
     pieces = []
     graded = [(data.leading_exponent, data.Phi), (Fraction(0), data.diag_connection)]
     for exponent, form in graded + list(data.residual_terms):
-        for r, c, dz_e, dzb_e in _entries(form):
+        for r, c, dz_e, dzb_e in form.nonzero_entries():
             original = (exponent - m * data.profile.shift(r, c)) / m
             if original not in (-1, 0, 1):
                 raise ValueError(
@@ -452,14 +428,10 @@ def is_m_cyclic(Phi: MatrixOneForm, profile: GaugeProfile, m: int) -> bool:
         }
     )
     unit = gaps[0] if gaps else Fraction(1)
-    for r in range(Phi.n):
-        for c in range(Phi.n):
-            if not Phi.dz_part.entries[r][c] and not Phi.dzbar_part.entries[r][c]:
-                continue
-            delta = profile.shift(r, c)
-            steps = delta / unit
-            if steps.denominator != 1 or (int(steps) - 1) % m != 0:
-                return False
+    for r, c, _dz_e, _dzb_e in Phi.nonzero_entries():
+        steps = profile.shift(r, c) / unit
+        if steps.denominator != 1 or (int(steps) - 1) % m != 0:
+            return False
     return True
 
 

@@ -58,6 +58,8 @@ from .errors import (
 )
 
 DEFAULT_CLEARANCE = 1e-6
+# the largest rel_tol transport accepts; up to it est_error bounds the actual error of every closed-form test case
+MAX_REL_TOL = 1e-2
 STEP_BUDGET = 10_000_000
 # roundoff of expm(X) in units of 2.3e-16 (1 + ||X||) ||expm(X)||, calibrated against mpmath.expm
 EXPM_ROUNDOFF = 10
@@ -227,13 +229,14 @@ class ParamPath:
         k, s, dt = self._locate(t)
         return self.segments[k].velocity(s) / dt
 
-    def check_clearance(self, punctures, clearance: float = DEFAULT_CLEARANCE) -> None:
+    def check_clearance(self, punctures) -> None:
+        """ClearanceViolated if the path passes within DEFAULT_CLEARANCE of a puncture."""
         for p in punctures:
             q = p.to_complex() if hasattr(p, "to_complex") else complex(p)
             d = min(seg.distance_to(q) for seg in self.segments)
-            if d < clearance:
+            if d < DEFAULT_CLEARANCE:
                 raise ClearanceViolated(
-                    f"path passes within {d:.3e} of puncture {q} (clearance {clearance:.1e})"
+                    f"path passes within {d:.3e} of puncture {q} (clearance {DEFAULT_CLEARANCE:.1e})"
                 )
 
     # -- serialization -----------------------------------------------------------
@@ -291,8 +294,8 @@ def _constant_segments(forms: Sequence[MatrixOneForm], gamma: ParamPath) -> List
     """Per segment of gamma, whether the forms pull back to constants there:
     a line segment (constant velocity) on which every nonzero entry is
     constant in z (numerator and denominator of degree (0, 0))."""
-    parts = (part for form in forms for part in (form.dz_part, form.dzbar_part))
-    flat = all(e.num.degree() == e.den.degree() == (0, 0) for part in parts for row in part.entries for e in row if e)
+    entries = (e for form in forms for _i, _j, *pair in form.nonzero_entries() for e in pair if e)
+    flat = all(e.num.degree() == e.den.degree() == (0, 0) for e in entries)
     return [flat and isinstance(seg, LineSegment) for seg in gamma.segments]
 
 
@@ -300,15 +303,11 @@ def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Callable[[complex,
     """(z, v) -> the (K, n*n) term matrices P(z) v + Q(z) conj(v), row k for
     form k = P dz + Q dzbar, flattened row-major.  Each nonzero entry is
     compiled once and evaluated on Python scalars."""
-    entries = []
-    for k, form in enumerate(forms):
-        for i in range(n):
-            for j in range(n):
-                dz_e, dzbar_e = form.dz_part.entries[i][j], form.dzbar_part.entries[i][j]
-                if dz_e or dzbar_e:
-                    dz_fn = dz_e.compiled() if dz_e else None
-                    dzbar_fn = dzbar_e.compiled() if dzbar_e else None
-                    entries.append(((k * n + i) * n + j, dz_fn, dzbar_fn))
+    entries = [
+        ((k * n + i) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None)
+        for k, form in enumerate(forms)
+        for i, j, dz_e, dzbar_e in form.nonzero_entries()
+    ]
     shape = (len(forms), n * n)
 
     def evaluate(z: complex, v: complex) -> np.ndarray:
@@ -379,16 +378,13 @@ def _term_weights(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[
     return [form for _x, form in terms], np.array(weights, dtype=complex).reshape(len(epsilons), len(terms))
 
 
-def pullback(
-    family: ConnectionFamily,
-    gamma: ParamPath,
-    epsilon: float,
-    clearance: float = DEFAULT_CLEARANCE,
-) -> Callable[[float], np.ndarray]:
-    """t -> sum over terms of eps^exponent (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t)))."""
+def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Callable[[float], np.ndarray]:
+    """t -> sum over terms of eps^exponent (P(gamma(t)) gamma'(t) + Q(gamma(t)) conj(gamma'(t))).
+
+    The path must keep DEFAULT_CLEARANCE from every declared puncture."""
     n = family.n
     forms, weights = _term_weights(family, [epsilon])
-    gamma.check_clearance(family.punctures, clearance)
+    gamma.check_clearance(family.punctures)
     P = _on_path(_pulled_back(forms, gamma, _term_matrices(forms, n)), gamma)
     return lambda t: (weights[0] @ P(t)).reshape(n, n)
 
@@ -492,7 +488,10 @@ def transport_grid(
     one ends both runs at roundoff), plus the exponentials' roundoff bound,
     which both runs share.
     A member whose holonomy or est_error is not finite raises HolonomyOverflow.
+    rel_tol must be finite and in (0, MAX_REL_TOL] (ValueError otherwise).
     """
+    if not (math.isfinite(rel_tol) and 0 < rel_tol <= MAX_REL_TOL):
+        raise ValueError(f"rel_tol must be finite and in (0, {MAX_REL_TOL:g}], got {rel_tol!r}")
     eps = [float(e) for e in epsilons]
     if not eps:
         return []
@@ -537,12 +536,13 @@ class EigenvalueTrack:
     on a segment where the field is constant it is evaluated once (rank 2:
     f = q gamma'^2; higher rank: one eigvals row), the segment's ends are
     its only grid nodes, and nothing is refined inside it.  Other segments
-    take an even grid of grid_size points over [0, 1], refined where needed.
+    take an even grid of GRID_SIZE points over [0, 1], refined where needed.
     """
 
     BRANCH_TOL = 1e-12
+    GRID_SIZE = 257
 
-    def __init__(self, Phi: MatrixOneForm, gamma: ParamPath, grid_size: int = 257):
+    def __init__(self, Phi: MatrixOneForm, gamma: ParamPath):
         self.n = n = Phi.n
         self.gamma = gamma
         if n == 2:
@@ -556,18 +556,18 @@ class EigenvalueTrack:
         pieces = _pulled_back([Phi], gamma, value)
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
-        (self._build_sqrt_grid if n == 2 else self._build_eig_grid)(grid_size)
+        (self._build_sqrt_grid if n == 2 else self._build_eig_grid)()
 
     def constant_at(self, t: float) -> bool:
         """Whether the field is constant on the segment that holds t (a break
         belongs to the segment it starts, t = 1 to the last)."""
         return self._constant[self.gamma._locate(t)[0]]
 
-    def _start_grid(self, grid_size: int) -> List[float]:
-        """Every break, and the points of an even grid of grid_size over
+    def _start_grid(self) -> List[float]:
+        """Every break, and the points of an even grid of GRID_SIZE over
         [0, 1] that do not lie inside a segment where the field is constant."""
         breaks = self.gamma.breaks
-        even = np.linspace(0.0, 1.0, grid_size)
+        even = np.linspace(0.0, 1.0, self.GRID_SIZE)
         for t0, t1, constant in zip(breaks, breaks[1:], self._constant):
             if constant:
                 even = even[(even <= t0) | (even >= t1)]
@@ -575,8 +575,8 @@ class EigenvalueTrack:
 
     # -- rank 2 ------------------------------------------------------------------
 
-    def _build_sqrt_grid(self, grid_size: int):
-        ts = self._start_grid(grid_size)
+    def _build_sqrt_grid(self):
+        ts = self._start_grid()
         fs = [self._at(t) for t in ts]
         # adaptive refinement: bounded angle increments between grid nodes
         changed = True
@@ -619,8 +619,8 @@ class EigenvalueTrack:
 
     # -- higher rank -----------------------------------------------------------------
 
-    def _build_eig_grid(self, grid_size: int):
-        ts = self._start_grid(grid_size)
+    def _build_eig_grid(self):
+        ts = self._start_grid()
         rows = []
         prev = None
         for t in ts:
@@ -737,22 +737,18 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     return WkbCurveCheck(is_wkb=margin > tol, margin=margin)
 
 
-def period(
-    Phi: MatrixOneForm,
-    gamma: ParamPath,
-    track: Optional[EigenvalueTrack] = None,
-    abs_tol: float = 1e-10,
-) -> complex:
+def period(Phi: MatrixOneForm, gamma: ParamPath) -> complex:
     """Integral of the tracked eigenvalue over the path.
 
     On a segment where the field is constant, mu is constant and the
     segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its
     start.  Any other segment is integrated by adaptive quadrature of the
-    real and imaginary parts, which share their evaluations.
+    real and imaginary parts, which share their evaluations, to absolute
+    error 1e-12 and relative error 1e-12.
 
     Warns (but still integrates) when the path fails the WKB predicate.
     """
-    track = track or EigenvalueTrack(Phi, gamma)
+    track = EigenvalueTrack(Phi, gamma)
     check = is_wkb_curve(Phi, gamma, track)
     if not check.is_wkb:
         warnings.warn(
@@ -771,7 +767,7 @@ def period(
         if track.constant_at(t0):
             total += track(t0) * (t1 - t0)
             continue
-        total += quad(mu, t0, t1, complex_func=True, epsabs=abs_tol * 1e-2, epsrel=1e-12, limit=200)[0]
+        total += quad(mu, t0, t1, complex_func=True, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     return total
 
 
@@ -853,16 +849,12 @@ def _free_fit_exponent(eps: np.ndarray, traces: Sequence[complex]) -> float:
     return float(coef[0])
 
 
-def wkb_fit(
-    samples: Sequence[HolonomySample],
-    candidate_exponents: Optional[Sequence[Fraction]] = None,
-    tail: Optional[int] = None,
-) -> WkbFit:
+def wkb_fit(samples: Sequence[HolonomySample], candidate_exponents: Optional[Sequence[Fraction]] = None) -> WkbFit:
     """Select the growth exponent and rate constant from transported samples.
 
     For each candidate p the model log T = Z eps^-p + c is fitted by least
-    squares on the asymptotic tail (the largest eps^-p; the limit statement
-    is exact only there), and candidates are ranked by the RMS misfit over
+    squares on the asymptotic tail, the max(3, len(samples) // 4) samples of
+    largest eps^-p (the limit statement is exact only there), and candidates are ranked by the RMS misfit over
     the whole sample set.  The complex log is unwound along the
     decreasing-eps sequence.
     """
@@ -886,8 +878,7 @@ def wkb_fit(
     n = samples[0].holonomy.shape[0] if samples[0].holonomy is not None else 2
     if candidate_exponents is None:
         candidate_exponents = [Fraction(1, k) for k in range(1, max(2, n) + 1)]
-    if tail is None:
-        tail = max(3, len(samples) // 4)
+    tail = max(3, len(samples) // 4)
 
     y = _unwound_log(traces)
     results = []

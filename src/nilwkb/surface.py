@@ -142,13 +142,14 @@ class PolygonSurface:
             ang = 2 * math.pi
         return ang
 
-    def contains(self, p: int, z: complex, pad: float = 1e-12) -> bool:
+    def contains(self, p: int, z: complex) -> bool:
+        """Whether z lies in polygon p, or outside it by at most GLUE_TOL * scale."""
         poly = self.polygons[p]
         nv = len(poly)
         for v in range(nv):
             edge = poly[(v + 1) % nv] - poly[v]
             rel = z - poly[v]
-            if (edge.conjugate() * rel).imag < -pad * self.scale:
+            if (edge.conjugate() * rel).imag < -GLUE_TOL * self.scale:
                 return False
         return True
 
@@ -340,14 +341,20 @@ def trace_flow(
     Gluing maps act on position and direction.  Stops at max_length, within
     VERTEX_TOL of a cone point (status ConePoint, not an exception), or when
     the flow returns within close_tol of the start with matching direction
-    (status ClosedUp).  A non-finite theta, or a max_length that is not
-    finite and positive, raises ValueError.
+    (status ClosedUp).  start is (polygon, point): a polygon that is not an
+    in-range int (bools refused), a point that is not finite or not inside
+    that polygon, a non-finite theta, or a max_length that is not finite and
+    positive raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"flow angle must be finite, got {theta!r}")
     if not (math.isfinite(max_length) and max_length > 0):
         raise ValueError(f"max_length must be finite and positive, got {max_length!r}")
     p0, z0 = start[0], complex(start[1])
+    if not (_is_int(p0) and 0 <= p0 < len(surface.polygons)):
+        raise ValueError(f"start polygon {p0!r} is not a polygon index")
+    if not cmath.isfinite(z0):
+        raise ValueError(f"start point {z0} is not finite")
     if not surface.contains(p0, z0):
         raise ValueError(f"start point {z0} is not inside polygon {p0}")
     d = cmath.exp(1j * theta)
@@ -481,23 +488,21 @@ def find_wkb_loop(
     start: Tuple[int, complex],
     theta_seed: float,
     max_length: float = 400.0,
-    eta: Optional[float] = None,
     convention: str = "imaginary-increasing",
 ) -> WkbLoop:
     """Trace the leaf at theta_seed until it recurs near the start, then close it.
 
-    Recurrence means returning into an eta-ball around the start with the
-    direction matched on the sign double cover; the connector is a straight
-    chord.  The predicate asks the chosen flat-coordinate component of every
+    Recurrence means returning into an eta-ball around the start, eta = 0.01
+    times the shortest edge, with the direction matched on the sign double
+    cover; the connector is a straight chord.  start is checked as
+    :func:`trace_flow` checks it.  The predicate asks the chosen flat-coordinate component of every
     local piece direction (connector included) to be strictly positive; the
     margin is the worst such component per unit length.
     """
     if convention not in ("imaginary-increasing", "real-increasing"):
         raise ValueError("convention is imaginary-increasing or real-increasing")
-    if eta is None:
-        eta = 0.01 * surface.min_edge_length()
     p0, z0 = start[0], complex(start[1])
-    traj = trace_flow(surface, start, theta_seed, max_length, close_tol=eta)
+    traj = trace_flow(surface, start, theta_seed, max_length, close_tol=0.01 * surface.min_edge_length())
     if traj.terminated == "ConePoint":
         raise NoRecurrenceWithinBudget(
             "leaf ran into a cone point before recurring; change the angle"
@@ -555,14 +560,9 @@ def lift_check(surface: PolygonSurface, loop: WkbLoop) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def flat_torus(width: float = 1.0, height: float = 1.0) -> PolygonSurface:
-    """Unit cell with opposite sides identified by translation."""
-    w, h = complex(width), complex(height * 1j)
-    square = [0j, w, w + h, h]
-    return PolygonSurface(
-        [square],
-        [((0, 0), (0, 2), +1), ((0, 1), (0, 3), +1)],
-    )
+def flat_torus() -> PolygonSurface:
+    """The unit square with opposite sides identified by translation."""
+    return PolygonSurface([[0, 1, 1 + 1j, 1j]], [((0, 0), (0, 2), +1), ((0, 1), (0, 3), +1)])
 
 
 def staircase(n: int, style: str = "left", half: bool = False) -> PolygonSurface:

@@ -12,18 +12,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import (
-    BiRationalFunction,
-    GaussianRational,
-    RationalFunctionMatrix,
-)
+from .algebra import BRF, GR_ONE, GR_ZERO, GaussianRational, RationalFunctionMatrix
 from .connection import MatrixOneForm, transform_chart_inverse
 from .errors import BadPuncture, UnstableWeights
-
-BRF = BiRationalFunction
-
-GR0 = GaussianRational(0)
-GR1 = GaussianRational(1)
 
 
 @dataclass(frozen=True)
@@ -170,9 +161,9 @@ class ToyHiggsField:
         return MatrixOneForm.from_dz(self.matrix)
 
 
-_L1 = (GR0, GR1)
-_L2 = (GR1, GR1)
-_L3 = (GR1, GR0)
+_L1 = (GR_ZERO, GR_ONE)
+_L2 = (GR_ONE, GR_ONE)
+_L3 = (GR_ONE, GR_ZERO)
 
 
 def _flag_for_w(w: str, p: GaussianRational):
@@ -182,30 +173,30 @@ def _flag_for_w(w: str, p: GaussianRational):
         return _L2
     if w == "inf":
         return _L3
-    return (p, GR1)
+    return (p, GR_ONE)
 
 
 def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     """Construct one of the four explicit fields; all invariants are verified
     exactly at construction time."""
     p = GaussianRational.coerce(p)
-    if p == GaussianRational(0) or p == GaussianRational(1):
+    if p in (GR_ZERO, GR_ONE):
         raise BadPuncture("the movable puncture must avoid 0 and 1")
     z = BRF.z()
     one = BRF.one()
     zero = BRF.zero()
     if which == "phi_p":
-        pref = BRF.from_poles(1, [GR0, GR1, p])
+        pref = BRF.from_poles(1, [GR_ZERO, GR_ONE, p])
         grid = [[z, -(z * z)], [one, -z]]
         w = "p"
         poles = ("0", "1", "inf", "p")
     elif which == "phi_0":
-        pref = BRF.from_poles(1, [GR0, p])
+        pref = BRF.from_poles(1, [GR_ZERO, p])
         grid = [[zero, zero], [one, zero]]
         w = "0"
         poles = ("0", "p")
     elif which == "phi_1":
-        pref = BRF.from_poles(1, [GR1, p])
+        pref = BRF.from_poles(1, [GR_ONE, p])
         grid = [[one, -one], [one, -one]]
         w = "1"
         poles = ("1", "p")
@@ -224,7 +215,7 @@ def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
         w=w,
     )
     vanishing = tuple(s for s in ("0", "1", "inf", "p") if s not in poles)
-    positions = {"0": GaussianRational(0), "1": GaussianRational(1), "p": p}
+    positions = {"0": GR_ZERO, "1": GR_ONE, "p": p}
     field = ToyHiggsField(
         which=which,
         matrix=matrix,
@@ -277,12 +268,12 @@ def _entry_residue(entry: BRF, a: GaussianRational) -> GaussianRational:
     """Exact residue num(a) / den'(a) at a simple pole z = a of a holomorphic rational entry."""
     if entry.num.degree()[1] > 0 or entry.den.degree()[1] > 0:
         raise ValueError("expected a holomorphic (zbar-free) polynomial")
-    if entry.den.eval_exact(a, GR0):
-        return GR0
-    slope = entry.den.derivative_z().eval_exact(a, GR0)
+    if entry.den.eval_exact(a, GR_ZERO):
+        return GR_ZERO
+    slope = entry.den.derivative_z().eval_exact(a, GR_ZERO)
     if not slope:
         raise ValueError(f"pole at {a!r} is not simple")
-    return entry.num.eval_exact(a, GR0) / slope
+    return entry.num.eval_exact(a, GR_ZERO) / slope
 
 
 def residues(field: ToyHiggsField) -> Dict[str, list]:
@@ -291,7 +282,7 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
     Finite punctures by direct partial fractions; infinity through the
     w = 1/z chart with its Jacobian factor.
     """
-    positions = {"0": GaussianRational(0), "1": GaussianRational(1), "p": field.flags.p}
+    positions = {"0": GR_ZERO, "1": GR_ONE, "p": field.flags.p}
     out: Dict[str, list] = {}
     for site, a in positions.items():
         out[site] = [
@@ -299,7 +290,7 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
         ]
     flipped = transform_chart_inverse(MatrixOneForm.from_dz(field.matrix))
     out["inf"] = [
-        [_entry_residue(e, GaussianRational(0)) for e in row]
+        [_entry_residue(e, GR_ZERO) for e in row]
         for row in flipped.dz_part.entries
     ]
     return out
@@ -307,7 +298,7 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
 
 def toy_quadratic_differential(c, p=2) -> BRF:
     """c / (z (z-1) (z-p)), the dz^2 coefficient of the only available shape."""
-    return BRF.from_poles(c, [GR0, GR1, p])
+    return BRF.from_poles(c, [GR_ZERO, GR_ONE, p])
 
 
 def parabolic_model_connection(rho) -> MatrixOneForm:
@@ -341,7 +332,7 @@ def nilpotent_cone_graph(p, weights: ParabolicWeights) -> dict:
     if not report.all_pass:
         raise UnstableWeights("weights fail the stability inequalities")
     p = GaussianRational.coerce(p)
-    if p == GaussianRational(0) or p == GaussianRational(1):
+    if p in (GR_ZERO, GR_ONE):
         raise BadPuncture("the movable puncture must avoid 0 and 1")
 
     sites = (

@@ -242,3 +242,37 @@ def test_non_finite_values_are_refused():
         GaussianRational.from_strings(None, "0")
     assert GaussianRational.from_strings("1/2", 3) == GaussianRational(Fraction(1, 2), 3)
     assert GaussianRational.coerce(4.0) == GaussianRational(4)
+
+
+def test_scale_by_a_constant_keeps_the_canonical_form(monkeypatch):
+    # a canonical entry times a nonzero constant is already canonical: scale
+    # returns what the normalising constructor returns, term order included,
+    # and never asks for a gcd; a zero constant gives the zero singleton
+    from nilwkb import algebra
+    from nilwkb.catalog import catalog
+
+    rng = random.Random(4242)
+    entries = [
+        e
+        for fam in catalog().values()
+        for form in (fam.phi, fam.conn, fam.psi)
+        for part in (form.dz_part, form.dzbar_part)
+        for row in part.entries
+        for e in row
+    ]
+    entries += [_multi_term_brf(rng) for _ in range(20)]
+    consts = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)) for _ in range(6)]
+    consts = [c for c in consts if c] + [GaussianRational(-1), GaussianRational(0, 1)]
+    expected = [[BRF(e.num.scale(c), e.den) for c in consts] for e in entries]
+    assert any(len(e.num.terms) > 1 and len(e.den.terms) > 1 for e in entries)
+
+    def no_gcd(a, b):
+        raise AssertionError("scale by a constant asked for a gcd")
+
+    monkeypatch.setattr(algebra, "_poly_gcd", no_gcd)
+    for e, row in zip(entries, expected):
+        for c, want in zip(consts, row):
+            assert _same_terms(e.scale(c), want)
+            assert _same_terms(RationalFunctionMatrix([[e]]).scale(c).entries[0][0], want)
+        assert e.scale(0) is BRF.zero()
+        assert RationalFunctionMatrix([[e]]).scale(GaussianRational(0)).entries[0][0] is BRF.zero()

@@ -1,5 +1,7 @@
 import json
+import signal
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -475,3 +477,57 @@ def test_path_closed_flag_other_than_a_json_bool_exits_1(family_file, tmp_path, 
     bad = _write_with_hole(tmp_path, path.to_json(), lambda d: d.update(closed="HOLE"), token)
     message = _exits_1_with_value_error(["wkbcheck", family_file, str(bad), "--blocks", "1,1"], capsys)
     assert str(bad) in message and "closed" in message
+
+
+class _TimedOut(Exception):
+    pass
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise _TimedOut in the body after seconds, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise _TimedOut(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])
+def test_holonomy_rel_tol_outside_its_range_exits_1(family_file, tmp_path, rel_tol, capsys):
+    # nan and inf used to run without end, 1e10 to exit 0 with a trace off by
+    # 108, and -1 to run at 3e-14; 1e-2 is the largest tolerance accepted
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps(ParamPath.circle(0.3, 0.5).to_json()))
+    argv = ["holonomy", family_file, str(circle), "--eps", "0.5:0.2:geometric:2", f"--rel-tol={rel_tol}"]
+    with _time_limit(30):
+        message = _exits_1_with_value_error(argv, capsys)
+    assert "rel_tol" in message
+    argv[-1] = "--rel-tol=1e-2"
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["trace", "wkbloop"])
+@pytest.mark.parametrize("start", ["5,0.5,0.5", "1,0.5,0.5", "-1,0.5,0.5", "0,nan,0.5", "0,0.5,inf"])
+def test_flow_start_off_the_surface_exits_1(command, start, capsys):
+    # an out-of-range polygon used to end in an IndexError or KeyError
+    # traceback, a NaN point in a misleading NonManifoldCorner
+    argv = ["surface", command, "--torus", f"--start={start}", "--theta", "0.3", "--max-length", "3"]
+    assert "start" in _exits_1_with_value_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", [["jordan"], ["secondary", "--blocks", "1,1"], ["cyclic", "--blocks", "1,1"]])
+def test_seed_changes_no_byte(family_file, command, capsys):
+    # --seed is accepted for old command lines and read by nothing
+    argv = [command[0], family_file, *command[1:]]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(["--seed", "7", *argv]) == 0
+    assert capsys.readouterr().out == plain

@@ -239,3 +239,15 @@ def test_cli_family_flatness_exit_code(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(nilpotent_sl2().to_json()))
     assert main(["flatness", str(path)]) == 0
+
+
+def test_nonzero_entries_walk_row_major_over_either_part():
+    dz = RationalFunctionMatrix.from_scalars([[0, 2, 0], [0, 0, 0], [0, 0, 5]])
+    dzbar = RationalFunctionMatrix.from_scalars([[0, 0, 0], [3, 0, 0], [0, 0, 7]])
+    zero, c = BRF.zero(), lambda x: BRF.constant(GaussianRational(x))
+    assert list(MatrixOneForm(dz, dzbar).nonzero_entries()) == [
+        (0, 1, c(2), zero),
+        (1, 0, zero, c(3)),
+        (2, 2, c(5), c(7)),
+    ]
+    assert list(MatrixOneForm.zero(3).nonzero_entries()) == []

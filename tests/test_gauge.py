@@ -425,3 +425,8 @@ def test_reality_obstruction_examples():
     assert reality_obstruction(Phi2, Psi2)
 
     assert not reality_obstruction(MatrixOneForm.zero(2), MatrixOneForm.zero(2))
+
+
+def test_secondary_higgs_still_accepts_a_seed():
+    # the seed is read by nothing; callers that pass it keep working
+    assert secondary_higgs(nilpotent_sl2(), [1, 1], seed=5).to_json() == secondary_higgs(nilpotent_sl2(), [1, 1]).to_json()

@@ -420,6 +420,20 @@ def test_est_error_bounds_every_grid_member(family, path, eps, closed_form):
         assert abs(s.trace - closed_form(s.epsilon)) <= s.est_error, s.epsilon
 
 
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-6, 1e-2])
+@pytest.mark.parametrize(
+    "family, path, eps, closed_form",
+    [
+        # nilpotent_sl2 has constant coefficients, so a closed loop has the identity holonomy
+        (nilpotent_sl2, ParamPath.circle(0.3, 0.5), [0.5, 0.2, 0.05, 0.01], lambda e: 2.0),
+        (regular_diagonal, ParamPath.circle(), np.geomspace(0.5, 0.05, 12), lambda e: 2 * math.cosh(1 / e)),
+    ],
+)
+def test_est_error_bounds_the_trace_error_at_every_accepted_rel_tol(rel_tol, family, path, eps, closed_form):
+    for s in transport_grid(family(), path, eps, rel_tol=rel_tol):
+        assert abs(s.trace - closed_form(s.epsilon)) <= s.est_error, (rel_tol, s.epsilon)
+
+
 # -- spectral tracking -----------------------------------------------------------------
 
 

@@ -130,6 +130,18 @@ def test_flow_rejects_bad_arguments(theta, max_length):
         find_wkb_loop(flat_torus(), (0, 0.5 + 0.5j), theta, max_length=max_length)
 
 
+@pytest.mark.parametrize(
+    "start",
+    [(1, 0.5 + 0.5j), (-1, 0.5 + 0.5j), (True, 0.5 + 0.5j), (0.0, 0.5 + 0.5j), (0, complex(math.nan, 0.5)), (0, complex(0.5, math.inf))],
+)
+def test_flow_rejects_a_start_off_the_surface(start):
+    # polygon -1 used to index from the end and then fail on a missing gluing
+    with pytest.raises(ValueError, match="start"):
+        trace_flow(flat_torus(), start, 0.3, 3.0)
+    with pytest.raises(ValueError, match="start"):
+        find_wkb_loop(flat_torus(), start, 0.3, max_length=3.0)
+
+
 def test_trace_flow_length_additivity():
     T = flat_torus()
     first = trace_flow(T, (0, 0.5 + 0.3j), 0.9, 0.7)
