@@ -2,8 +2,9 @@
 
 All JSON payloads carry a "schema": "nilwkb/1" field and are emitted with
 sorted keys, so runs with the same inputs are byte-identical.
-Validation failures exit 1, numerical-budget failures exit 2, both with a
-machine-readable error object on stderr.
+Validation failures exit 1 (argparse's refusals of a command line
+included), numerical-budget failures exit 2, both with a machine-readable
+error object on stderr.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _emit(payload) -> None:
 def _load_json(path: str, build):
     """build(data) for the JSON object in the file at path; a missing field,
     a value of the wrong type, shape or size, or a value the builder refuses
-    raises a ValueError that names the file."""
+    raises an error that names the file: a ValueError, or build's own
+    error class where it is a toolkit error or a zero denominator."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -77,6 +79,8 @@ def _load_json(path: str, build):
         raise ValueError(f"{path}: malformed value ({type(exc).__name__}: {exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except (NilwkbError, ZeroDivisionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_family(path: str) -> ConnectionFamily:
@@ -262,7 +266,10 @@ def _cmd_surface_generate(args) -> int:
 
 def _flow_start(args):
     """--start polygon,x,y as (polygon, point); trace_flow checks both."""
-    poly_s, x_s, y_s = args.start.split(",")
+    fields = args.start.split(",")
+    if len(fields) != 3:
+        raise ValueError(f"--start wants polygon,x,y, got {args.start!r}")
+    poly_s, x_s, y_s = fields
     return int(poly_s), complex(float(x_s), float(y_s))
 
 
@@ -360,8 +367,16 @@ def _cmd_toy_residues(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals raise ValueError naming the command,
+    so that main reports them as exit 1 like any other invalid input."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
@@ -478,9 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except BUDGET_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -136,15 +136,6 @@ def _line_layout(partition: Sequence[int]) -> List[Tuple[int, int]]:
     return layout
 
 
-def _block_index_of(entry_index: int, blocks: Sequence[int]) -> int:
-    total = 0
-    for b, size in enumerate(blocks):
-        total += size
-        if entry_index < total:
-            return b
-    raise BadBlocks(f"index {entry_index} outside blocks {blocks}")
-
-
 def jordan_type(phi: MatrixOneForm) -> NilpotentType:
     """Jordan type of a nilpotent (1,0)-field from the generic ranks of its powers.
 
@@ -187,11 +178,9 @@ def graded_decompose(A: MatrixOneForm, blocks: Sequence[int]) -> Dict[int, Matri
     n = A.n
     if sum(blocks) != n or any(b <= 0 for b in blocks):
         raise BadBlocks(f"blocks {blocks} do not partition dimension {n}")
+    level = [lev for lev, _slot in _line_layout(blocks)]
     return _bucket(
-        (
-            (_block_index_of(j, blocks) - _block_index_of(i, blocks), i, j, dz_e, dzb_e)
-            for i, j, dz_e, dzb_e in A.nonzero_entries()
-        ),
+        ((level[j] - level[i], i, j, dz_e, dzb_e) for i, j, dz_e, dzb_e in A.nonzero_entries()),
         n,
     )
 

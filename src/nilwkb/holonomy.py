@@ -531,6 +531,8 @@ class EigenvalueTrack:
     branch seeded by Re(orientation * mu(0)) > 0 and continued by angle
     unwinding on an adaptively refined grid.  Higher rank: numerically
     ordered-by-real-part eigenvalue paths with nearest-matching continuity.
+    Either way the track keeps one eigenvalue row per grid node, (mu, -mu)
+    at rank 2, and continues a row from the node before t.
 
     The field is read through :func:`_pulled_back`, as transport reads M:
     on a segment where the field is constant it is evaluated once (rank 2:
@@ -611,11 +613,9 @@ class EigenvalueTrack:
         if abs(seed.real) <= self.BRANCH_TOL * abs(mu0):
             raise TieAtStart("Re mu(0) vanishes within tolerance; cannot seed the branch")
         self._sign = 1.0 if seed.real > 0 else -1.0
-
-    def _mu2_from(self, k: int, f: complex) -> complex:
-        """The branch of sqrt(f) continued from node k."""
-        arg = self._args[k] + cmath.phase(f / self._fs[k])
-        return self._sign * math.sqrt(abs(f)) * cmath.exp(0.5j * arg)
+        # node k continued from itself; the last node from its predecessor, as values(1.0) is
+        last = len(ts) - 2
+        self._rows = [self._from_node(min(k, last), f) for k, f in enumerate(fs)]
 
     # -- higher rank -----------------------------------------------------------------
 
@@ -634,53 +634,49 @@ class EigenvalueTrack:
             rows.append(lam)
             prev = lam
         spread = max(np.abs(np.array(rows)).max(), 1e-300)
-        mingap = np.abs(np.diff(np.sort(np.array(rows).real, axis=1), axis=1)).min()
-        if mingap < 1e-12 * spread:
-            # collisions of real parts are allowed; full collisions are not
-            pair_dist = min(
-                np.abs(row[i] - row[j])
-                for row in rows
-                for i in range(self.n)
-                for j in range(i + 1, self.n)
-            )
-            if pair_dist < 1e-12 * spread:
-                raise BranchPointOnPath("eigenvalues collide on the path")
+        pair_dist = min(
+            np.abs(row[i] - row[j])
+            for row in rows
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+        )
+        if pair_dist < 1e-12 * spread:
+            raise BranchPointOnPath("eigenvalues collide on the path")
         self._ts = ts
         self._rows = rows
 
-    def _continued(self, t: float):
-        """The field at t continued from the grid node before it: rank 2 mu,
-        higher rank the eigenvalue row matched to that node's row."""
-        k = min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)
-        if self.n == 2:
-            return self._mu2_from(k, self._at(t))
-        return _matched(self._rows[k], self._at(t))
+    def _from_node(self, k: int, f):
+        """The eigenvalue row at a point where the field is f, continued from
+        grid node k: rank 2 (mu, -mu), mu the branch of sqrt(f) whose phase
+        continues node k's; higher rank the eigvals row f matched to node k's row."""
+        if self.n > 2:
+            return _matched(self._rows[k], f)
+        arg = self._args[k] + cmath.phase(f / self._fs[k])
+        mu = self._sign * math.sqrt(abs(f)) * cmath.exp(0.5j * arg)
+        return np.array([mu, -mu])
 
     # -- public surface ----------------------------------------------------------------
 
+    def _continued(self, t: float) -> np.ndarray:
+        """The eigenvalue row at t, continued from the grid node before it."""
+        return self._from_node(min(bisect_right(self._ts, t) - 1, len(self._ts) - 2), self._at(t))
+
     def __call__(self, t: float) -> complex:
-        mu = self._continued(t)
-        return mu if self.n == 2 else mu[0]
+        return complex(self._continued(t)[0])
 
     def values(self, t: float) -> np.ndarray:
-        mu = self._continued(t)
-        return np.array([mu, -mu]) if self.n == 2 else mu
+        return self._continued(t)
 
     def grid(self) -> List[float]:
         return list(self._ts)
 
     def node_values(self) -> List[np.ndarray]:
-        """values(t) at every node of grid(), without evaluating the field again.
+        """values(t) at every node of grid(), stored when the track was built.
 
-        Rank 2 continues the stored f(t_k) from node k (the last node from
-        its predecessor), exactly as values(t_k) does.  Higher rank returns
-        the stored rows: matched against itself, a row of distinct
-        eigenvalues comes back unchanged.
+        At higher rank a node's stored row is what values(t_k) returns:
+        matched against itself, a row of distinct eigenvalues comes back
+        unchanged.
         """
-        if self.n == 2:
-            last = len(self._ts) - 2
-            mus = [self._mu2_from(min(k, last), f) for k, f in enumerate(self._fs)]
-            return [np.array([mu, -mu]) for mu in mus]
         return list(self._rows)
 
 
@@ -709,17 +705,13 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
             return WkbCurveCheck(is_wkb=False, margin=0.0)
 
     if track.n == 2:
-        margin_of = lambda vals: complex(vals[0]).real
-        scale_of = lambda vals: abs(complex(vals[0]))
+        margin_of = lambda vals: float(vals[0].real)
     else:
         def margin_of(vals):
             re = np.sort(vals.real)[::-1]
             return float(np.min(re[:-1] - re[1:]))
 
-        scale_of = lambda vals: float(np.abs(vals).max())
-
     nodes = track.node_values()
-    scale_vals = [scale_of(v) for v in nodes]
     ts = track.grid()
     vals = [margin_of(v) for v in nodes]
     for _ in range(16):
@@ -733,7 +725,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
         else:
             break
     margin = float(min(vals))
-    tol = 1e-12 * max(scale_vals)
+    tol = 1e-12 * float(np.abs(np.array(nodes)).max())
     return WkbCurveCheck(is_wkb=margin > tol, margin=margin)
 
 

@@ -161,68 +161,48 @@ class ToyHiggsField:
         return MatrixOneForm.from_dz(self.matrix)
 
 
-_L1 = (GR_ZERO, GR_ONE)
-_L2 = (GR_ONE, GR_ONE)
-_L3 = (GR_ONE, GR_ZERO)
-
-
-def _flag_for_w(w: str, p: GaussianRational):
-    if w == "0":
-        return _L1
-    if w == "1":
-        return _L2
-    if w == "inf":
-        return _L3
-    return (p, GR_ONE)
+def _sites(p) -> Dict[str, tuple]:
+    """Each puncture site's (position, flag line): its position in the chart
+    (None at infinity), and the line the fourth flag takes when the cross
+    ratio w sits at that site.  p must avoid 0 and 1 (BadPuncture)."""
+    p = GaussianRational.coerce(p)
+    if p in (GR_ZERO, GR_ONE):
+        raise BadPuncture("the movable puncture must avoid 0 and 1")
+    return {
+        "0": (GR_ZERO, (GR_ZERO, GR_ONE)),
+        "1": (GR_ONE, (GR_ONE, GR_ONE)),
+        "inf": (None, (GR_ONE, GR_ZERO)),
+        "p": (p, (p, GR_ONE)),
+    }
 
 
 def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     """Construct one of the four explicit fields; all invariants are verified
-    exactly at construction time."""
-    p = GaussianRational.coerce(p)
-    if p in (GR_ZERO, GR_ONE):
-        raise BadPuncture("the movable puncture must avoid 0 and 1")
-    z = BRF.z()
-    one = BRF.one()
-    zero = BRF.zero()
-    if which == "phi_p":
-        pref = BRF.from_poles(1, [GR_ZERO, GR_ONE, p])
-        grid = [[z, -(z * z)], [one, -z]]
-        w = "p"
-        poles = ("0", "1", "inf", "p")
-    elif which == "phi_0":
-        pref = BRF.from_poles(1, [GR_ZERO, p])
-        grid = [[zero, zero], [one, zero]]
-        w = "0"
-        poles = ("0", "p")
-    elif which == "phi_1":
-        pref = BRF.from_poles(1, [GR_ONE, p])
-        grid = [[one, -one], [one, -one]]
-        w = "1"
-        poles = ("1", "p")
-    elif which == "phi_inf":
-        pref = BRF.from_poles(1, [p])
-        grid = [[zero, one], [zero, zero]]
-        w = "inf"
-        poles = ("inf", "p")
-    else:
-        raise ValueError(f"unknown toy field {which!r}; use phi_p, phi_0, phi_1, phi_inf")
+    exactly at construction time.
 
-    matrix = RationalFunctionMatrix(grid).scale(pref)
-    flags = FlagConfig(
-        p=p,
-        lines=(_L1, _L2, _L3, _flag_for_w(w, p)),
-        w=w,
-    )
-    vanishing = tuple(s for s in ("0", "1", "inf", "p") if s not in poles)
-    positions = {"0": GR_ZERO, "1": GR_ONE, "p": p}
+    A field phi_w is its polynomial matrix times 1 / prod (z - a) over its
+    finite residue sites a; the fourth flag sits at w's flag line.
+    """
+    sites = _sites(p)
+    z, one, zero = BRF.z(), BRF.one(), BRF.zero()
+    fields = {
+        "phi_p": ([[z, -(z * z)], [one, -z]], ("0", "1", "inf", "p")),
+        "phi_0": ([[zero, zero], [one, zero]], ("0", "p")),
+        "phi_1": ([[one, -one], [one, -one]], ("1", "p")),
+        "phi_inf": ([[zero, one], [zero, zero]], ("inf", "p")),
+    }
+    if which not in fields:
+        raise ValueError(f"unknown toy field {which!r}; use phi_p, phi_0, phi_1, phi_inf")
+    grid, poles = fields[which]
+    w = which[len("phi_"):]
+    finite_poles = tuple(sites[s][0] for s in poles if s != "inf")
     field = ToyHiggsField(
         which=which,
-        matrix=matrix,
-        flags=flags,
+        matrix=RationalFunctionMatrix(grid).scale(BRF.from_poles(1, finite_poles)),
+        flags=FlagConfig(p=sites["p"][0], lines=tuple(sites[s][1] for s in ("0", "1", "inf", w)), w=w),
         poles=poles,
-        vanishing=vanishing,
-        finite_poles=tuple(positions[s] for s in poles if s != "inf"),
+        vanishing=tuple(s for s in sites if s not in poles),
+        finite_poles=finite_poles,
     )
     _verify_toy_invariants(field)
     return field
@@ -235,8 +215,7 @@ def _verify_toy_invariants(field: ToyHiggsField) -> None:
     if m.trace():
         raise ValueError(f"{field.which}: matrix is not exactly traceless")
     res = residues(field)
-    flags = dict(zip(("0", "1", "inf", "p"), field.flags.lines))
-    for site in ("0", "1", "inf", "p"):
+    for site, flag in zip(("0", "1", "inf", "p"), field.flags.lines):
         r = res[site]
         if site in field.vanishing:
             if any(any(x for x in row) for row in r):
@@ -244,7 +223,7 @@ def _verify_toy_invariants(field: ToyHiggsField) -> None:
             continue
         if not any(any(x for x in row) for row in r):
             raise ValueError(f"{field.which}: residue at {site} must be nonzero")
-        _check_strong_parabolic(r, flags[site], field.which, site)
+        _check_strong_parabolic(r, flag, field.which, site)
 
 
 def _check_strong_parabolic(res, flag, which: str, site: str) -> None:
@@ -282,12 +261,11 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
     Finite punctures by direct partial fractions; infinity through the
     w = 1/z chart with its Jacobian factor.
     """
-    positions = {"0": GR_ZERO, "1": GR_ONE, "p": field.flags.p}
-    out: Dict[str, list] = {}
-    for site, a in positions.items():
-        out[site] = [
-            [_entry_residue(e, a) for e in row] for row in field.matrix.entries
-        ]
+    out: Dict[str, list] = {
+        site: [[_entry_residue(e, a) for e in row] for row in field.matrix.entries]
+        for site, (a, _line) in _sites(field.flags.p).items()
+        if a is not None
+    }
     flipped = transform_chart_inverse(MatrixOneForm.from_dz(field.matrix))
     out["inf"] = [
         [_entry_residue(e, GR_ZERO) for e in row]
@@ -331,9 +309,7 @@ def nilpotent_cone_graph(p, weights: ParabolicWeights) -> dict:
     report = check_weight_inequalities(weights)
     if not report.all_pass:
         raise UnstableWeights("weights fail the stability inequalities")
-    p = GaussianRational.coerce(p)
-    if p in (GR_ZERO, GR_ONE):
-        raise BadPuncture("the movable puncture must avoid 0 and 1")
+    p = _sites(p)["p"][0]
 
     sites = (
         ("0", "phi_0", "limit of the w=0 orbit (unstable underlying bundle)"),

@@ -515,10 +515,11 @@ def test_holonomy_rel_tol_outside_its_range_exits_1(family_file, tmp_path, rel_t
 
 
 @pytest.mark.parametrize("command", ["trace", "wkbloop"])
-@pytest.mark.parametrize("start", ["5,0.5,0.5", "1,0.5,0.5", "-1,0.5,0.5", "0,nan,0.5", "0,0.5,inf"])
+@pytest.mark.parametrize("start", ["5,0.5,0.5", "1,0.5,0.5", "-1,0.5,0.5", "0,nan,0.5", "0,0.5,inf", "1,2", "0,0.5,0.5,1"])
 def test_flow_start_off_the_surface_exits_1(command, start, capsys):
     # an out-of-range polygon used to end in an IndexError or KeyError
-    # traceback, a NaN point in a misleading NonManifoldCorner
+    # traceback, a NaN point in a misleading NonManifoldCorner, and a start
+    # with two or four fields in a bare "values to unpack" message
     argv = ["surface", command, "--torus", f"--start={start}", "--theta", "0.3", "--max-length", "3"]
     assert "start" in _exits_1_with_value_error(argv, capsys)
 
@@ -531,3 +532,51 @@ def test_seed_changes_no_byte(family_file, command, capsys):
     plain = capsys.readouterr().out
     assert main(["--seed", "7", *argv]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["surface", "trace", "--torus", "--start", "0,0.5,0.5", "--theta", "abc"], "nilwkb surface trace: argument --theta"),
+        (["holonomy", "{family}", "{segment}"], "nilwkb holonomy: the following arguments are required: --eps"),
+        ([], "nilwkb: the following arguments are required: cmd"),
+    ],
+    ids=["theta-not-a-float", "holonomy-without-eps", "no-command"],
+)
+def test_command_line_refusal_exits_1(family_file, segment_file, argv, named, capsys):
+    # argparse's own refusals exit 1 with an error object naming the option, as
+    # other invalid input does; exit 2 is for budget limits
+    argv = [a.format(family=family_file, segment=segment_file) for a in argv]
+    assert named in _exits_1_with_value_error(argv, capsys)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage: nilwkb" in capsys.readouterr().out
+
+
+def _drop_punctures(d):
+    d["phi"]["dz"][0][1]["den"] = [[1, 0, "1", "0"], [0, 0, "-5", "0"]]
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_drop_punctures, "PoleHit"),
+        (lambda d: d.update(rank=3), "DimensionMismatch"),
+        (lambda d: d["phi"]["dz"][0][1].update(den=[]), "ZeroDivisionError"),
+    ],
+    ids=["pole-off-the-punctures", "rank-not-the-matrices", "empty-den"],
+)
+def test_refused_family_file_is_named_and_keeps_its_error_class(tmp_path, mutate, error, capsys):
+    data = nilpotent_sl2().to_json()
+    mutate(data)
+    bad = tmp_path / "refused.json"
+    bad.write_text(json.dumps(data))
+    assert main(["jordan", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error and str(bad) in err["message"]

@@ -9,9 +9,11 @@ why.
 """
 
 import hashlib
+import random
 
+from nilwkb.algebra import BRF, BiPolynomial, GaussianRational, RationalFunctionMatrix
 from nilwkb.catalog import catalog, toy_aligned_p
-from nilwkb.connection import check_flatness, transform_chart_inverse
+from nilwkb.connection import MatrixOneForm, check_flatness, transform_chart_inverse
 from nilwkb.gauge import gauge_conjugate, k_differentials, secondary_higgs, undo_gauge
 from nilwkb.toymodel import build_toy_higgs, residues, toy_quadratic_differential
 
@@ -24,6 +26,7 @@ M_AT_LEAST_2 = {
 }
 
 EXPECTED = "d05943f830e2330a2a593bbdd16a60278c1382d541c678ceb98a20c5c25ae549"
+EXPECTED_SEEDED = "6d62e2bfa837c23d6baf82a4a901cd162467e11527c4a0b2cdd6d519baa59ebe"
 
 
 def _poly(p) -> str:
@@ -34,10 +37,15 @@ def _brf(label, e) -> str:
     return f"{label}={_poly(e.num)}/{_poly(e.den)}"
 
 
-def _entries(label, matrix):
+def _labelled(label, matrix):
     for r, row in enumerate(matrix.entries):
         for c, e in enumerate(row):
-            yield _brf(f"{label}[{r},{c}]", e)
+            yield f"{label}[{r},{c}]", e
+
+
+def _entries(label, matrix):
+    for entry_label, e in _labelled(label, matrix):
+        yield _brf(entry_label, e)
 
 
 def _form(label, form):
@@ -94,3 +102,53 @@ def test_exact_layer_term_order_digest():
     assert len(lines) >= 1000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXPECTED
+
+
+def _seeded_poly(rng, n_terms, const=None):
+    """n_terms distinct monomials z^i zbar^j, i, j <= 1, with small Gaussian
+    integer coefficients; const, if given, is the constant term."""
+    terms = {} if const is None else {(0, 0): GaussianRational(const)}
+    while len(terms) < n_terms:
+        key = (rng.randint(0, 1), rng.randint(0, 1))
+        if key not in terms:
+            terms[key] = GaussianRational(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-2, 2))
+    return BiPolynomial(terms)
+
+
+def seeded_entries():
+    """(label, entry) over fields with several terms on both sides of a
+    fraction: g N g^-1 for a constant nilpotent N and g = I + a E_ij with a a
+    polynomial in z and zbar, that field over a two-term denominator, and
+    their product, trace powers, derivatives and chart inversion."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = 2 + seed % 2
+        i, j = rng.sample(range(n), 2)
+        a = BRF(_seeded_poly(rng, 3))
+        elementary = lambda s: RationalFunctionMatrix(
+            [[s if (r, c) == (i, j) else BRF.zero() for c in range(n)] for r in range(n)]
+        )
+        shift = RationalFunctionMatrix([[BRF.one() if r == c + 1 else BRF.zero() for c in range(n)] for r in range(n)])
+        ident = RationalFunctionMatrix.identity(n)
+        phi = (ident + elementary(a)) @ shift @ (ident - elementary(a))
+        psi = phi.scale(BRF(BiPolynomial.constant(1), _seeded_poly(rng, 2, const=1)))
+        chart = transform_chart_inverse(MatrixOneForm(phi, psi))
+        for name, matrix in (
+            ("phi", phi),
+            ("psi", psi),
+            ("prod", phi @ psi),
+            ("dz", psi.derivative_z()),
+            ("dzbar", psi.derivative_zbar()),
+            ("chart.dz", chart.dz_part),
+            ("chart.dzbar", chart.dzbar_part),
+        ):
+            yield from _labelled(f"seed{seed}:{name}", matrix)
+        for k in (1, 2, 3):
+            yield f"seed{seed}:tr{k}", (phi + psi).power(k).trace()
+
+
+def test_seeded_multi_term_fractions_term_order_digest():
+    entries = list(seeded_entries())
+    assert sum(len(e.num.terms) > 1 and len(e.den.terms) > 1 for _label, e in entries) >= 40
+    digest = hashlib.sha256("\n".join(_brf(label, e) for label, e in entries).encode()).hexdigest()
+    assert digest == EXPECTED_SEEDED
