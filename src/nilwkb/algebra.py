@@ -617,9 +617,6 @@ class RationalFunctionMatrix:
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
-    def __neg__(self):
-        return RationalFunctionMatrix([[-a for a in row] for row in self.entries])
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -770,19 +767,12 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
 def wedge_bracket(A, B) -> RationalFunctionMatrix:
     """dz^dzbar coefficient of the graded bracket [A ^ B] = A^B + B^A.
 
-    A and B are matrix 1-forms given as objects with dz_part/dzbar_part or as
-    (dz_part, dzbar_part) pairs.  Pure-type wedges (dz^dz, dzbar^dzbar) drop
-    identically; the orientation convention is dzbar^dz = -dz^dzbar.
+    A and B are matrix 1-forms (MatrixOneForm).  Pure-type wedges (dz^dz,
+    dzbar^dzbar) drop identically; the orientation convention is
+    dzbar^dz = -dz^dzbar.
     """
-    az, azb = _form_parts(A)
-    bz, bzb = _form_parts(B)
+    az, azb, bz, bzb = A.dz_part, A.dzbar_part, B.dz_part, B.dzbar_part
     if az.rows != bz.rows or az.cols != bz.cols:
         raise DimensionMismatch("wedge_bracket of forms with different dimensions")
     # [A^B] = (Az Bzb - Bzb Az) + (Bz Azb - Azb Bz), all coefficients of dz^dzbar
     return (az @ bzb - bzb @ az) + (bz @ azb - azb @ bz)
-
-
-def _form_parts(A):
-    if isinstance(A, tuple):
-        return A
-    return A.dz_part, A.dzbar_part

@@ -30,8 +30,8 @@ def _E(n: int, i: int, j: int, value=1) -> RationalFunctionMatrix:
     return RationalFunctionMatrix(mat)
 
 
-def trivial(n: int = 2) -> ConnectionFamily:
-    return ConnectionFamily(n, MatrixOneForm.zero(n), MatrixOneForm.zero(n), MatrixOneForm.zero(n))
+def trivial() -> ConnectionFamily:
+    return ConnectionFamily(2, MatrixOneForm.zero(2), MatrixOneForm.zero(2), MatrixOneForm.zero(2))
 
 
 def uniformization_rank2() -> ConnectionFamily:

@@ -58,12 +58,6 @@ class MatrixOneForm:
     def __add__(self, other: "MatrixOneForm") -> "MatrixOneForm":
         return MatrixOneForm(self.dz_part + other.dz_part, self.dzbar_part + other.dzbar_part)
 
-    def __sub__(self, other: "MatrixOneForm") -> "MatrixOneForm":
-        return MatrixOneForm(self.dz_part - other.dz_part, self.dzbar_part - other.dzbar_part)
-
-    def __neg__(self) -> "MatrixOneForm":
-        return MatrixOneForm(-self.dz_part, -self.dzbar_part)
-
     def scale(self, c) -> "MatrixOneForm":
         return MatrixOneForm(self.dz_part.scale(c), self.dzbar_part.scale(c))
 
@@ -317,7 +311,6 @@ def conformal_limit_family(
         conn=dbar_E + d0,
         psi=phi0_dagger,
         punctures=punctures,
-        exponents=_DEFAULT_EXPONENTS,
     )
 
 

@@ -46,12 +46,14 @@ class NilpotentType:
     """
 
     partition: Tuple[int, ...]
-    transpose: Tuple[int, ...]
-    nilpotency_index: int
 
-    def __post_init__(self):
-        if conjugate_partition(self.partition) != self.transpose:
-            raise BadBlocks("transpose is not the conjugate partition")
+    @property
+    def transpose(self) -> Tuple[int, ...]:
+        return conjugate_partition(self.partition)
+
+    @property
+    def nilpotency_index(self) -> int:
+        return len(self.partition)
 
 
 def conjugate_partition(partition: Sequence[int]) -> Tuple[int, ...]:
@@ -64,7 +66,7 @@ def conjugate_partition(partition: Sequence[int]) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GaugeProfile:
-    """Diagonal gauge data: formal exponents e_i, per-block integers, and m.
+    """Diagonal gauge data: formal exponents e_i, per-block integers, and m, their maximum.
 
     The exponents sum to zero (determinant one up to the central sign coming
     from the choice of root).  Entry (i, j) of a conjugated matrix is scaled
@@ -74,7 +76,6 @@ class GaugeProfile:
 
     exponents: Tuple[Fraction, ...]
     block_m: Tuple[int, ...] = ()
-    m: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(Fraction(e) for e in self.exponents))
@@ -85,16 +86,15 @@ class GaugeProfile:
     def n(self) -> int:
         return len(self.exponents)
 
+    @property
+    def m(self) -> int:
+        return max(self.block_m, default=0)
+
     def negated(self) -> "GaugeProfile":
-        return GaugeProfile(tuple(-e for e in self.exponents), self.block_m, self.m)
+        return GaugeProfile(tuple(-e for e in self.exponents), self.block_m)
 
     def shift(self, row: int, col: int) -> Fraction:
         return self.exponents[col] - self.exponents[row]
-
-    @classmethod
-    def sl2(cls) -> "GaugeProfile":
-        """Quarter-power gauge for rank 2, exponents increasing down the grading."""
-        return cls((Fraction(-1, 4), Fraction(1, 4)), block_m=(2,), m=2)
 
     @classmethod
     def from_splitting(cls, partition: Sequence[int], block_m: Sequence[int]) -> "GaugeProfile":
@@ -113,7 +113,7 @@ class GaugeProfile:
             k_i = transpose[slot - 1]
             m_i = max(1, block_m[slot - 1])
             exps.append(Fraction(2 * level - 1 - k_i, 2 * m_i))
-        return cls(tuple(exps), block_m=tuple(block_m), m=max(block_m) if block_m else 0)
+        return cls(tuple(exps), block_m=tuple(block_m))
 
     def to_json(self) -> dict:
         return {
@@ -163,11 +163,7 @@ def jordan_type(phi: MatrixOneForm) -> NilpotentType:
     partition = tuple(
         kernel_dims[j] - kernel_dims[j - 1] for j in range(1, len(kernel_dims))
     )
-    return NilpotentType(
-        partition=partition,
-        transpose=conjugate_partition(partition),
-        nilpotency_index=len(partition),
-    )
+    return NilpotentType(partition)
 
 
 def graded_decompose(A: MatrixOneForm, blocks: Sequence[int]) -> Dict[int, MatrixOneForm]:
@@ -249,10 +245,13 @@ class SecondaryData:
 
     Phi: MatrixOneForm
     diag_connection: MatrixOneForm
-    m: int
     residual_terms: Tuple[Tuple[Fraction, MatrixOneForm], ...]
     profile: GaugeProfile
     splitting: Tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return self.profile.m
 
     @property
     def leading_exponent(self) -> Fraction:
@@ -370,7 +369,6 @@ def secondary_higgs(family: ConnectionFamily, splitting: Sequence[int], seed: in
     return SecondaryData(
         Phi=Phi,
         diag_connection=_bucket(diag, n).get(0, zero),
-        m=m,
         residual_terms=tuple(_bucket(residual, n).items()),
         profile=profile,
         splitting=splitting,

@@ -89,10 +89,7 @@ class LineSegment:
 
     def distance_to(self, q: complex) -> float:
         d = self.end - self.start
-        L2 = abs(d) ** 2
-        if L2 == 0:
-            return abs(q - self.start)
-        s = max(0.0, min(1.0, ((q - self.start) * d.conjugate()).real / L2))
+        s = max(0.0, min(1.0, ((q - self.start) * d.conjugate()).real / abs(d) ** 2))
         return abs(q - self.point(s))
 
     def to_json(self) -> dict:
@@ -125,16 +122,10 @@ class ArcSegment:
         return ArcSegment(self.center, self.radius, self.angle1, self.angle0)
 
     def distance_to(self, q: complex) -> float:
+        # radial where the ray through q meets the arc (the swept angle lies in [0, 2 pi]), else the nearer end
         rel = q - self.center
-        if abs(rel) == 0:
-            return self.radius
-        psi = cmath.phase(rel)
-        a0, a1 = self.angle0, self.angle1
-        span = a1 - a0
-        frac = (psi - a0) / span if span != 0 else -1.0
-        # account for 2 pi wraps of the query angle
-        candidates = [frac + k * 2 * math.pi / span for k in (-1, 0, 1)] if span else []
-        if any(0.0 <= f <= 1.0 for f in candidates):
+        span = self.angle1 - self.angle0
+        if (cmath.phase(rel) - self.angle0) * math.copysign(1.0, span) % (2 * math.pi) <= abs(span):
             return abs(abs(rel) - self.radius)
         return min(abs(q - self.point(0.0)), abs(q - self.point(1.0)))
 
@@ -232,7 +223,7 @@ class ParamPath:
     def check_clearance(self, punctures) -> None:
         """ClearanceViolated if the path passes within DEFAULT_CLEARANCE of a puncture."""
         for p in punctures:
-            q = p.to_complex() if hasattr(p, "to_complex") else complex(p)
+            q = p.to_complex()
             d = min(seg.distance_to(q) for seg in self.segments)
             if d < DEFAULT_CLEARANCE:
                 raise ClearanceViolated(
@@ -532,7 +523,8 @@ class EigenvalueTrack:
     unwinding on an adaptively refined grid.  Higher rank: numerically
     ordered-by-real-part eigenvalue paths with nearest-matching continuity.
     Either way the track keeps one eigenvalue row per grid node, (mu, -mu)
-    at rank 2, and continues a row from the node before t.
+    at rank 2, and continues a row from the node before t.  Phi must be a
+    (1,0)-form at every rank (ValueError otherwise).
 
     The field is read through :func:`_pulled_back`, as transport reads M:
     on a segment where the field is constant it is evaluated once (rank 2:
@@ -547,11 +539,11 @@ class EigenvalueTrack:
     def __init__(self, Phi: MatrixOneForm, gamma: ParamPath):
         self.n = n = Phi.n
         self.gamma = gamma
+        if not Phi.dzbar_part.is_zero:
+            raise ValueError("eigenvalue tracking expects a (1,0)-form field")
         if n == 2:
             qf = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2)).compiled()
             value = lambda z, v: qf(z) * v**2
-        elif not Phi.dzbar_part.is_zero:
-            raise ValueError("eigenvalue tracking expects a (1,0)-form field")
         else:
             term = _term_matrices([Phi], n)
             value = lambda z, v: np.linalg.eigvals(term(z, v).reshape(n, n))
@@ -687,8 +679,10 @@ class WkbCurveCheck:
 
 
 def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[EigenvalueTrack] = None) -> WkbCurveCheck:
-    """Strict positivity of the tracked real part (rank 2) or of all
-    consecutive real-part gaps (higher rank), with refinement near minima.
+    """Strict positivity of the tracked real part (rank 2) or of every gap
+    Re(lam_k - lam_{k+1}) between consecutive eigenvalues in the tracked
+    order, times the path's orientation (higher rank), with refinement near
+    minima.  Two tracked real parts that cross make a gap negative.
 
     Margins and the scale of the tolerance come from the track's stored
     node values; only the (at most 16) refinement midpoints are evaluated.
@@ -707,9 +701,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     if track.n == 2:
         margin_of = lambda vals: float(vals[0].real)
     else:
-        def margin_of(vals):
-            re = np.sort(vals.real)[::-1]
-            return float(np.min(re[:-1] - re[1:]))
+        margin_of = lambda vals: float(np.min(np.diff(-gamma.orientation * vals.real)))
 
     nodes = track.node_values()
     ts = track.grid()

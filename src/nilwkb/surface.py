@@ -51,9 +51,6 @@ class Identification:
     def apply(self, w: complex) -> complex:
         return self.sign * w + self.offset
 
-    def apply_direction(self, d: complex) -> complex:
-        return self.sign * d
-
 
 class PolygonSurface:
     """Polygons with pairwise edge identifications.
@@ -398,7 +395,7 @@ def trace_flow(
         traveled += seg_len
         ident = surface.glue[(state.polygon, e)]
         new_point = ident.apply(hit)
-        new_dir = ident.apply_direction(state.direction)
+        new_dir = ident.sign * state.direction
         crossings.append((ident.a, ident.b, ident.sign))
         state = FlowState(ident.b[0], new_point, new_dir)
 
@@ -454,9 +451,6 @@ class WkbLoop:
     is_wkb: bool
     margin: float
     convention: str
-
-    def crossings(self):
-        return self.trajectory.crossings
 
     def to_json(self) -> dict:
         conn = None
@@ -551,7 +545,7 @@ def find_wkb_loop(
 def lift_check(surface: PolygonSurface, loop: WkbLoop) -> bool:
     """True when the loop crosses an even number of half-translation gluings:
     its lift to the orientation double cover splits into two disjoint loops."""
-    flips = sum(1 for _a, _b, sign in loop.crossings() if sign == -1)
+    flips = sum(1 for _a, _b, sign in loop.trajectory.crossings if sign == -1)
     return flips % 2 == 0
 
 

@@ -14,6 +14,7 @@ from nilwkb.algebra import (
     matrix_rank_exact,
     wedge_bracket,
 )
+from nilwkb.connection import MatrixOneForm
 from nilwkb.errors import PoleHit
 
 
@@ -61,13 +62,13 @@ def test_wedge_bracket_examples():
     E21 = RationalFunctionMatrix.from_scalars([[0, 0], [1, 0]])
     zero = RationalFunctionMatrix.zeros(2)
     # dz ^ dz drops identically
-    assert wedge_bracket((E12, zero), (E12, zero)).is_zero
+    assert wedge_bracket(MatrixOneForm(E12, zero), MatrixOneForm(E12, zero)).is_zero
     # mixed types give the commutator, diag(1, -1)
-    out = wedge_bracket((E12, zero), (zero, E21))
+    out = wedge_bracket(MatrixOneForm(E12, zero), MatrixOneForm(zero, E21))
     assert out == RationalFunctionMatrix.from_scalars([[1, 0], [0, -1]])
     # diagonal dz against diagonal dzbar commutes
     D = RationalFunctionMatrix.from_scalars([[2, 0], [0, -2]])
-    assert wedge_bracket((D, zero), (zero, D)).is_zero
+    assert wedge_bracket(MatrixOneForm(D, zero), MatrixOneForm(zero, D)).is_zero
 
 
 def _random_brf(rng: random.Random) -> BRF:

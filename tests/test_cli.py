@@ -1,13 +1,15 @@
+import cmath
 import json
 import signal
 import warnings
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
-from nilwkb.catalog import nilpotent_sl2
+from nilwkb.catalog import nilpotent_sl2, nilpotent_sl2_parabolic
 from nilwkb.cli import main
-from nilwkb.holonomy import ParamPath
+from nilwkb.holonomy import ArcSegment, ParamPath
 from nilwkb.surface import flat_torus
 
 
@@ -225,6 +227,20 @@ def test_non_finite_eps_grid_exits_1(family_file, segment_file, spec, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_linear_eps_grid_is_numpy_linspace(family_file, segment_file, capsys):
+    assert main(["holonomy", family_file, segment_file, "--eps", "0.5:0.1:linear:5"]) == 0
+    _header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [float(r[0]) for r in rows] == list(np.linspace(0.5, 0.1, 5))
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [("0.5:0.1:4", "start:end:spacing:count"), ("0.5:0.1:cubic:4", "unknown spacing 'cubic'"), ("0.5:0.1:linear:0", "at least one point")],
+)
+def test_malformed_eps_grid_exits_1(family_file, segment_file, spec, named, capsys):
+    assert named in _exits_1_with_value_error(["holonomy", family_file, segment_file, "--eps", spec], capsys)
 
 
 def test_unknown_catalog_name_exits_1(capsys):
@@ -522,6 +538,24 @@ def test_flow_start_off_the_surface_exits_1(command, start, capsys):
     # with two or four fields in a bare "values to unpack" message
     argv = ["surface", command, "--torus", f"--start={start}", "--theta", "0.3", "--max-length", "3"]
     assert "start" in _exits_1_with_value_error(argv, capsys)
+
+
+def test_flow_start_outside_its_polygon_exits_1(capsys):
+    # a finite point, in range, but beyond the unit square of the torus
+    argv = ["surface", "trace", "--torus", "--start", "0,1.5,0.5", "--theta", "0.3", "--max-length", "3"]
+    assert "start" in _exits_1_with_value_error(argv, capsys)
+
+
+def test_holonomy_on_an_arc_through_a_puncture_exits_1(tmp_path, capsys):
+    # the arc passes through the puncture 0 at its midpoint; clearance used to
+    # pass it, and the solve then ran for seconds into StiffnessBudgetExceeded
+    family, arc = tmp_path / "family.json", tmp_path / "arc.json"
+    family.write_text(json.dumps(nilpotent_sl2_parabolic().to_json()))
+    arc.write_text(json.dumps(ParamPath([ArcSegment(-cmath.exp(10.25j), 1.0, 10.0, 10.5)]).to_json()))
+    with _time_limit(30):
+        assert main(["holonomy", str(family), str(arc), "--eps", "0.5:0.2:geometric:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "ClearanceViolated"
 
 
 @pytest.mark.parametrize("command", [["jordan"], ["secondary", "--blocks", "1,1"], ["cyclic", "--blocks", "1,1"]])

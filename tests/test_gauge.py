@@ -248,7 +248,7 @@ def test_profile_must_be_traceless():
 def test_gauge_conjugate_family_merges_leading_terms():
     # applying the quarter-power gauge to the whole family: the leading field
     # and the lower connection piece coalesce at exponent -1/2
-    graded = gauge_conjugate(nilpotent_sl2(), GaugeProfile.sl2())
+    graded = gauge_conjugate(nilpotent_sl2(), GaugeProfile.from_splitting((1, 1), (2,)))
     assert set(graded) == {Fraction(-1, 2)}
     expected = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     assert graded[Fraction(-1, 2)] == expected
@@ -299,6 +299,16 @@ def test_secondary_rejects_bad_inputs():
     )
     with pytest.raises(FrameNotAligned):
         secondary_higgs(flipped, [1, 1])
+
+
+def test_secondary_refuses_a_phi_entry_that_changes_slot():
+    # phi = E13 + E23 has Jordan type (2, 1) and steps up one level, but its
+    # entry (1, 2) leaves slot 2 of level 1 for slot 1 of level 2
+    phi = RationalFunctionMatrix.from_scalars([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
+    family = ConnectionFamily(3, MatrixOneForm.from_dz(phi), MatrixOneForm.zero(3), MatrixOneForm.zero(3))
+    assert jordan_type(family.phi).partition == (2, 1)
+    with pytest.raises(FrameNotAligned, match="slot 2->1"):
+        secondary_higgs(family, [2, 1])
 
 
 def test_secondary_requires_flat_family():
@@ -391,7 +401,7 @@ def test_toy_aligned_quadratic_differential_shape():
 
 
 def test_m_cyclic_examples():
-    quarter = GaugeProfile.sl2()
+    quarter = GaugeProfile.from_splitting((1, 1), (2,))
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     assert is_m_cyclic(Phi, quarter, 2)
     diag = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[1, 0], [0, -1]]))

@@ -30,6 +30,7 @@ from nilwkb.errors import (
     StiffnessBudgetExceeded,
     TieAtStart,
 )
+from nilwkb.gauge import jordan_type
 from nilwkb.holonomy import (
     ArcSegment,
     LineSegment,
@@ -105,6 +106,43 @@ def test_path_json_round_trip():
     blob = json.dumps(path.to_json(), sort_keys=True)
     back = ParamPath.from_json(json.loads(blob))
     assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+# radius 1 about -exp(10.25i), angles 10 to 10.5: the midpoint is the puncture 0
+ARC_THROUGH_ZERO = ParamPath([ArcSegment(-cmath.exp(10.25j), 1.0, 10.0, 10.5)])
+
+
+def test_arc_through_a_puncture_violates_clearance():
+    assert abs(ARC_THROUGH_ZERO.point(0.5)) < 1e-15
+    with pytest.raises(ClearanceViolated):
+        ARC_THROUGH_ZERO.check_clearance(nilpotent_sl2_parabolic().punctures)
+
+
+def _arc_brute_distance(arc: ArcSegment, q: complex, points: int = 20001) -> float:
+    """min |q - arc(s)| over an even grid of points in s, refined by as many
+    points over the two cells beside the grid's best one."""
+    span = arc.angle1 - arc.angle0
+    on_arc = lambda s: arc.center + arc.radius * np.exp(1j * (arc.angle0 + s * span))
+    s = np.linspace(0.0, 1.0, points)
+    k = int(np.argmin(np.abs(q - on_arc(s))))
+    fine = np.linspace(s[max(k - 1, 0)], s[min(k + 1, points - 1)], points)
+    return float(np.abs(q - on_arc(fine)).min())
+
+
+def test_arc_distance_matches_brute_force():
+    # angles over several turns, spans of either sign up to past a full turn;
+    # a third of the queries lie near the circle, where the distance is radial
+    rng = random.Random(1901)
+    for _ in range(300):
+        center = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        radius = rng.uniform(0.1, 3.0)
+        angle0 = rng.uniform(-4 * math.pi, 4 * math.pi)
+        arc = ArcSegment(center, radius, angle0, angle0 + rng.choice((-1, 1)) * rng.uniform(0.01, 7.0))
+        if rng.random() < 1 / 3:
+            q = center + radius * rng.uniform(0.9, 1.1) * cmath.exp(1j * rng.uniform(-10, 10))
+        else:
+            q = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        assert arc.distance_to(q) == pytest.approx(_arc_brute_distance(arc, q), abs=1e-9), (arc, q)
 
 
 # -- pullback ----------------------------------------------------------------------
@@ -529,6 +567,26 @@ def test_track_examples():
         EigenvalueTrack(Phi, ParamPath.segment(0, 1j))
 
 
+def test_rank3_track_refuses_colliding_eigenvalues():
+    # diag(z - 1/2, 1/2 - z, 0): all three eigenvalues meet at z = 1/2
+    z, half, zero = BRF.z(), BRF.constant(Fraction(1, 2)), BRF.zero()
+    Phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[z - half, zero, zero], [zero, half - z, zero], [zero, zero, zero]]))
+    with pytest.raises(BranchPointOnPath):
+        EigenvalueTrack(Phi, SEG)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_track_and_jordan_type_refuse_a_dzbar_part(n):
+    # at rank 2 the track used to read only the dz part of such a field
+    diag = [[(1 if i == j == 0 else -1 if i == j == n - 1 else 0) for j in range(n)] for i in range(n)]
+    corner = [[int(i == 0 and j == n - 1) for j in range(n)] for i in range(n)]
+    Phi = MatrixOneForm(RationalFunctionMatrix.from_scalars(diag), RationalFunctionMatrix.from_scalars(corner))
+    with pytest.raises(ValueError, match=r"\(1,0\)-form"):
+        EigenvalueTrack(Phi, SEG)
+    with pytest.raises(ValueError, match=r"\(1,0\)-form"):
+        jordan_type(Phi)
+
+
 def test_track_continuous_branch_on_circle():
     # dz/z around the circle: mu is constant despite the winding coefficient
     fam = regular_diagonal()
@@ -591,6 +649,20 @@ def test_is_wkb_curve_examples():
     )
     chk3 = is_wkb_curve(P3, SEG)
     assert chk3.is_wkb and chk3.margin == pytest.approx(2.0)
+
+
+def test_wkb_predicate_reads_the_tracked_order():
+    # diag(z, 1 - z, -1): the first two tracked real parts cross at Re z = 1/2,
+    # which the sorted real parts do not show
+    z, one, zero = BRF.z(), BRF.one(), BRF.zero()
+    Phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[z, zero, zero], [zero, one - z, zero], [zero, zero, -one]]))
+    gamma = ParamPath.segment(0.1 + 0.3j, 0.8317 + 0.3j)
+    track = EigenvalueTrack(Phi, gamma)
+    start, end = track.values(0.0).real, track.values(1.0).real
+    assert start[0] > start[1] > start[2] and end[1] > end[0] > end[2]
+    for path in (gamma, gamma.reversed()):
+        chk = is_wkb_curve(Phi, path)
+        assert not chk.is_wkb and chk.margin < 0
 
 
 def test_period_examples():
@@ -800,6 +872,16 @@ def test_free_fit_exponent_ignores_a_sample_near_one():
             for d in (1e-9, 1e-3, 1e-1):
                 moved = traces[:k] + [1 + d] + traces[k + 1 :]
                 assert abs(_free_fit_exponent(eps, moved) - p) / p <= 0.05, (p, k, d)
+
+
+def test_wkb_fit_refuses_a_repeated_eps_and_a_zero_trace():
+    samples = _cosh_samples(1.0, np.geomspace(0.5, 0.05, 12))
+    repeated = samples[:5] + [samples[4]] + samples[6:]
+    with pytest.raises(InsufficientSamples, match="strictly decreasing"):
+        wkb_fit(repeated)
+    zero = samples[:5] + [HolonomySample(samples[5].epsilon, np.eye(2, dtype=complex), 0j, 0.0)] + samples[6:]
+    with pytest.raises(NonDecayingSequence, match="zero trace"):
+        wkb_fit(zero)
 
 
 def test_wkb_fit_errors():

@@ -184,7 +184,7 @@ def test_lift_check_parity():
     # half-translation gluings: even parity lifts, but fails the predicate
     S = staircase(2, "left", half=True)
     loop = find_wkb_loop(S, (0, 0.5 + 0.25j), 0.0, convention="real-increasing")
-    flips = sum(1 for _a, _b, s in loop.crossings() if s == -1)
+    flips = sum(1 for _a, _b, s in loop.trajectory.crossings if s == -1)
     assert flips == 2
     assert lift_check(S, loop)
     assert not loop.is_wkb
