@@ -51,7 +51,17 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-class GaussianRational:
+class _Frozen:
+    """Base of the immutable value types: constructors set the slots through
+    object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(_Frozen):
     """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -59,9 +69,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
@@ -87,6 +94,10 @@ class GaussianRational:
             return cls(Fraction(re), Fraction(im))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"not an exact Gaussian rational: ({re!r}, {im!r})") from None
+
+    def to_json(self) -> list:
+        """The pair [str(re), str(im)] that from_strings reads back."""
+        return [str(self.re), str(self.im)]
 
     # -- field operations ---------------------------------------------------
 
@@ -174,7 +185,7 @@ def _from_domain_elt(e) -> GaussianRational:
     )
 
 
-class BiPolynomial:
+class BiPolynomial(_Frozen):
     """Polynomial in the two formal variables (z, zbar) over Gaussian rationals.
 
     Stored as a monomial dict {(deg_z, deg_zbar): coefficient} with zero
@@ -191,9 +202,6 @@ class BiPolynomial:
                 if c:
                     clean[(int(i), int(j))] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BiPolynomial is immutable")
 
     @classmethod
     def _of(cls, terms: dict) -> "BiPolynomial":
@@ -345,7 +353,7 @@ def _poly_div_exact(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
 _POLY_ONE = BiPolynomial.constant(1)
 
 
-class BiRationalFunction:
+class BiRationalFunction(_Frozen):
     """Quotient of two BiPolynomials in canonical form.
 
     Canonical form: gcd(num, den) is a unit and the lexicographically leading
@@ -364,9 +372,6 @@ class BiRationalFunction:
             num, den = self._normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BiRationalFunction is immutable")
 
     @staticmethod
     def _normalize(num: BiPolynomial, den: BiPolynomial):
@@ -532,9 +537,7 @@ class BiRationalFunction:
     # -- serialization ------------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        enc = lambda p: [
-            [i, j, str(c.re), str(c.im)] for (i, j), c in sorted(p.terms.items())
-        ]
+        enc = lambda p: [[i, j, *c.to_json()] for (i, j), c in sorted(p.terms.items())]
         return {"num": enc(self.num), "den": enc(self.den)}
 
     @classmethod
@@ -558,7 +561,7 @@ _BRF_ZERO = BiRationalFunction(BiPolynomial(), _POLY_ONE, _normalized=True)
 _BRF_ONE = BiRationalFunction(_POLY_ONE, _POLY_ONE, _normalized=True)
 
 
-class RationalFunctionMatrix:
+class RationalFunctionMatrix(_Frozen):
     """Dense matrix of BiRationalFunctions."""
 
     __slots__ = ("entries", "rows", "cols")
@@ -577,9 +580,6 @@ class RationalFunctionMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunctionMatrix is immutable")
 
     # -- constructors ----------------------------------------------------------
 

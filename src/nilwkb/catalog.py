@@ -17,6 +17,7 @@ from functools import partial
 
 from .algebra import BRF, GaussianRational, RationalFunctionMatrix
 from .connection import ConnectionFamily, MatrixOneForm
+from .toymodel import TOY_FIELDS, build_toy_higgs
 
 # Rational approximation of 1/(2*pi), error < 4e-28; the abelian baseline
 # family needs the residue -i/(2 pi) so the unit-circle holonomy trace is
@@ -123,8 +124,6 @@ def regular_diagonal() -> ConnectionFamily:
 
 def toy_skeleton(which: str, p=2) -> ConnectionFamily:
     """Wrap a four-punctured-sphere Higgs field into a family skeleton."""
-    from .toymodel import build_toy_higgs
-
     field = build_toy_higgs(which, p)
     return ConnectionFamily(
         2,
@@ -169,7 +168,7 @@ FAMILIES = {
     "nilpotent_sl2_parabolic": nilpotent_sl2_parabolic,
     "regular_diagonal": regular_diagonal,
     "toy_aligned_p": toy_aligned_p,
-    **{f"toy_{which}": partial(toy_skeleton, which) for which in ("phi_p", "phi_0", "phi_1", "phi_inf")},
+    **{f"toy_{which}": partial(toy_skeleton, which) for which in TOY_FIELDS},
 }
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: one executable, one subcommand per pipeline.
 
-All JSON payloads carry a "schema": "nilwkb/1" field and are emitted with
-sorted keys, so runs with the same inputs are byte-identical.
-Validation failures exit 1 (argparse's refusals of a command line
-included), numerical-budget failures exit 2, both with a machine-readable
-error object on stderr.
+Every JSON object the CLI writes goes through one writer, which adds the
+"schema": "nilwkb/1" field and sorts the keys, so runs with the same inputs
+are byte-identical.  Option values are parsed by the parser, so a refusal
+names its option.  A failure exits with its error class's exit_code (1 for
+invalid input, argparse's refusals of a command line included; 2 for a
+numerical budget), with a machine-readable error object on stderr.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog as catalog_mod
-from .algebra import GaussianRational
 from .connection import ConnectionFamily, check_flatness
-from .errors import HolonomyOverflow, NilwkbError, NoRecurrenceWithinBudget, StiffnessBudgetExceeded
+from .errors import NilwkbError
 from .gauge import (
     is_m_cyclic,
     jordan_type,
@@ -38,6 +38,7 @@ from .holonomy import (
     wkb_fit,
 )
 from .surface import (
+    CONVENTIONS,
     PolygonSurface,
     find_wkb_loop,
     flat_torus,
@@ -47,6 +48,7 @@ from .surface import (
     validate as validate_surface,
 )
 from .toymodel import (
+    TOY_FIELDS,
     ParabolicWeights,
     build_toy_higgs,
     check_weight_inequalities,
@@ -55,11 +57,19 @@ from .toymodel import (
     residues,
 )
 
-BUDGET_ERRORS = (StiffnessBudgetExceeded, NoRecurrenceWithinBudget, HolonomyOverflow)
+
+def _stamped(payload: dict) -> str:
+    """payload as the sorted-key JSON the CLI writes, tagged with its schema."""
+    return json.dumps({**payload, "schema": "nilwkb/1"}, sort_keys=True)
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(payload: dict, path=None) -> None:
+    """Print the stamped payload, or write it as one line to the file at path."""
+    if path is None:
+        print(_stamped(payload))
+    else:
+        with open(path, "w") as fh:
+            fh.write(_stamped(payload) + "\n")
 
 
 def _load_json(path: str, build):
@@ -112,17 +122,17 @@ def _parse_eps_grid(spec: str) -> list:
     raise ValueError(f"unknown spacing {spacing!r}; use geometric or linear")
 
 
-def _parse_blocks(text: str):
+def _int_list(text: str):
     return [int(b) for b in text.split(",")]
+
+
+def _fraction_list(text: str):
+    return [Fraction(p) for p in text.split(",")]
 
 
 def _field(args, family: ConnectionFamily):
     """The family's leading field, or with --blocks the secondary field of that splitting."""
-    return secondary_higgs(family, _parse_blocks(args.blocks)).Phi if args.blocks else family.phi
-
-
-def _parse_exponents(text: str):
-    return [Fraction(p) for p in text.split(",")]
+    return secondary_higgs(family, args.blocks).Phi if args.blocks else family.phi
 
 
 def _surface_from_args(args) -> PolygonSurface:
@@ -154,7 +164,7 @@ def _cmd_flatness(args) -> int:
 
 def _cmd_secondary(args) -> int:
     family = _load_family(args.family)
-    data = secondary_higgs(family, _parse_blocks(args.blocks))
+    data = secondary_higgs(family, args.blocks)
     _emit(data.to_json())
     return 0
 
@@ -164,7 +174,6 @@ def _cmd_jordan(args) -> int:
     jt = jordan_type(family.phi)
     _emit(
         {
-            "schema": "nilwkb/1",
             "partition": list(jt.partition),
             "transpose": list(jt.transpose),
             "nilpotency_index": jt.nilpotency_index,
@@ -175,35 +184,29 @@ def _cmd_jordan(args) -> int:
 
 def _cmd_cyclic(args) -> int:
     family = _load_family(args.family)
-    data = secondary_higgs(family, _parse_blocks(args.blocks))
+    data = secondary_higgs(family, args.blocks)
     ok = is_m_cyclic(data.Phi, data.profile, data.m)
-    _emit({"schema": "nilwkb/1", "m": data.m, "m_cyclic": ok})
+    _emit({"m": data.m, "m_cyclic": ok})
     return 0
 
 
 def _cmd_kdiff(args) -> int:
     diffs = k_differentials(_field(args, _load_family(args.family)), args.up_to)
-    _emit(
-        {
-            "schema": "nilwkb/1",
-            "k_differentials": {str(k): d.to_json() for k, d in enumerate(diffs, start=2)},
-        }
-    )
+    _emit({"k_differentials": {str(k): d.to_json() for k, d in enumerate(diffs, start=2)}})
     return 0
 
 
 def _cmd_reality(args) -> int:
     family = _load_family(args.family)
     obstructed = reality_obstruction(family.phi, family.psi)
-    _emit({"schema": "nilwkb/1", "obstruction": obstructed})
+    _emit({"obstruction": obstructed})
     return 0
 
 
 def _cmd_holonomy(args) -> int:
     family = _load_family(args.family)
     gamma = _load_path(args.path)
-    eps = _parse_eps_grid(args.eps)
-    samples = transport_grid(family, gamma, eps, rel_tol=args.rel_tol)
+    samples = transport_grid(family, gamma, args.eps, rel_tol=args.rel_tol)
     writer = csv.writer(sys.stdout)
     writer.writerow(["epsilon", "re_trace", "im_trace", "est_error", "steps", "rhs_evals"])
     for s in samples:
@@ -216,14 +219,14 @@ def _cmd_holonomy(args) -> int:
 def _cmd_period(args) -> int:
     family, gamma = _load_family(args.family), _load_path(args.path)
     Z = period(_field(args, family), gamma)
-    _emit({"schema": "nilwkb/1", "Z": [Z.real, Z.imag]})
+    _emit({"Z": [Z.real, Z.imag]})
     return 0
 
 
 def _cmd_wkbcheck(args) -> int:
     family, gamma = _load_family(args.family), _load_path(args.path)
     check = is_wkb_curve(_field(args, family), gamma)
-    _emit({"schema": "nilwkb/1", "is_wkb": check.is_wkb, "margin": check.margin})
+    _emit({"is_wkb": check.is_wkb, "margin": check.margin})
     return 0
 
 
@@ -243,9 +246,7 @@ def _cmd_wkbfit(args) -> int:
         )
         for r in rows
     ]
-    candidates = _parse_exponents(args.exponents) if args.exponents else None
-    fit = wkb_fit(samples, candidates)
-    _emit(fit.to_json())
+    _emit(wkb_fit(samples, args.exponents).to_json())
     return 0
 
 
@@ -255,48 +256,33 @@ def _cmd_surface_validate(args) -> int:
 
 
 def _cmd_surface_generate(args) -> int:
-    blob = json.dumps(_surface_from_args(args).to_json(), sort_keys=True)
-    if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(blob + "\n")
-    else:
-        print(blob)
+    _emit(_surface_from_args(args).to_json(), args.emit)
     return 0
 
 
-def _flow_start(args):
-    """--start polygon,x,y as (polygon, point); trace_flow checks both."""
-    fields = args.start.split(",")
+def _flow_start(text: str):
+    """polygon,x,y as (polygon, point); trace_flow checks both."""
+    fields = text.split(",")
     if len(fields) != 3:
-        raise ValueError(f"--start wants polygon,x,y, got {args.start!r}")
+        raise ValueError(f"want polygon,x,y, got {text!r}")
     poly_s, x_s, y_s = fields
     return int(poly_s), complex(float(x_s), float(y_s))
 
 
 def _cmd_surface_trace(args) -> int:
-    traj = trace_flow(_surface_from_args(args), _flow_start(args), args.theta, args.max_length)
+    traj = trace_flow(_surface_from_args(args), args.start, args.theta, args.max_length)
     writer = csv.writer(sys.stdout)
     writer.writerow(["polygon", "x0", "y0", "x1", "y1"])
     for p, a, b in traj.pieces:
         writer.writerow([p, a.real, a.imag, b.real, b.imag])
-    print(
-        json.dumps(
-            {
-                "schema": "nilwkb/1",
-                "terminated": traj.terminated,
-                "length": traj.total_length,
-                "pieces": len(traj.pieces),
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
+    summary = {"terminated": traj.terminated, "length": traj.total_length, "pieces": len(traj.pieces)}
+    print(_stamped(summary), file=sys.stderr)
     return 0
 
 
 def _cmd_surface_wkbloop(args) -> int:
     surf = _surface_from_args(args)
-    loop = find_wkb_loop(surf, _flow_start(args), args.theta, max_length=args.max_length, convention=args.convention)
+    loop = find_wkb_loop(surf, args.start, args.theta, max_length=args.max_length, convention=args.convention)
     payload = loop.to_json()
     payload["lift_two_loops"] = lift_check(surf, loop)
     _emit(payload)
@@ -304,20 +290,17 @@ def _cmd_surface_wkbloop(args) -> int:
 
 
 def _cmd_toy_stability(args) -> int:
-    report = check_weight_inequalities(ParabolicWeights.parse(args.rho))
+    report = check_weight_inequalities(args.rho)
     _emit(report.to_json())
     return 0 if report.all_pass else 1
 
 
 def _cmd_toy_higgs(args) -> int:
-    field = build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p)))
+    field = build_toy_higgs(args.which, args.p)
     if args.emit:
-        family = catalog_mod.toy_skeleton(args.which, Fraction(args.p))
-        with open(args.emit, "w") as fh:
-            fh.write(json.dumps(family.to_json(), sort_keys=True) + "\n")
+        _emit(catalog_mod.toy_skeleton(args.which, args.p).to_json(), args.emit)
     _emit(
         {
-            "schema": "nilwkb/1",
             "which": field.which,
             "matrix": field.matrix.to_json(),
             "flags": field.flags.to_json(),
@@ -329,19 +312,17 @@ def _cmd_toy_higgs(args) -> int:
 
 
 def _cmd_toy_cone(args) -> int:
-    graph = nilpotent_cone_graph(GaussianRational.coerce(Fraction(args.p)), ParabolicWeights.parse(args.rho))
+    graph = nilpotent_cone_graph(args.p, args.rho)
     if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(json.dumps(graph, sort_keys=True) + "\n")
+        _emit(graph, args.emit)
     _emit(graph)
     return 0
 
 
 def _cmd_toy_pdeg(args) -> int:
-    rows = pdeg_table(ParabolicWeights.parse(args.rho), [int(d) for d in args.degrees.split(",")])
+    rows = pdeg_table(args.rho, args.degrees)
     _emit(
         {
-            "schema": "nilwkb/1",
             "table": [
                 {"degree": r["degree"], "incidence": list(r["incidence"]), "pdeg": str(r["pdeg"])}
                 for r in rows
@@ -352,19 +333,25 @@ def _cmd_toy_pdeg(args) -> int:
 
 
 def _cmd_toy_residues(args) -> int:
-    res = residues(build_toy_higgs(args.which, GaussianRational.coerce(Fraction(args.p))))
-    _emit(
-        {
-            "schema": "nilwkb/1",
-            "residues": {
-                site: [[[str(x.re), str(x.im)] for x in row] for row in mat] for site, mat in res.items()
-            },
-        }
-    )
+    res = residues(build_toy_higgs(args.which, args.p))
+    _emit({"residues": {site: [[x.to_json() for x in row] for row in mat] for site, mat in res.items()}})
     return 0
 
 
 # -- parser --------------------------------------------------------------------
+
+
+def _option(parse):
+    """parse as an argparse type: a refusal keeps its reason, and the parser
+    adds the option's name."""
+
+    def parse_option(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_option
 
 
 class _Parser(argparse.ArgumentParser):
@@ -380,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
+    int_list, weights, fraction = _option(_int_list), _option(ParabolicWeights.parse), _option(Fraction)
     # accepted so that existing command lines keep working; nothing reads it
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -390,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("secondary", help="secondary Higgs field and invariant m")
     p.add_argument("family")
-    p.add_argument("--blocks", required=True, help="grading block sizes, e.g. 1,1")
+    p.add_argument("--blocks", type=int_list, required=True, help="grading block sizes, e.g. 1,1")
     p.set_defaults(fn=_cmd_secondary)
 
     p = sub.add_parser("jordan", help="Jordan type of the leading field")
@@ -399,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cyclic", help="cyclic-grading check of the secondary field")
     p.add_argument("family")
-    p.add_argument("--blocks", required=True)
+    p.add_argument("--blocks", type=int_list, required=True)
     p.set_defaults(fn=_cmd_cyclic)
 
     p = sub.add_parser("kdiff", help="trace powers Tr(Phi^k)")
     p.add_argument("family")
     p.add_argument("--up-to", type=int, default=2, dest="up_to")
-    p.add_argument("--blocks", help="use the secondary field of this splitting")
+    p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
     p.set_defaults(fn=_cmd_kdiff)
 
     p = sub.add_parser("reality", help="determinant-sign reality obstruction")
@@ -415,25 +403,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy", help="transport over an eps grid; CSV on stdout")
     p.add_argument("family")
     p.add_argument("path")
-    p.add_argument("--eps", required=True, help="start:end:spacing:count")
+    p.add_argument("--eps", type=_option(_parse_eps_grid), required=True, help="start:end:spacing:count")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol", help="finite, in (0, 1e-2]")
     p.set_defaults(fn=_cmd_holonomy)
 
     p = sub.add_parser("period", help="spectral period along a path")
     p.add_argument("family")
     p.add_argument("path")
-    p.add_argument("--blocks", help="use the secondary field of this splitting")
+    p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
     p.set_defaults(fn=_cmd_period)
 
     p = sub.add_parser("wkbcheck", help="WKB-curve predicate and margin")
     p.add_argument("family")
     p.add_argument("path")
-    p.add_argument("--blocks")
+    p.add_argument("--blocks", type=int_list)
     p.set_defaults(fn=_cmd_wkbcheck)
 
     p = sub.add_parser("wkbfit", help="rate fit from a holonomy CSV")
     p.add_argument("samples")
-    p.add_argument("--exponents", help="candidate exponents, e.g. 1,1/2,1/3")
+    p.add_argument("--exponents", type=_option(_fraction_list), help="candidate exponents, e.g. 1,1/2,1/3")
     p.set_defaults(fn=_cmd_wkbfit)
 
     p = sub.add_parser("surface", help="half-translation surface tools")
@@ -452,15 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--half", action="store_true", help="half-translation variant")
         sp.add_argument("--torus", action="store_true", help="unit flat torus")
         if name in ("trace", "wkbloop"):
-            sp.add_argument("--start", required=True, help="polygon,x,y")
+            sp.add_argument("--start", type=_option(_flow_start), required=True, help="polygon,x,y")
             sp.add_argument("--theta", type=float, required=True)
             sp.add_argument("--max-length", type=float, default=400.0, dest="max_length")
         if name == "wkbloop":
-            sp.add_argument(
-                "--convention",
-                choices=("imaginary-increasing", "real-increasing"),
-                default="imaginary-increasing",
-            )
+            sp.add_argument("--convention", choices=CONVENTIONS, default=CONVENTIONS[0])
         if name == "generate":
             sp.add_argument("--emit", help="write the surface JSON here")
         sp.set_defaults(fn=fn)
@@ -468,25 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy", help="four-punctured-sphere model")
     tsub = p.add_subparsers(dest="toy_cmd", required=True)
     sp = tsub.add_parser("stability")
-    sp.add_argument("--rho", required=True, help="four weights, e.g. 1/4,1/4,1/4,1/8")
+    sp.add_argument("--rho", type=weights, required=True, help="four weights, e.g. 1/4,1/4,1/4,1/8")
     sp.set_defaults(fn=_cmd_toy_stability)
     sp = tsub.add_parser("higgs")
-    sp.add_argument("which", choices=("phi_p", "phi_0", "phi_1", "phi_inf"))
-    sp.add_argument("--p", default="2")
+    sp.add_argument("which", choices=TOY_FIELDS)
+    sp.add_argument("--p", type=fraction, default="2")
     sp.add_argument("--emit", help="write a family JSON skeleton here")
     sp.set_defaults(fn=_cmd_toy_higgs)
     sp = tsub.add_parser("cone")
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--rho", required=True)
+    sp.add_argument("--p", type=fraction, default="2")
+    sp.add_argument("--rho", type=weights, required=True)
     sp.add_argument("--emit")
     sp.set_defaults(fn=_cmd_toy_cone)
     sp = tsub.add_parser("pdeg")
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--degrees", default="0,-1")
+    sp.add_argument("--rho", type=weights, required=True)
+    sp.add_argument("--degrees", type=int_list, default="0,-1")
     sp.set_defaults(fn=_cmd_toy_pdeg)
     sp = tsub.add_parser("residues")
-    sp.add_argument("which", choices=("phi_p", "phi_0", "phi_1", "phi_inf"))
-    sp.add_argument("--p", default="2")
+    sp.add_argument("which", choices=TOY_FIELDS)
+    sp.add_argument("--p", type=fraction, default="2")
     sp.set_defaults(fn=_cmd_toy_residues)
 
     return parser
@@ -496,12 +480,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except BUDGET_ERRORS as exc:
+    except (NilwkbError, ValueError, OSError, ZeroDivisionError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (NilwkbError, ValueError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,14 @@ from .algebra import (
     BiRationalFunction,
     GaussianRational,
     RationalFunctionMatrix,
+    _Frozen,
     radical_divides,
     wedge_bracket,
 )
 from .errors import DimensionMismatch, PoleHit, ZeroScale
 
 
-class MatrixOneForm:
+class MatrixOneForm(_Frozen):
     """Matrix-valued 1-form, split into dz and dzbar components."""
 
     __slots__ = ("dz_part", "dzbar_part")
@@ -34,9 +35,6 @@ class MatrixOneForm:
             raise DimensionMismatch("dz and dzbar parts must share dimensions")
         object.__setattr__(self, "dz_part", dz_part)
         object.__setattr__(self, "dzbar_part", dzbar_part)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MatrixOneForm is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "MatrixOneForm":
@@ -114,6 +112,8 @@ def transform_chart_inverse(form: MatrixOneForm) -> MatrixOneForm:
     return MatrixOneForm(dz, dzbar)
 
 
+# the family's three terms, in order, and the default power of eps on each
+TERM_NAMES = ("phi", "conn", "psi")
 _DEFAULT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1))
 
 
@@ -132,7 +132,7 @@ def _check_poles_declared(forms, punctures) -> None:
         raise PoleHit("entry has a pole away from the declared punctures")
 
 
-class ConnectionFamily:
+class ConnectionFamily(_Frozen):
     """The triple (phi, D = d + conn, psi) with per-term parameter exponents.
 
     Default exponents (-1, 0, +1) give the family eps^-1 phi + D + eps psi.
@@ -153,7 +153,7 @@ class ConnectionFamily:
         punctures: Sequence[GaussianRational] = (),
         exponents: Sequence[Fraction] = _DEFAULT_EXPONENTS,
     ):
-        for name, form in (("phi", phi), ("conn", conn), ("psi", psi)):
+        for name, form in zip(TERM_NAMES, (phi, conn, psi)):
             if form.n != n or form.dz_part.cols != n:
                 raise DimensionMismatch(f"{name} is not {n}x{n}")
         if not phi.dzbar_part.is_zero:
@@ -175,9 +175,6 @@ class ConnectionFamily:
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "exponents", tuple(Fraction(e) for e in exponents))
 
-    def __setattr__(self, *args):
-        raise AttributeError("ConnectionFamily is immutable")
-
     def __eq__(self, other):
         return (
             isinstance(other, ConnectionFamily)
@@ -190,44 +187,27 @@ class ConnectionFamily:
         )
 
     def terms(self):
-        """(name, exponent, form) triples in fixed order."""
-        return (
-            ("phi", self.exponents[0], self.phi),
-            ("conn", self.exponents[1], self.conn),
-            ("psi", self.exponents[2], self.psi),
-        )
+        """(name, exponent, form) triples in TERM_NAMES order."""
+        return tuple((name, e, getattr(self, name)) for name, e in zip(TERM_NAMES, self.exponents))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "rank": self.n,
-            "phi": self.phi.to_json(),
-            "conn": self.conn.to_json(),
-            "psi": self.psi.to_json(),
-            "punctures": [[str(p.re), str(p.im)] for p in self.punctures],
-            "exponents": [
-                [str(self.exponents[0]), "phi"],
-                [str(self.exponents[1]), "conn"],
-                [str(self.exponents[2]), "psi"],
-            ],
+            **{name: form.to_json() for name, _e, form in self.terms()},
+            "punctures": [p.to_json() for p in self.punctures],
+            "exponents": [[str(e), name] for name, e, _form in self.terms()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ConnectionFamily":
         exps = {name: Fraction(e) for e, name in data.get("exponents", [])}
         return cls(
-            n=int(data["rank"]),
-            phi=MatrixOneForm.from_json(data["phi"]),
-            conn=MatrixOneForm.from_json(data["conn"]),
-            psi=MatrixOneForm.from_json(data["psi"]),
+            int(data["rank"]),
+            *(MatrixOneForm.from_json(data[name]) for name in TERM_NAMES),
             punctures=[GaussianRational.from_strings(re, im) for re, im in data.get("punctures", [])],
-            exponents=(
-                exps.get("phi", Fraction(-1)),
-                exps.get("conn", Fraction(0)),
-                exps.get("psi", Fraction(1)),
-            ),
+            exponents=[exps.get(name, e) for name, e in zip(TERM_NAMES, _DEFAULT_EXPONENTS)],
         )
 
     def __repr__(self):
@@ -249,7 +229,6 @@ class FlatnessReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "is_flat": self.is_flat,
             "residuals": {k: v.to_json() for k, v in self.residuals.items()},
         }

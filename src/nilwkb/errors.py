@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the toolkit.
 
-Validation-type errors (bad input, pole hit, dimension mismatch) map to CLI
-exit code 1; numerical-budget errors map to exit code 2.
+Each class carries the CLI exit code it maps to: 1 for validation-type
+errors (bad input, pole hit, dimension mismatch), 2 for numerical-budget
+errors.
 """
 
 
 class NilwkbError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
 
 
 # --- algebra ---------------------------------------------------------------
@@ -56,6 +58,7 @@ class ClearanceViolated(NilwkbError):
 
 class StiffnessBudgetExceeded(NilwkbError):
     """The transport integrator exceeded its step budget."""
+    exit_code = 2
 
 
 class BranchPointOnPath(NilwkbError):
@@ -81,6 +84,7 @@ class NonFiniteSample(NilwkbError):
 
 class HolonomyOverflow(NilwkbError):
     """A transported holonomy or its error estimate exceeds double precision."""
+    exit_code = 2
 
 
 # --- surface ---------------------------------------------------------------
@@ -99,6 +103,7 @@ class NonManifoldCorner(NilwkbError):
 
 class NoRecurrenceWithinBudget(NilwkbError):
     """Leaf tracing exhausted its length budget without recurring near the start."""
+    exit_code = 2
 
 
 class ConnectorNotTransverse(NilwkbError):

@@ -259,7 +259,6 @@ class SecondaryData:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "m": self.m,
             "splitting": list(self.splitting),
             "leading_exponent": str(self.leading_exponent),
@@ -423,7 +422,10 @@ def is_m_cyclic(Phi: MatrixOneForm, profile: GaugeProfile, m: int) -> bool:
 
 
 def k_differentials(Phi: MatrixOneForm, up_to: int) -> List[BiRationalFunction]:
-    """Tr(Phi^k) for k = 2..up_to, as exact coefficients of dz^k."""
+    """Tr(Phi^k) for k = 2..up_to, as exact coefficients of dz^k; up_to
+    below 2 asks for nothing and raises ValueError."""
+    if up_to < 2:
+        raise ValueError(f"up_to must be at least 2, got {up_to}")
     if Phi.dz_part.rows != Phi.dz_part.cols:
         raise DimensionMismatch("k_differentials of a non-square field")
     if not Phi.dzbar_part.is_zero:

@@ -234,7 +234,6 @@ class ParamPath:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "segments": [s.to_json() for s in self.segments],
             "closed": self.closed,
         }
@@ -779,7 +778,6 @@ class WkbFit:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "exponent": str(self.exponent_p),
             "Z": [self.Z.real, self.Z.imag],
             "offset": [self.offset.real, self.offset.imag],

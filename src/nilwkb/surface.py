@@ -33,6 +33,8 @@ EdgeRef = Tuple[int, int]  # (polygon index, edge index)
 
 GLUE_TOL = 1e-12
 VERTEX_TOL = 1e-9
+# the flat-coordinate component a WKB loop must keep positive; the first is the default
+CONVENTIONS = ("imaginary-increasing", "real-increasing")
 
 
 def _is_int(x) -> bool:
@@ -154,7 +156,6 @@ class PolygonSurface:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "polygons": [[[v.real, v.imag] for v in poly] for poly in self.polygons],
             "identifications": [
                 [[a[0], a[1]], [b[0], b[1]], f"{sign:+d}"] for a, b, sign in self.pairs
@@ -196,7 +197,6 @@ class SingularityReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "V": self.V,
             "E": self.E,
             "F": self.F,
@@ -354,26 +354,19 @@ def trace_flow(
         raise ValueError(f"start point {z0} is not finite")
     if not surface.contains(p0, z0):
         raise ValueError(f"start point {z0} is not inside polygon {p0}")
-    d = cmath.exp(1j * theta)
-    state = FlowState(p0, z0, d)
+    origin = state = FlowState(p0, z0, cmath.exp(1j * theta))
     pieces: List[Tuple[int, complex, complex]] = []
     crossings: List[Tuple[EdgeRef, EdgeRef, int]] = []
     traveled = 0.0
-    guard = 0
-    probe = _closure_probe((p0, z0, d), close_tol)
-    while True:
-        guard += 1
-        if guard > 1_000_000:
-            raise NoRecurrenceWithinBudget("flow exceeded the crossing budget")
+    for _ in range(1_000_000):
         s, e, hit = _ray_exit(surface, state.polygon, state.point, state.direction)
         seg_len = s  # |direction| = 1
 
         # events on this piece, earliest along the ray wins
         events = []
-        res = probe(state, hit, traveled)
-        if res is not None:
-            foot, status = res
-            events.append((abs(foot - state.point), foot, status))
+        foot = _closure_foot(origin, state, hit, traveled, close_tol)
+        if foot is not None:
+            events.append((abs(foot - state.point), foot, "ClosedUp"))
         if traveled + seg_len >= max_length:
             cut = state.point + (max_length - traveled) * state.direction
             events.append((max_length - traveled, cut, "MaxLength"))
@@ -398,37 +391,32 @@ def trace_flow(
         new_dir = ident.sign * state.direction
         crossings.append((ident.a, ident.b, ident.sign))
         state = FlowState(ident.b[0], new_point, new_dir)
+    raise NoRecurrenceWithinBudget("flow exceeded the crossing budget")
 
 
-def _closure_probe(start, close_tol):
-    """Flow event hook: ClosedUp once a piece passes within close_tol of the
-    start point while heading in the start direction.
+def _closure_foot(origin: FlowState, state: FlowState, hit: complex, traveled: float, close_tol: float):
+    """The point where the piece from state.point to hit closes the flow
+    started at origin, or None: it must pass within close_tol of the start
+    point, heading in the start direction, after 10 * close_tol of travel.
 
     A gluing maps a direction d to exactly sign*d with sign = +1 or -1, so
-    every piece heads in exactly +d0 or -d0 and the direction test is exact.
+    every piece heads in exactly plus or minus the start direction and the
+    direction test is exact.
     """
-    p0, z0, d0 = start
-
-    def probe(state: FlowState, hit: complex, traveled: float):
-        if state.polygon != p0:
-            return None
-        if state.direction != d0:
-            return None
-        seg = hit - state.point
-        L2 = abs(seg) ** 2
-        if L2 == 0:
-            return None
-        t = ((z0 - state.point) * seg.conjugate()).real / L2
-        if t < 0 or t > 1:
-            return None
-        foot = state.point + t * seg
-        if abs(foot - z0) > close_tol:
-            return None
-        if traveled + abs(foot - state.point) < 10 * close_tol:
-            return None
-        return foot, "ClosedUp"
-
-    return probe
+    z0 = origin.point
+    if state.polygon != origin.polygon or state.direction != origin.direction:
+        return None
+    seg = hit - state.point
+    L2 = abs(seg) ** 2
+    if L2 == 0:
+        return None
+    t = ((z0 - state.point) * seg.conjugate()).real / L2
+    if t < 0 or t > 1:
+        return None
+    foot = state.point + t * seg
+    if abs(foot - z0) > close_tol or traveled + abs(foot - state.point) < 10 * close_tol:
+        return None
+    return foot
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +446,6 @@ class WkbLoop:
             p, a, b = self.connector
             conn = {"polygon": p, "from": [a.real, a.imag], "to": [b.real, b.imag]}
         return {
-            "schema": "nilwkb/1",
             "theta": self.trajectory.theta,
             "pieces": [
                 {"polygon": p, "from": [a.real, a.imag], "to": [b.real, b.imag]}
@@ -474,7 +461,7 @@ class WkbLoop:
 
 
 def _axis_component(d: complex, convention: str) -> float:
-    return d.imag if convention == "imaginary-increasing" else d.real
+    return d.imag if convention == CONVENTIONS[0] else d.real
 
 
 def find_wkb_loop(
@@ -482,7 +469,7 @@ def find_wkb_loop(
     start: Tuple[int, complex],
     theta_seed: float,
     max_length: float = 400.0,
-    convention: str = "imaginary-increasing",
+    convention: str = CONVENTIONS[0],
 ) -> WkbLoop:
     """Trace the leaf at theta_seed until it recurs near the start, then close it.
 
@@ -493,8 +480,8 @@ def find_wkb_loop(
     local piece direction (connector included) to be strictly positive; the
     margin is the worst such component per unit length.
     """
-    if convention not in ("imaginary-increasing", "real-increasing"):
-        raise ValueError("convention is imaginary-increasing or real-increasing")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention is {' or '.join(CONVENTIONS)}")
     p0, z0 = start[0], complex(start[1])
     traj = trace_flow(surface, start, theta_seed, max_length, close_tol=0.01 * surface.min_edge_length())
     if traj.terminated == "ConePoint":

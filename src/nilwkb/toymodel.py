@@ -53,7 +53,6 @@ class WeightInequalityReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "nilwkb/1",
             "permutation_bounds": {
                 "pass": self.permutation_bounds_ok,
                 "violations": [list(v) for v in self.permutation_violations],
@@ -135,8 +134,8 @@ class FlagConfig:
 
     def to_json(self) -> dict:
         return {
-            "p": [str(self.p.re), str(self.p.im)],
-            "lines": [[[str(a.re), str(a.im)], [str(b.re), str(b.im)]] for a, b in self.lines],
+            "p": self.p.to_json(),
+            "lines": [[a.to_json(), b.to_json()] for a, b in self.lines],
             "w": self.w,
         }
 
@@ -176,6 +175,17 @@ def _sites(p) -> Dict[str, tuple]:
     }
 
 
+_Z, _ONE, _ZERO = BRF.z(), BRF.one(), BRF.zero()
+# each toy field's polynomial matrix and its residue sites
+_FIELDS = {
+    "phi_p": ([[_Z, -(_Z * _Z)], [_ONE, -_Z]], ("0", "1", "inf", "p")),
+    "phi_0": ([[_ZERO, _ZERO], [_ONE, _ZERO]], ("0", "p")),
+    "phi_1": ([[_ONE, -_ONE], [_ONE, -_ONE]], ("1", "p")),
+    "phi_inf": ([[_ZERO, _ONE], [_ZERO, _ZERO]], ("inf", "p")),
+}
+TOY_FIELDS = tuple(_FIELDS)
+
+
 def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     """Construct one of the four explicit fields; all invariants are verified
     exactly at construction time.
@@ -184,16 +194,9 @@ def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     finite residue sites a; the fourth flag sits at w's flag line.
     """
     sites = _sites(p)
-    z, one, zero = BRF.z(), BRF.one(), BRF.zero()
-    fields = {
-        "phi_p": ([[z, -(z * z)], [one, -z]], ("0", "1", "inf", "p")),
-        "phi_0": ([[zero, zero], [one, zero]], ("0", "p")),
-        "phi_1": ([[one, -one], [one, -one]], ("1", "p")),
-        "phi_inf": ([[zero, one], [zero, zero]], ("inf", "p")),
-    }
-    if which not in fields:
-        raise ValueError(f"unknown toy field {which!r}; use phi_p, phi_0, phi_1, phi_inf")
-    grid, poles = fields[which]
+    if which not in _FIELDS:
+        raise ValueError(f"unknown toy field {which!r}; use {', '.join(TOY_FIELDS)}")
+    grid, poles = _FIELDS[which]
     w = which[len("phi_"):]
     finite_poles = tuple(sites[s][0] for s in poles if s != "inf")
     field = ToyHiggsField(
@@ -343,4 +346,4 @@ def nilpotent_cone_graph(p, weights: ParabolicWeights) -> dict:
         nodes.append({"id": lim, "kind": "limit", "label": limit_label, "vhs": True})
         edges.append(["center", fam])
         edges.append([fam, lim])
-    return {"schema": "nilwkb/1", "nodes": nodes, "edges": edges}
+    return {"nodes": nodes, "edges": edges}
