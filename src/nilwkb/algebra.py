@@ -1,8 +1,9 @@
 """Exact scalar, polynomial, rational-function and matrix arithmetic.
 
-Coefficients are Gaussian rationals (pairs of ``fractions.Fraction``), so every
-identity checked on catalog objects (nilpotency, flatness, residue conditions)
-is exact rather than tolerance-dependent.  The antiholomorphic coordinate is a
+Coefficients are Gaussian rationals, each held as an integer triple
+``(a + b i) / d`` in lowest terms, so every identity checked on catalog objects
+(nilpotency, flatness, residue conditions) is exact rather than
+tolerance-dependent.  The antiholomorphic coordinate is a
 second formal variable ``zbar``; conjugation becomes a substitution at
 evaluation time, which keeps unitary-frame connection terms such as
 ``dz/z - dzbar/zbar`` rational.
@@ -27,10 +28,11 @@ transport layer's pullback included, goes through it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping
 
 import sympy
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
 from .errors import DimensionMismatch, PoleHit
 
@@ -62,21 +64,27 @@ class _Frozen:
 
 
 class GaussianRational(_Frozen):
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number ``(a + b i) / d`` stored as three ints.
 
-    __slots__ = ("re", "im")
+    Canonical form: ``d > 0`` and ``gcd(a, b, d) == 1``.  Every value has
+    exactly one representation, so equality compares the three slots.
+    Arithmetic works on the ints and normalises once per result; ``re`` and
+    ``im`` are read-only ``Fraction`` views that no arithmetic builds.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+    __slots__ = ("a", "b", "d")
 
-    @classmethod
-    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        """An arithmetic result whose parts are already Fractions: no coercion."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+    def __new__(cls, re=0, im=0):
+        re, im = _as_fraction(re), _as_fraction(im)
+        return _over_common_den(re.numerator, re.denominator, im.numerator, im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
@@ -103,67 +111,103 @@ class GaussianRational(_Frozen):
 
     def __add__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational._of(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational._of(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
-        return GaussianRational._of(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = GaussianRational.coerce(other)
-        n = other.re * other.re + other.im * other.im
+        a2, b2 = other.a, other.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational._of(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a1, b1, d2 = self.a, self.b, other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational._of(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._of(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     # -- predicates and conversions ------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         try:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is.
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        if not self.im:
+        if not self.b:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
+
+
+# Slot setters that bypass _Frozen.__setattr__; about twice as fast as
+# object.__setattr__ on the arithmetic hot path.
+_SET_A = GaussianRational.a.__set__
+_SET_B = GaussianRational.b.__set__
+_SET_D = GaussianRational.d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d from a triple already in canonical form."""
+    self = object.__new__(GaussianRational)
+    _SET_A(self, a)
+    _SET_B(self, b)
+    _SET_D(self, d)
+    return self
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0: divides out gcd(a, b, d), skipped when d == 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _triple(a, b, d)
+
+
+def _over_common_den(re_num: int, re_den: int, im_num: int, im_den: int) -> GaussianRational:
+    """re_num / re_den + (im_num / im_den) i, for positive denominators."""
+    return _reduced(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 GR_ZERO = GaussianRational(0)
@@ -171,18 +215,12 @@ GR_ONE = GaussianRational(1)
 
 
 def _domain_elt(c: GaussianRational):
-    return QQ_I.new(
-        sympy.Rational(c.re.numerator, c.re.denominator),
-        sympy.Rational(c.im.numerator, c.im.denominator),
-    )
+    return QQ_I.new(QQ(c.a, c.d), QQ(c.b, c.d))
 
 
 def _from_domain_elt(e) -> GaussianRational:
     x, y = e.x, e.y
-    return GaussianRational(
-        Fraction(int(x.numerator), int(x.denominator)),
-        Fraction(int(y.numerator), int(y.denominator)),
-    )
+    return _over_common_den(int(x.numerator), int(x.denominator), int(y.numerator), int(y.denominator))
 
 
 class BiPolynomial(_Frozen):

@@ -93,8 +93,15 @@ def _load_json(path: str, build):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_family(path: str) -> ConnectionFamily:
-    return _load_json(path, ConnectionFamily.from_json)
+def _load_family(source: str) -> ConnectionFamily:
+    """A family JSON file, or ``catalog:<name>``, which builds only that shipped family."""
+    if source.startswith("catalog:"):
+        name = source.split(":", 1)[1]
+        families = catalog_mod.FAMILIES
+        if name not in families:
+            raise ValueError(f"unknown catalog family {name!r}; known: {', '.join(sorted(families))}")
+        return families[name]()
+    return _load_json(source, ConnectionFamily.from_json)
 
 
 def _load_path(path: str) -> ParamPath:
@@ -149,15 +156,7 @@ def _surface_from_args(args) -> PolygonSurface:
 
 
 def _cmd_flatness(args) -> int:
-    if args.family.startswith("catalog:"):
-        name = args.family.split(":", 1)[1]
-        families = catalog_mod.FAMILIES
-        if name not in families:
-            raise ValueError(f"unknown catalog family {name!r}; known: {', '.join(sorted(families))}")
-        family = families[name]()
-    else:
-        family = _load_family(args.family)
-    report = check_flatness(family)
+    report = check_flatness(_load_family(args.family))
     _emit(report.to_json())
     return 0 if report.is_flat else 1
 
@@ -368,53 +367,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
     int_list, weights, fraction = _option(_int_list), _option(ParabolicWeights.parse), _option(Fraction)
+    family_help = "family JSON file, or catalog:<name>"
     # accepted so that existing command lines keep working; nothing reads it
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("flatness", help="exact flatness check; exit 0 iff flat")
-    p.add_argument("family", help="family JSON file, or catalog:<name>")
+    p.add_argument("family", help=family_help)
     p.set_defaults(fn=_cmd_flatness)
 
     p = sub.add_parser("secondary", help="secondary Higgs field and invariant m")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("--blocks", type=int_list, required=True, help="grading block sizes, e.g. 1,1")
     p.set_defaults(fn=_cmd_secondary)
 
     p = sub.add_parser("jordan", help="Jordan type of the leading field")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.set_defaults(fn=_cmd_jordan)
 
     p = sub.add_parser("cyclic", help="cyclic-grading check of the secondary field")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("--blocks", type=int_list, required=True)
     p.set_defaults(fn=_cmd_cyclic)
 
     p = sub.add_parser("kdiff", help="trace powers Tr(Phi^k)")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("--up-to", type=int, default=2, dest="up_to")
     p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
     p.set_defaults(fn=_cmd_kdiff)
 
     p = sub.add_parser("reality", help="determinant-sign reality obstruction")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.set_defaults(fn=_cmd_reality)
 
     p = sub.add_parser("holonomy", help="transport over an eps grid; CSV on stdout")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("path")
     p.add_argument("--eps", type=_option(_parse_eps_grid), required=True, help="start:end:spacing:count")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol", help="finite, in (0, 1e-2]")
     p.set_defaults(fn=_cmd_holonomy)
 
     p = sub.add_parser("period", help="spectral period along a path")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("path")
     p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
     p.set_defaults(fn=_cmd_period)
 
     p = sub.add_parser("wkbcheck", help="WKB-curve predicate and margin")
-    p.add_argument("family")
+    p.add_argument("family", help=family_help)
     p.add_argument("path")
     p.add_argument("--blocks", type=int_list)
     p.set_defaults(fn=_cmd_wkbcheck)

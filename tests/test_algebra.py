@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -277,3 +279,158 @@ def test_scale_by_a_constant_keeps_the_canonical_form(monkeypatch):
             assert _same_terms(RationalFunctionMatrix([[e]]).scale(c).entries[0][0], want)
         assert e.scale(0) is BRF.zero()
         assert RationalFunctionMatrix([[e]]).scale(GaussianRational(0)).entries[0][0] is BRF.zero()
+
+
+# -- integer-triple representation against a two-Fraction reference ----------
+
+
+class _PairReference:
+    """The arithmetic of a Gaussian rational kept as two Fractions (re, im)."""
+
+    def __init__(self, re, im=Fraction(0)):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, x):
+        if isinstance(x, complex):
+            return cls(int(x.real), int(x.imag))
+        return cls(x)
+
+    def add(self, o):
+        return _PairReference(self.re + o.re, self.im + o.im)
+
+    def sub(self, o):
+        return _PairReference(self.re - o.re, self.im - o.im)
+
+    def mul(self, o):
+        return _PairReference(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def div(self, o):
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return _PairReference((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+
+    def repr(self):
+        return f"GaussianRational({self.re})" if not self.im else f"GaussianRational({self.re}, {self.im})"
+
+    def to_complex(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+
+def _random_part(rng: random.Random, den=None) -> Fraction:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), den or rng.randint(1, 12))
+    return Fraction(rng.randint(-(10**40), 10**40), den or rng.randint(1, 10**rng.randint(1, 40)))
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _assert_matches(g: GaussianRational, ref: _PairReference):
+    assert (g.re, g.im) == (ref.re, ref.im)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert repr(g) == ref.repr()
+    assert g.to_json() == [str(ref.re), str(ref.im)]
+    assert hash(g) == hash((ref.re, ref.im))
+    assert _bits(g.to_complex()) == _bits(ref.to_complex())
+    assert bool(g) == bool(ref.re or ref.im)
+    # one triple per value: canonical, so equal values have equal slots
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    twin = GaussianRational.from_strings(*g.to_json())
+    assert (twin.a, twin.b, twin.d) == (g.a, g.b, g.d) and twin == g
+
+
+def test_integer_triples_match_the_fraction_pair_reference():
+    rng = random.Random(2101)
+    binary = (
+        ("add", lambda x, y: x + y),
+        ("sub", lambda x, y: x - y),
+        ("mul", lambda x, y: x * y),
+        ("div", lambda x, y: x / y),
+    )
+    for _ in range(2000):
+        shared = rng.choice([None, None, rng.randint(1, 10**rng.randint(1, 40))])
+        r1, i1 = _random_part(rng, shared), _random_part(rng, shared)
+        g, ref = GaussianRational(r1, i1), _PairReference(r1, i1)
+        _assert_matches(g, ref)
+        _assert_matches(-g, _PairReference(-r1, -i1))
+        _assert_matches(g.conjugate(), _PairReference(r1, -i1))
+        kind = rng.randrange(4)
+        if kind == 0:
+            r2, i2 = _random_part(rng, shared), _random_part(rng, shared)
+            other, oref = GaussianRational(r2, i2), _PairReference(r2, i2)
+        elif kind == 1:
+            other = rng.randint(-(10**40), 10**40) if rng.random() < 0.5 else rng.randint(-3, 3)
+            oref = _PairReference.of(other)
+        elif kind == 2:
+            other = _random_part(rng)
+            oref = _PairReference.of(other)
+        else:
+            other = complex(rng.randint(-9, 9), rng.randint(-9, 9))
+            oref = _PairReference.of(other)
+        assert (g == other) == (ref.re == oref.re and ref.im == oref.im)
+        assert g == GaussianRational(r1, i1) and g == g * 1
+        for name, op in binary:
+            for x, y, rx, ry in ((g, other, ref, oref), (other, g, oref, ref)):
+                try:
+                    want = getattr(rx, name)(ry)
+                except ZeroDivisionError as exc:
+                    with pytest.raises(ZeroDivisionError, match=str(exc)):
+                        op(x, y)
+                    continue
+                _assert_matches(op(x, y), want)
+
+
+def test_integer_triples_refuse_what_the_fraction_pairs_refused():
+    g = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
+    for zero in (0, Fraction(0), 0j, GaussianRational(0), GaussianRational(Fraction(0), 0)):
+        with pytest.raises(ZeroDivisionError, match="division by zero GaussianRational"):
+            g / zero
+    with pytest.raises(ZeroDivisionError, match="division by zero GaussianRational"):
+        1 / GaussianRational(0)
+    for bad in (0.5, complex(0.5, 1), complex(1, -2.25)):
+        for attempt in (
+            lambda: GaussianRational.coerce(bad),
+            lambda: g + bad,
+            lambda: bad * g,
+            lambda: g / bad,
+        ):
+            with pytest.raises(TypeError, match="non-integral float"):
+                attempt()
+        assert (g == bad) is False and (g != bad) is True
+    with pytest.raises(TypeError, match="non-integral float"):
+        GaussianRational(0.5)
+    for bad in ("abc", "inf", "nan", "1.5e", None):
+        with pytest.raises(ValueError, match="not an exact Gaussian rational"):
+            GaussianRational.from_strings(bad, "1/2")
+    assert GaussianRational.from_strings("-6/4", "0.5") == GaussianRational(Fraction(-3, 2), Fraction(1, 2))
+    assert GaussianRational.coerce(complex(2, -3)) == GaussianRational(2, -3) == complex(2, -3)
+
+
+def test_exact_hot_paths_read_no_fraction_parts(monkeypatch):
+    # flatness and the transport pullback work on the integer triples alone:
+    # reading re or im builds a Fraction, with its own gcd, per call
+    from nilwkb.catalog import catalog, nilpotent_sl2
+    from nilwkb.connection import check_flatness
+    from nilwkb.holonomy import ParamPath, transport
+
+    families = catalog()
+    sl2 = nilpotent_sl2()
+    reads = []
+    for name in ("re", "im"):
+        part = getattr(GaussianRational, name).fget
+        monkeypatch.setattr(GaussianRational, name, property(lambda self, part=part: reads.append(1) or part(self)))
+    assert GaussianRational(Fraction(1, 2)).re == Fraction(1, 2) and reads == [1]
+    reads.clear()
+    for name, family in families.items():
+        assert check_flatness(family).is_flat, name
+    sample = transport(sl2, ParamPath.segment(0, 1), 0.3)
+    assert math.isfinite(sample.trace.real)
+    assert reads == []

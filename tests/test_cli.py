@@ -252,6 +252,44 @@ def test_unknown_catalog_name_exits_1(capsys):
     assert "'nope'" in err["message"] and "nilpotent_sl2" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("nilpotent_sl2", ["secondary", "{family}", "--blocks", "1,1"]),
+        ("nilpotent_sl3", ["jordan", "{family}"]),
+        ("nilpotent_sl2", ["holonomy", "{family}", "{segment}", "--eps", "0.5:0.25:geometric:2"]),
+    ],
+)
+def test_catalog_name_works_for_every_family_argument(name, command, segment_file, tmp_path, capsys):
+    # catalog:<name> prints the bytes of the same family read from its file
+    from nilwkb import catalog as catalog_mod
+
+    family_file = tmp_path / f"{name}.json"
+    family_file.write_text(json.dumps(catalog_mod.FAMILIES[name]().to_json()))
+    outputs = []
+    for family in (str(family_file), f"catalog:{name}"):
+        assert main([arg.format(family=family, segment=segment_file) for arg in command]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["jordan", "catalog:nope"],
+        ["secondary", "catalog:nope", "--blocks", "1,1"],
+        ["period", "catalog:nope", "{segment}", "--blocks", "1,1"],
+    ],
+)
+def test_unknown_catalog_name_exits_1_for_every_family_argument(command, segment_file, capsys):
+    assert main([arg.format(segment=segment_file) for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "'nope'" in err["message"] and "nilpotent_sl2" in err["message"] and "trivial" in err["message"]
+
+
 def test_holonomy_csv_carries_cost_counters(family_file, tmp_path, capsys):
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps(ParamPath.circle().to_json()))
