@@ -18,6 +18,12 @@ Zero is the identity of rational-function arithmetic here and nowhere else:
 with a zero factor returns the zero singleton, all without normalising.
 Every instance is canonical, so these are the normalised results, down to
 the insertion order of their terms; callers need no zero guards of their own.
+Two known zeros are skipped where they arise.  A matrix product sums, in
+ascending ``k``, only the products whose two factors are both nonzero: the
+skipped products would each have added zero, so every entry is the same sum
+in the same order.  The derivative of an entry whose numerator and
+denominator are both free of the variable is the zero singleton, the value
+the quotient rule would normalise to.
 
 Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
 place where coefficients become floats and near-poles raise ``PoleHit``.
@@ -100,7 +106,7 @@ class GaussianRational(_Frozen):
         ValueError naming the pair."""
         try:
             return cls(Fraction(re), Fraction(im))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValueError(f"not an exact Gaussian rational: ({re!r}, {im!r})") from None
 
     def to_json(self) -> list:
@@ -514,12 +520,16 @@ class BiRationalFunction(_Frozen):
     # -- calculus ---------------------------------------------------------------------
 
     def derivative_z(self) -> "BiRationalFunction":
+        if self.num.degree()[0] <= 0 and self.den.degree()[0] <= 0:
+            return _BRF_ZERO
         return BiRationalFunction(
             self.num.derivative_z() * self.den - self.num * self.den.derivative_z(),
             self.den * self.den,
         )
 
     def derivative_zbar(self) -> "BiRationalFunction":
+        if self.num.degree()[1] <= 0 and self.den.degree()[1] <= 0:
+            return _BRF_ZERO
         return BiRationalFunction(
             self.num.derivative_zbar() * self.den - self.num * self.den.derivative_zbar(),
             self.den * self.den,
@@ -619,6 +629,16 @@ class RationalFunctionMatrix(_Frozen):
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "RationalFunctionMatrix":
+        """An arithmetic result, a non-empty tuple of equal-length tuples of
+        BiRationalFunctions: stored without the constructor's checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]))
+        return self
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -645,29 +665,34 @@ class RationalFunctionMatrix(_Frozen):
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return RationalFunctionMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return RationalFunctionMatrix._of(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return RationalFunctionMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        return RationalFunctionMatrix._of(
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
         )
 
     def __matmul__(self, other):
+        """Each entry sums, in ascending k, the products whose factors are both nonzero."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
+        cols = [{k: b for k, b in enumerate(col) if b} for col in zip(*other.entries)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = BiRationalFunction.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RationalFunctionMatrix(out)
+        for row in rows:
+            out_row = []
+            for col in cols:
+                acc = _BRF_ZERO
+                for k, a in row:
+                    b = col.get(k)
+                    if b is not None:
+                        acc = acc + a * b
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return RationalFunctionMatrix._of(tuple(out))
 
     def scale(self, f) -> "RationalFunctionMatrix":
         """Every entry times f, a rational function or a constant."""
@@ -693,7 +718,8 @@ class RationalFunctionMatrix(_Frozen):
         return acc
 
     def map_entries(self, fn) -> "RationalFunctionMatrix":
-        return RationalFunctionMatrix([[fn(e) for e in row] for row in self.entries])
+        """fn, from a BiRationalFunction to a BiRationalFunction, on every entry."""
+        return RationalFunctionMatrix._of(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
     def derivative_z(self):
         return self.map_entries(lambda e: e.derivative_z())

@@ -17,7 +17,7 @@ from nilwkb.algebra import (
     wedge_bracket,
 )
 from nilwkb.connection import MatrixOneForm
-from nilwkb.errors import PoleHit
+from nilwkb.errors import DimensionMismatch, PoleHit
 
 
 def test_gaussian_rational_field_ops():
@@ -434,3 +434,139 @@ def test_exact_hot_paths_read_no_fraction_parts(monkeypatch):
     sample = transport(sl2, ParamPath.segment(0, 1), 0.3)
     assert math.isfinite(sample.trace.real)
     assert reads == []
+
+
+# -- fast paths against the dense rules they replace -------------------------
+
+
+def _terms_in_order(matrix):
+    """Each entry's numerator and denominator terms in insertion order: the
+    order compiled() sums them in, which neither == nor to_json() sees."""
+    return [[(list(e.num.terms.items()), list(e.den.terms.items())) for e in row] for row in matrix.entries]
+
+
+def _same_matrix(got, want):
+    assert got == want
+    assert got.to_json() == want.to_json()
+    assert _terms_in_order(got) == _terms_in_order(want)
+
+
+def _dense_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = BRF.zero()
+            for k in range(a.cols):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return RationalFunctionMatrix(out)
+
+
+def _dense_entrywise(a, b, op):
+    return RationalFunctionMatrix([[op(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)])
+
+
+def _quotient_rule(e, d):
+    """d/dz or d/dzbar of one entry as (num' den - num den') / den^2, with no shortcut."""
+    diff = (lambda p: p.derivative_z()) if d == "z" else (lambda p: p.derivative_zbar())
+    return BRF(diff(e.num) * e.den - e.num * diff(e.den), e.den * e.den)
+
+
+def _entry_pool(rng):
+    """Zeros, constants, and z-only, zbar-only and mixed rational functions.
+
+    Most denominators are monomials, whose gcds are exponent arithmetic; one
+    function of each kind has a two-term denominator, normalised by sympy."""
+    c = lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)) or GaussianRational(1)
+    mono = lambda i, j: BiPolynomial.monomial(i, j, c())
+    z, zb, one = BiPolynomial.z(), BiPolynomial.zbar(), BiPolynomial.constant(1)
+    pool = [BRF.zero()] * 6 + [BRF.constant(c()) for _ in range(3)]
+    for _ in range(3):
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        pool.append(BRF(mono(i, 0) + mono(0, 0), BiPolynomial.monomial(rng.randint(0, 2), 0)))
+        pool.append(BRF(mono(0, j) + mono(0, 0), BiPolynomial.monomial(0, rng.randint(0, 2))))
+        pool.append(BRF(mono(i, j) + mono(1, 0) + mono(0, 1), BiPolynomial.monomial(rng.randint(0, 1), rng.randint(0, 1))))
+    pool.append(BRF(one, z - BiPolynomial.constant(c())))
+    pool.append(BRF(mono(0, 1), zb - BiPolynomial.constant(c())))
+    pool.append(BRF(mono(1, 0), z * zb - BiPolynomial.constant(c())))
+    return pool
+
+
+def test_sparse_product_and_derivative_rule_match_the_dense_rules():
+    rng = random.Random(2201)
+    pool = _entry_pool(rng)
+    matrix = lambda r, c: RationalFunctionMatrix([[rng.choice(pool) for _ in range(c)] for _ in range(r)])
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 3) for _ in range(3))
+        a, b, a2 = matrix(n, k), matrix(k, m), matrix(n, k)
+        _same_matrix(a @ b, _dense_matmul(a, b))
+        _same_matrix(a + a2, _dense_entrywise(a, a2, lambda x, y: x + y))
+        _same_matrix(a - a2, _dense_entrywise(a, a2, lambda x, y: x - y))
+        for d in ("z", "zbar"):
+            got = a.derivative_z() if d == "z" else a.derivative_zbar()
+            _same_matrix(got, RationalFunctionMatrix([[_quotient_rule(e, d) for e in row] for row in a.entries]))
+        f = rng.choice(pool)
+        _same_matrix(a.map_entries(lambda e: e * f), RationalFunctionMatrix([[e * f for e in row] for row in a.entries]))
+
+
+def test_public_matrix_constructor_keeps_its_checks():
+    one = BRF.one()
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        RationalFunctionMatrix([[one, one], [one]])
+    with pytest.raises(DimensionMismatch, match="empty"):
+        RationalFunctionMatrix([])
+    with pytest.raises(DimensionMismatch, match="empty"):
+        RationalFunctionMatrix([[]])
+    with pytest.raises(TypeError, match="BiRationalFunction"):
+        RationalFunctionMatrix([[one, 1]])
+    with pytest.raises(TypeError, match="BiRationalFunction"):
+        RationalFunctionMatrix([[one], [GaussianRational(1)]])
+
+
+def test_flatness_multiplies_no_zero_and_differentiates_no_variable_free_entry(monkeypatch):
+    # the sparse product and the derivative rule skip work whose result is known
+    # to be zero; a later edit that brings the dense work back fails here
+    from nilwkb.catalog import catalog
+    from nilwkb.connection import check_flatness
+
+    families = catalog()
+    zero_products, free_normalizations, in_free_derivative = [], [], []
+    mul, normalize = BRF.__mul__, BRF._normalize
+
+    def counting_mul(self, other):
+        if self.is_zero or other.is_zero:
+            zero_products.append((self, other))
+        return mul(self, other)
+
+    def counting_normalize(num, den):
+        if in_free_derivative:
+            free_normalizations.append((num, den))
+        return normalize(num, den)
+
+    def watched(name, axis):
+        derivative = getattr(BRF, name)
+
+        def run(self):
+            if self.num.degree()[axis] > 0 or self.den.degree()[axis] > 0:
+                return derivative(self)
+            in_free_derivative.append(self)
+            try:
+                return derivative(self)
+            finally:
+                in_free_derivative.pop()
+
+        return run
+
+    monkeypatch.setattr(BRF, "__mul__", counting_mul)
+    monkeypatch.setattr(BRF, "_normalize", staticmethod(counting_normalize))
+    monkeypatch.setattr(BRF, "derivative_z", watched("derivative_z", 0))
+    monkeypatch.setattr(BRF, "derivative_zbar", watched("derivative_zbar", 1))
+    for name, family in families.items():
+        assert check_flatness(family).is_flat, name
+    assert zero_products == []
+    assert free_normalizations == []
+    BRF.zero() * BRF.z()
+    assert len(zero_products) == 1  # the counter sees what it counts
+

@@ -178,6 +178,20 @@ def _psi_not_traceless(d):
     d["psi"]["dzbar"] = [[ONE, ZERO], [ZERO, ZERO]]
 
 
+def _coefficient_over_zero(d):
+    d["phi"]["dz"][0][1]["num"] = [[0, 0, "1/0", "0"]]
+
+
+def _conn_dzbar_over(den):
+    def mutate(d):
+        d["conn"]["dzbar"][0][1] = {"num": [[0, 0, "1", "0"]], "den": den}
+
+    return mutate
+
+
+FOREIGN_POLE = "pole away from the declared punctures"
+
+
 @pytest.mark.parametrize(
     "mutate, error, named",
     [
@@ -185,8 +199,21 @@ def _psi_not_traceless(d):
         (_ragged_dz, "DimensionMismatch", "ragged"),
         (_psi_with_a_dz_part, "DimensionMismatch", "psi must be a (0,1)-form"),
         (_psi_not_traceless, "ValueError", "psi must be exactly traceless"),
+        (_coefficient_over_zero, "ValueError", "('1/0', '0')"),
+        (_conn_dzbar_over([[0, 1, "1", "0"], [0, 0, "-5", "0"]]), "PoleHit", FOREIGN_POLE),
+        (_conn_dzbar_over([[1, 1, "1", "0"], [0, 0, "-1", "0"]]), "PoleHit", FOREIGN_POLE),
+        (_conn_dzbar_over([[1, 1, "1", "0"], [1, 0, "-2", "0"], [0, 1, "-3", "0"], [0, 0, "6", "0"]]), "PoleHit", FOREIGN_POLE),
     ],
-    ids=["empty-dz", "ragged-dz", "psi-dz-part", "psi-trace"],
+    ids=[
+        "empty-dz",
+        "ragged-dz",
+        "psi-dz-part",
+        "psi-trace",
+        "coefficient-over-zero",
+        "pole-in-zbar",
+        "pole-on-irreducible-mixed",
+        "pole-on-mixed-product",
+    ],
 )
 def test_refused_family_file_is_named(tmp_path, mutate, error, named, capsys):
     data = nilpotent_sl2().to_json()

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from nilwkb.algebra import (
+    BiPolynomial,
     BiRationalFunction as BRF,
     GaussianRational,
     RationalFunctionMatrix,
+    radical_divides,
 )
 from nilwkb.catalog import FAMILIES, catalog, nilpotent_sl2
 from nilwkb.connection import (
@@ -18,7 +21,7 @@ from nilwkb.connection import (
     scale_orbit,
     transform_chart_inverse,
 )
-from nilwkb.errors import DimensionMismatch, ZeroScale
+from nilwkb.errors import DimensionMismatch, PoleHit, ZeroScale
 
 E12 = RationalFunctionMatrix.from_scalars([[0, 1], [0, 0]])
 E21 = RationalFunctionMatrix.from_scalars([[0, 0], [1, 0]])
@@ -251,3 +254,86 @@ def test_nonzero_entries_walk_row_major_over_either_part():
         (2, 2, c(5), c(7)),
     ]
     assert list(MatrixOneForm.zero(3).nonzero_entries()) == []
+
+
+def _product(factors):
+    out = BiPolynomial.constant(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _in_corner(entry, n=2):
+    rows = [[BRF.zero()] * n for _ in range(n)]
+    rows[0][n - 1] = entry
+    return RationalFunctionMatrix(rows)
+
+
+def test_pole_locus_split_by_variable_gives_the_joint_verdict(monkeypatch):
+    # a denominator in z alone is tested against prod (z - p), one in zbar alone
+    # against prod (zbar - conj p); the verdict, and the number of sympy gcds
+    # taken, must be those of the joint locus prod (z - p)(zbar - conj p)
+    import nilwkb.connection as connection
+
+    gcd_calls = []
+    gcd = sympy.Poly.gcd
+    monkeypatch.setattr(sympy.Poly, "gcd", lambda a, b: gcd_calls.append(1) or gcd(a, b))
+    z, zb, const = BiPolynomial.z(), BiPolynomial.zbar(), BiPolynomial.constant
+    points = [
+        GaussianRational(0),
+        GaussianRational(1),
+        GaussianRational(-2, 1),
+        GaussianRational(0, 1),
+        GaussianRational(Fraction(1, 2), -3),
+    ]
+    factor = {
+        "z": lambda p: z - const(p),
+        "zbar": lambda p: zb - const(p.conjugate()),
+        "z zbar": lambda p: z * zb - const(p * p.conjugate() + 1),  # irreducible, never declared
+    }
+    rng = random.Random(2202)
+    seen = set()
+    for _ in range(80):
+        punctures = rng.sample(points, rng.randint(1, 3))
+        kinds = rng.sample(["z", "z", "zbar", "zbar", "z zbar"], rng.randint(1, 3))
+        near = lambda: rng.choice(punctures if rng.random() < 0.7 else points)
+        den = _product(factor[kind](near()) for kind in kinds for _ in range(rng.randint(1, 2)))
+        entry = BRF(BiPolynomial.constant(1), den)
+        joint = _product(factor[kind](p) for p in punctures for kind in ("z", "zbar"))
+        gcd_calls.clear()
+        expected = radical_divides(entry.den, joint)
+        joint_gcds = len(gcd_calls)
+        gcd_calls.clear()
+        try:
+            connection._check_poles_declared([MatrixOneForm.from_dz(_in_corner(entry))], punctures)
+            declared = True
+        except PoleHit:
+            declared = False
+        assert declared == expected, (entry, punctures)
+        assert len(gcd_calls) == joint_gcds, (entry, punctures)
+        deg_z, deg_zbar = entry.den.degree()
+        seen.add(("z" if deg_zbar == 0 else "zbar" if deg_z == 0 else "mixed", declared))
+    assert seen == {(kind, verdict) for kind in ("z", "zbar", "mixed") for verdict in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "den, declared",
+    [
+        (lambda z, zb, c: z - c(3), False),
+        (lambda z, zb, c: zb - c(GaussianRational(0, 2)), False),
+        (lambda z, zb, c: (z - c(1)) * (zb - c(3)), False),
+        (lambda z, zb, c: z * zb - c(1), False),
+        (lambda z, zb, c: (z - c(GaussianRational(0, 1))) * (z - c(GaussianRational(0, 1))), True),
+        (lambda z, zb, c: (zb - c(GaussianRational(0, -1))) * zb, True),
+        (lambda z, zb, c: (z - c(GaussianRational(0, 1))) * zb * zb, True),
+    ],
+    ids=["z-foreign", "zbar-foreign", "mixed-foreign-zbar", "mixed-irreducible", "z-squared", "zbar-at-0-and-i", "mixed-declared"],
+)
+def test_family_refuses_each_kind_of_foreign_pole(den, declared):
+    entry = BRF(BiPolynomial.constant(1), den(BiPolynomial.z(), BiPolynomial.zbar(), BiPolynomial.constant))
+    punctures = [GaussianRational(0), GaussianRational(0, 1), GaussianRational(1)]
+    if declared:
+        assert _family(conn_dz=_in_corner(entry), punctures=punctures).punctures == tuple(punctures)
+    else:
+        with pytest.raises(PoleHit):
+            _family(conn_dz=_in_corner(entry), punctures=punctures)
