@@ -5,7 +5,8 @@ Every JSON object the CLI writes goes through one writer, which adds the
 are byte-identical.  Option values are parsed by the parser, so a refusal
 names its option.  A failure exits with its error class's exit_code (1 for
 invalid input, argparse's refusals of a command line included; 2 for a
-numerical budget), with a machine-readable error object on stderr.
+numerical budget), with a machine-readable error object on stderr.  A
+warning (period's NotWkbCurve) is one stamped JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -217,7 +219,12 @@ def _cmd_holonomy(args) -> int:
 
 def _cmd_period(args) -> int:
     family, gamma = _load_family(args.family), _load_path(args.path)
-    Z = period(_field(args, family), gamma)
+    with warnings.catch_warnings(record=True) as caught:
+        Z = period(_field(args, family), gamma)
+    # each warning the filters let through as one stamped line on stderr, with its own fields
+    # (a NotWkbCurve's margin), not in Python's format, which names a source file and line
+    for w in caught:
+        print(_stamped({"warning": str(w.message), **vars(w.message)}), file=sys.stderr)
     _emit({"Z": [Z.real, Z.imag]})
     return 0
 

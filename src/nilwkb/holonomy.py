@@ -2,16 +2,19 @@
 
 Paths are piecewise lines/arcs parametrized proportionally to arc length.
 Transport carries the flat-section system S'(t) = -M(t) S(t) for a whole eps
-grid as one stacked (B, n, n) system, segment by segment; a single transport
-is the one-member grid.  Whether a segment's pulled-back term matrices depend
+grid, a (B, n, n) stack, segment by segment; a single transport is the
+one-member grid.  The K term matrices of M = sum_k eps^x_k M_k are pulled
+back side by side, as one (n, K*n) block.  Whether a segment's block depends
 on t is decided once: a z-independent family on a line segment has constant
 M there, and S is multiplied by the closed form expm(-M dt) (scaling and
 squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
-pair (DOP853), all members sharing one step count; a solve that fails on
-an overflowed double raises HolonomyOverflow.  est_error compares a
-second run at a hundredfold tighter tolerance (only where DOP853 runs: the
-exponentials do not depend on it), plus the roundoff the steps and the
-exponentials can accumulate, so it bounds each reported matrix.
+pair (DOP853) on the grid laid side by side, one (n, B*n) state, so that a
+right-hand side is one 2-D product; all members share one step count, and
+a solve that fails on an overflowed double raises HolonomyOverflow.
+est_error compares a second run at a hundredfold tighter tolerance (only
+where DOP853 runs: the exponentials do not depend on it), plus the roundoff
+the steps and the exponentials can accumulate, so it bounds each reported
+matrix.
 Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
 stays below est_error; beyond, the determinant of the stored double-precision
 matrix is dominated by representation roundoff.
@@ -53,6 +56,7 @@ from .errors import (
     InsufficientSamples,
     NonDecayingSequence,
     NonFiniteSample,
+    NotWkbCurve,
     StiffnessBudgetExceeded,
     TieAtStart,
 )
@@ -290,15 +294,17 @@ def _constant_segments(forms: Sequence[MatrixOneForm], gamma: ParamPath) -> List
 
 
 def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Callable[[complex, complex], np.ndarray]:
-    """(z, v) -> the (K, n*n) term matrices P(z) v + Q(z) conj(v), row k for
-    form k = P dz + Q dzbar, flattened row-major.  Each nonzero entry is
-    compiled once and evaluated on Python scalars."""
+    """(z, v) -> the K term matrices P(z) v + Q(z) conj(v), one per form
+    k = P dz + Q dzbar, side by side as one (n, K*n) row block: entry (i, j)
+    of term k is at row i, column k*n + j.  Each nonzero entry is compiled
+    once and evaluated on Python scalars."""
+    K = len(forms)
     entries = [
-        ((k * n + i) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None)
+        ((i * K + k) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None)
         for k, form in enumerate(forms)
         for i, j, dz_e, dzbar_e in form.nonzero_entries()
     ]
-    shape = (len(forms), n * n)
+    shape = (n, K * n)
 
     def evaluate(z: complex, v: complex) -> np.ndarray:
         vv = v.conjugate()
@@ -376,7 +382,8 @@ def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Call
     forms, weights = _term_weights(family, [epsilon])
     gamma.check_clearance(family.punctures)
     P = _on_path(_pulled_back(forms, gamma, _term_matrices(forms, n)), gamma)
-    return lambda t: (weights[0] @ P(t)).reshape(n, n)
+    # (K,) @ (n, K, n): one matmul per row, summing the side-by-side terms
+    return lambda t: weights[0] @ P(t).reshape(n, len(forms), n)
 
 
 def _frobenius(a: np.ndarray):
@@ -401,6 +408,14 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     time: a constant segment (an array item P of :func:`_pulled_back`) by its
     closed form expm(X_b), X_b = -M_b (t_{k+1} - t_k), any other by DOP853.
 
+    A constant segment reads its (n, K*n) term block back as (K, n*n) rows,
+    one transpose per segment, and combines them with the (B, K) weights.
+    On a DOP853 segment the grid is one (n, B*n) state Y, whose column
+    b*n + j is column j of member b, and each right-hand side is one 2-D
+    product P(t) @ (Y * C).reshape(K*n, B*n): C, (K, 1, B*n), scales member
+    b's columns by its weight -w_bk in term k's row block.  Y is transposed
+    in from y and out to it once per segment.
+
     Returns the final state, DOP853's accepted steps and RHS evaluations, and
     per member the exponentials' roundoff bound: EXPM_ROUNDOFF 2.3e-16
     (1 + ||X_b||) ||y_b|| each, times the norms of this and later propagators.
@@ -414,23 +429,26 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     StiffnessBudgetExceeded.  Overflows in steps DOP853 rejects and retries
     change nothing, and none of them warns.
     """
+    (B, K), n = neg_weights.shape, y.shape[-1]
     steps = rhs_evals = 0
-    roundoff = np.zeros(len(y))
+    roundoff = np.zeros(B)
     for k, (P, t0, t1) in enumerate(zip(pieces, breaks, breaks[1:])):
         if not callable(P):
-            X = (neg_weights @ P).reshape(y.shape) * (t1 - t0)
+            terms = P.reshape(n, K, n).transpose(1, 0, 2).reshape(K, n * n)
+            X = (neg_weights @ terms).reshape(y.shape) * (t1 - t0)
             with np.errstate(over="ignore", invalid="ignore"):
                 E = expm(X)
                 roundoff = _frobenius(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + _frobenius(X)) * _frobenius(y))
                 y = E @ y
             continue
         overflows = []  # floating-point errors since the latest RHS call began
+        C = np.repeat(neg_weights.T, n, axis=1).reshape(K, 1, B * n)
 
         def rhs(t, s):
             overflows.clear()
-            return ((neg_weights @ P(t)).reshape(y.shape) @ s.reshape(y.shape)).reshape(-1)
+            return (P(t) @ (s.reshape(n, B * n) * C).reshape(K * n, B * n)).reshape(-1)
 
-        start = np.broadcast_to(np.eye(y.shape[-1], dtype=complex), y.shape) if roundoff.any() else y
+        start = np.tile(np.eye(n, dtype=complex), (1, B)) if roundoff.any() else y.transpose(1, 0, 2).reshape(n, B * n)
         with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
             sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0 and overflows:
@@ -441,7 +459,8 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
         rhs_evals += sol.nfev
         if steps > STEP_BUDGET:
             raise StiffnessBudgetExceeded(f"step budget {STEP_BUDGET} exceeded")
-        end = sol.y[:, -1].reshape(y.shape).copy()  # a copy: a view keeps the whole solution history alive
+        # a copy: a view keeps the whole solution history alive
+        end = sol.y[:, -1].reshape(n, B, n).transpose(1, 0, 2).copy()
         if roundoff.any():
             roundoff, end = _frobenius(end) * (roundoff + 2.3e-16 * len(sol.t) * _frobenius(y)), end @ y
         y = end
@@ -469,7 +488,7 @@ def transport_grid(
 ) -> List[HolonomySample]:
     """Fundamental matrices S_b(1) of S_b' = -M_b(t) S_b, S_b(0) = 1, in input order.
 
-    The whole grid is one stacked (B, n, n) system, carried across the path
+    The whole grid, a (B, n, n) stack, is carried across the path together
     by :func:`_integrate` at the requested tolerance and again a hundredfold
     tighter; the tighter run is reported.  A path with no DOP853 segment is
     carried once: its coarse run would be the same bits.  A member's
@@ -545,7 +564,7 @@ class EigenvalueTrack:
             value = lambda z, v: qf(z) * v**2
         else:
             term = _term_matrices([Phi], n)
-            value = lambda z, v: np.linalg.eigvals(term(z, v).reshape(n, n))
+            value = lambda z, v: np.linalg.eigvals(term(z, v))
         pieces = _pulled_back([Phi], gamma, value)
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
@@ -729,15 +748,12 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> complex:
     real and imaginary parts, which share their evaluations, to absolute
     error 1e-12 and relative error 1e-12.
 
-    Warns (but still integrates) when the path fails the WKB predicate.
+    Warns NotWkbCurve (but still integrates) when the path fails the WKB predicate.
     """
     track = EigenvalueTrack(Phi, gamma)
     check = is_wkb_curve(Phi, gamma, track)
     if not check.is_wkb:
-        warnings.warn(
-            f"path is not a WKB curve (margin {check.margin:.3e}); period computed anyway",
-            stacklevel=2,
-        )
+        warnings.warn(NotWkbCurve(check.margin), stacklevel=2)
     memo = {}  # the real and imaginary quadratures share many nodes
 
     def mu(t: float) -> complex:

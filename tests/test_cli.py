@@ -1,12 +1,17 @@
 import cmath
 import json
+import os
 import signal
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilwkb
 from nilwkb.catalog import nilpotent_sl2, nilpotent_sl2_parabolic
 from nilwkb.cli import main
 from nilwkb.holonomy import ArcSegment, ParamPath
@@ -102,6 +107,24 @@ def test_period_and_wkbcheck(family_file, segment_file, capsys):
     assert main(["wkbcheck", family_file, segment_file, "--blocks", "1,1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_wkb"] is True
+
+
+def test_period_off_a_wkb_curve_warns_in_one_json_line(tmp_path):
+    # run as a user runs it: stdout and exit 0 as on a WKB curve, and stderr one
+    # stamped JSON line with the margin, naming no source file (Python's format does)
+    path = tmp_path / "polyline.json"
+    path.write_text(json.dumps(ParamPath.from_points([0, 1, 1 + 1j]).to_json()))
+    run = subprocess.run(
+        [sys.executable, "-m", "nilwkb.cli", "period", "catalog:nilpotent_sl2", str(path), "--blocks", "1,1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(nilwkb.__file__).parents[1])},
+    )
+    assert run.returncode == 0
+    assert json.loads(run.stdout) == {"Z": [pytest.approx(1.0), pytest.approx(1.0)], "schema": "nilwkb/1"}
+    assert len(run.stderr.splitlines()) == 1 and ".py" not in run.stderr
+    note = json.loads(run.stderr)
+    assert sorted(note) == ["margin", "schema", "warning"] and note["schema"] == "nilwkb/1"
+    assert abs(note["margin"]) < 1e-12 and "not a WKB curve" in note["warning"]
 
 
 def test_surface_subcommands(tmp_path, capsys):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from nilwkb.algebra import GaussianRational, RationalFunctionMatrix, BiRationalFunction as BRF
 from nilwkb.catalog import (
@@ -183,7 +183,8 @@ def test_pullback_examples():
 
 def test_constant_segment_pulls_back_once_bit_for_bit():
     # a z-independent family on a line: each segment's term matrices are one
-    # read-only array, equal bit for bit to the entries evaluated one by one
+    # read-only (n, K n) array, the terms side by side, equal bit for bit to
+    # the entries evaluated one by one
     fam = nilpotent_sl2_full()
     gamma = ParamPath.from_points([0.2 + 0.1j, 1.1 + 0.7j, 0.4 + 1.3j])
     forms, _weights = _term_weights(fam, [0.3])
@@ -192,7 +193,7 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
         assert isinstance(P, np.ndarray) and not P.flags.writeable
         z = seg.point(0.0)
         v = seg.velocity(0.0) / (gamma.breaks[k + 1] - gamma.breaks[k])
-        expected = np.zeros((len(forms), 4), dtype=complex)
+        expected = np.zeros((2, 2 * len(forms)), dtype=complex)
         for f, form in enumerate(forms):
             for i in range(2):
                 for j in range(2):
@@ -201,7 +202,7 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
                         acc += form.dz_part.entries[i][j].evaluate(z) * v
                     if form.dzbar_part.entries[i][j]:
                         acc += form.dzbar_part.entries[i][j].evaluate(z) * v.conjugate()
-                    expected[f, 2 * i + j] = acc
+                    expected[i, 2 * f + j] = acc
         assert np.array_equal(P, expected)
     # an arc and a z-dependent entry keep evaluating per t
     assert all(callable(P) for P in _pulled_back(forms, ParamPath.circle(0.3 + 0.2j, 0.7), _term_matrices(forms, 2)))
@@ -434,6 +435,36 @@ def test_transport_grid_counters_shared():
     assert out[0].rhs_evals == out[1].rhs_evals >= out[0].steps
     assert all(s.steps == s.rhs_evals == 0 for s in transport_grid(nilpotent_sl2(), SEG, [0.5, 0.01]))
     assert transport_grid(nilpotent_sl2(), SEG, []) == []
+
+
+def _solved_alone(family, gamma, eps, rtol):
+    # the member on its own: plain DOP853 on S' = -M(t) S, S(0) = 1, M from pullback
+    n = family.n
+    M = pullback(family, gamma, eps)
+    sol = solve_ivp(
+        lambda t, s: -(M(t) @ s.reshape(n, n)).reshape(-1),
+        (0.0, 1.0), np.eye(n, dtype=complex).reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3,
+    )
+    return sol.y[:, -1].reshape(n, n)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+@pytest.mark.parametrize("build", [regular_diagonal, nilpotent_sl2_full, nilpotent_sl2_parabolic, nilpotent_sl3])
+def test_stacked_grid_matches_each_member_solved_alone(build, size):
+    # K = 1, 3, 2, 2 terms at ranks 2, 2, 2, 3: every member of the grid,
+    # carried as one (n, B n) state, agrees with its own solve, within the
+    # sum of both sides' coarse/fine differences (the grid's is its est_error);
+    # a stacked product that mixes up members or terms does not
+    rng = random.Random(2302)
+    fam = build()
+    center = 1.5 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    angle0 = rng.uniform(0, 2 * math.pi)
+    arc = ParamPath([ArcSegment(center, rng.uniform(0.3, 0.8), angle0, angle0 + rng.uniform(1.0, 4.0))])
+    eps = sorted((rng.uniform(0.1, 0.6) for _ in range(size)), reverse=True)
+    for s in transport_grid(fam, arc, eps):
+        assert s.steps > 0
+        coarse, fine = (_solved_alone(fam, arc, s.epsilon, rtol) for rtol in (1e-10, 1e-12))
+        assert np.linalg.norm(s.holonomy - fine) <= s.est_error + np.linalg.norm(coarse - fine), s.epsilon
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
