@@ -488,7 +488,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (NilwkbError, ValueError, OSError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        print(_stamped({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return getattr(exc, "exit_code", 1)
 
 

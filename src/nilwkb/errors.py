@@ -66,7 +66,8 @@ class BranchPointOnPath(NilwkbError):
 
 
 class TieAtStart(NilwkbError):
-    """The eigenvalue branch cannot be selected: Re mu(0) is zero within tolerance."""
+    """The leading sheet cannot be selected: the two largest
+    orientation * Re(lam gamma'(0)) are equal within tolerance."""
 
 
 class InsufficientSamples(NilwkbError):

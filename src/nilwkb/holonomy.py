@@ -19,19 +19,16 @@ Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
 stays below est_error; beyond, the determinant of the stored double-precision
 matrix is dominated by representation roundoff.
 
-Eigenvalue tracking keeps the square-root branch by continuation. Reversing a
-path flips its orientation flag, and the branch seed follows the orientation,
-so periods are exactly odd under reversal.
-
-Transport's M(t) and the track's field are read by one per-segment sampler,
-_pulled_back(forms, gamma, value): where the forms are constant it evaluates
-value(z, v) once, elsewhere on Python scalars at each t.  The value is the
-term matrices for transport, q gamma'^2 (q = Tr(Phi^2)/2) for the rank-2
-track and an eigvals row at higher rank.  On a constant segment the track's
-ends are its only grid nodes and the period adds mu (t_{k+1} - t_k) in
-closed form.  Elsewhere the track's grid nodes are evaluated once, when it
-is built; the WKB predicate reads them back, and the period's real and
-imaginary quadratures share their evaluations.
+The eigenvalue track continues the sheets of Phi's spectral cover (eigvals
+rows of its coefficient, matched node to node at every rank) and reports
+them times gamma'(t).  Transport's M(t) and the track's rows are read by one
+per-segment sampler, _pulled_back(forms, gamma, value): where the forms are
+constant it evaluates value(z, v) once, elsewhere on Python scalars at each
+t.  On a constant segment the track's ends are its only grid nodes and
+the period adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's
+grid nodes are evaluated once, when it is built; the WKB predicate reads
+them back, and the period's real and imaginary quadratures share their
+evaluations.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -150,8 +148,8 @@ class ParamPath:
 
     Every endpoint, centre, radius and angle must be finite.  Consecutive
     segments must share endpoints; a closed path returns to its start.
-    ``orientation`` records whether the path is a reversal: the
-    eigenvalue-branch seed follows it, making periods odd under reversal.
+    ``orientation`` records whether the path is a reversal: the eigenvalue
+    track's leading sheet follows it, making periods odd under reversal.
     """
 
     def __init__(self, segments: Sequence[Segment], closed: bool = False, orientation: int = 1):
@@ -527,48 +525,63 @@ def transport_grid(
 
 
 def _matched(prev: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """lam reordered by the one-to-one match nearest to prev."""
+    """lam reordered by the one-to-one match nearest to prev.  Where each
+    entry of prev has a different nearest entry of lam, that map is the
+    match: its cost bounds every assignment's from below."""
+    dist = np.abs(lam[None, :] - prev[:, None])
+    nearest = dist.argmin(axis=1)
+    if len(set(nearest.tolist())) == len(nearest):
+        return lam[nearest]
     from scipy.optimize import linear_sum_assignment
 
-    return lam[linear_sum_assignment(np.abs(lam[None, :] - prev[:, None]))[1]]
+    return lam[linear_sum_assignment(dist)[1]]
+
+
+def _closest_pair(row: np.ndarray) -> float:
+    """The smallest distance between two entries of row."""
+    return min(abs(a - b) for a, b in combinations(row.tolist(), 2))
 
 
 class EigenvalueTrack:
-    """Continuously tracked eigenvalues of the pulled-back field along a path.
+    """The sheets of Phi's spectral cover, continued along a path.
 
-    Rank 2: mu(t) = sqrt(q(gamma(t)) gamma'(t)^2) with q = Tr(Phi^2)/2, the
-    branch seeded by Re(orientation * mu(0)) > 0 and continued by angle
-    unwinding on an adaptively refined grid.  Higher rank: numerically
-    ordered-by-real-part eigenvalue paths with nearest-matching continuity.
-    Either way the track keeps one eigenvalue row per grid node, (mu, -mu)
-    at rank 2, and continues a row from the node before t.  Phi must be a
-    (1,0)-form at every rank (ValueError otherwise).
+    Phi = phi(z) dz must be a (1,0)-form (ValueError otherwise).  At gamma(t)
+    the sheet row is eigvals(phi(gamma(t))), and the track reports it times
+    the velocity gamma'(t): the eigenvalues of the pulled-back field.  Each
+    grid node keeps its sheet row and its velocity apart, so a corner of the
+    path, where gamma' jumps, moves no sheet.  A row at t is continued from
+    the node before t: the sheet row there is matched to the node's
+    (:func:`_matched`).
+
+    The first row is sorted by orientation * Re(lam gamma'(0)), largest
+    first (TieAtStart if the leading two tie).  Reversing a path negates
+    gamma' and flips the orientation, so the same sheet leads and periods
+    are odd under reversal; exactly so on a constant segment, whose sheets
+    are the same bits both ways.
 
     The field is read through :func:`_pulled_back`, as transport reads M:
-    on a segment where the field is constant it is evaluated once (rank 2:
-    f = q gamma'^2; higher rank: one eigvals row), the segment's ends are
-    its only grid nodes, and nothing is refined inside it.  Other segments
-    take an even grid of GRID_SIZE points over [0, 1], refined where needed.
+    on a segment where it is constant it is evaluated once, and the
+    segment's ends are its only grid nodes.  Other segments take an even
+    grid of GRID_SIZE points over [0, 1], plus a midpoint wherever a step
+    moves a sheet by more than a quarter of the closest pair of sheets at
+    either end.  BranchPointOnPath if two sheets at a node are closer than
+    BRANCH_TOL times the largest, or if following them takes a step below
+    1e-9 or more than MAX_NODES nodes.
     """
 
     BRANCH_TOL = 1e-12
     GRID_SIZE = 257
+    MAX_NODES = 2**16
 
     def __init__(self, Phi: MatrixOneForm, gamma: ParamPath):
-        self.n = n = Phi.n
         self.gamma = gamma
         if not Phi.dzbar_part.is_zero:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-        if n == 2:
-            qf = (Phi.dz_part @ Phi.dz_part).trace().scale(Fraction(1, 2)).compiled()
-            value = lambda z, v: qf(z) * v**2
-        else:
-            term = _term_matrices([Phi], n)
-            value = lambda z, v: np.linalg.eigvals(term(z, v))
-        pieces = _pulled_back([Phi], gamma, value)
+        term = _term_matrices([Phi], Phi.n)
+        pieces = _pulled_back([Phi], gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0)), v))
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
-        (self._build_sqrt_grid if n == 2 else self._build_eig_grid)()
+        self._build()
 
     def constant_at(self, t: float) -> bool:
         """Whether the field is constant on the segment that holds t (a break
@@ -585,91 +598,40 @@ class EigenvalueTrack:
                 even = even[(even <= t0) | (even >= t1)]
         return sorted(set(even) | set(breaks))
 
-    # -- rank 2 ------------------------------------------------------------------
-
-    def _build_sqrt_grid(self):
-        ts = self._start_grid()
-        fs = [self._at(t) for t in ts]
-        # adaptive refinement: bounded angle increments between grid nodes
-        changed = True
-        depth = 0
-        while changed and depth < 14:
-            changed = False
-            new_ts, new_fs = [ts[0]], [fs[0]]
-            for t0, t1, f0, f1 in zip(ts, ts[1:], fs, fs[1:]):
-                if abs(f0) > 0 and abs(f1) > 0:
-                    dphi = abs(cmath.phase(f1 / f0))
-                    if dphi > 0.5 and t1 - t0 > 1e-9 and not self.constant_at(0.5 * (t0 + t1)):
-                        tm = 0.5 * (t0 + t1)
-                        new_ts.append(tm)
-                        new_fs.append(self._at(tm))
-                        changed = True
-                new_ts.append(t1)
-                new_fs.append(f1)
-            ts, fs = new_ts, new_fs
-            depth += 1
-        scale = max(abs(f) for f in fs)
-        if scale == 0 or min(abs(f) for f in fs) < 1e-12 * scale:
-            raise BranchPointOnPath("eigenvalues collide (discriminant vanishes) on the path")
-        args = [cmath.phase(fs[0])]
-        for f0, f1 in zip(fs, fs[1:]):
-            d = cmath.phase(f1 / f0)
-            args.append(args[-1] + d)
-        self._ts = ts
-        self._fs = fs
-        self._args = args
-        mu0 = cmath.sqrt(abs(fs[0])) * cmath.exp(0.5j * args[0])
-        seed = self.gamma.orientation * mu0
-        if abs(seed.real) <= self.BRANCH_TOL * abs(mu0):
-            raise TieAtStart("Re mu(0) vanishes within tolerance; cannot seed the branch")
-        self._sign = 1.0 if seed.real > 0 else -1.0
-        # node k continued from itself; the last node from its predecessor, as values(1.0) is
-        last = len(ts) - 2
-        self._rows = [self._from_node(min(k, last), f) for k, f in enumerate(fs)]
-
-    # -- higher rank -----------------------------------------------------------------
-
-    def _build_eig_grid(self):
-        ts = self._start_grid()
-        rows = []
-        prev = None
-        for t in ts:
-            lam = self._at(t)
-            if prev is None:
-                lam = lam[np.argsort(-lam.real)]
-                if self.gamma.orientation < 0:
-                    lam = lam[::-1]
-            else:
-                lam = _matched(prev, lam)
-            rows.append(lam)
-            prev = lam
-        spread = max(np.abs(np.array(rows)).max(), 1e-300)
-        pair_dist = min(
-            np.abs(row[i] - row[j])
-            for row in rows
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-        if pair_dist < 1e-12 * spread:
-            raise BranchPointOnPath("eigenvalues collide on the path")
-        self._ts = ts
-        self._rows = rows
-
-    def _from_node(self, k: int, f):
-        """The eigenvalue row at a point where the field is f, continued from
-        grid node k: rank 2 (mu, -mu), mu the branch of sqrt(f) whose phase
-        continues node k's; higher rank the eigvals row f matched to node k's row."""
-        if self.n > 2:
-            return _matched(self._rows[k], f)
-        arg = self._args[k] + cmath.phase(f / self._fs[k])
-        mu = self._sign * math.sqrt(abs(f)) * cmath.exp(0.5j * arg)
-        return np.array([mu, -mu])
+    def _build(self):
+        todo = self._start_grid()[::-1]  # a stack: the next node is last
+        t = todo.pop()
+        sheets, v = self._at(t)
+        lead = self.gamma.orientation * (sheets * v).real
+        order = np.argsort(-lead, kind="stable")
+        ts, rows, velocities, gaps = [t], [sheets[order]], [v], [_closest_pair(sheets)]
+        while todo:
+            t = todo[-1]
+            sheets, v = self._at(t)
+            sheets = _matched(rows[-1], sheets)
+            gap = _closest_pair(sheets)
+            if np.abs(sheets - rows[-1]).max() > 0.25 * min(gap, gaps[-1]):
+                if t - ts[-1] <= 1e-9 or len(ts) + len(todo) > self.MAX_NODES:
+                    raise BranchPointOnPath("two sheets of Phi come too close to follow on the path")
+                todo.append(0.5 * (ts[-1] + t))
+                continue
+            todo.pop()
+            ts.append(t)
+            rows.append(sheets)
+            velocities.append(v)
+            gaps.append(gap)
+        if not min(gaps) > self.BRANCH_TOL * max(np.abs(row).max() for row in rows):
+            raise BranchPointOnPath("two sheets of Phi collide on the path")
+        if lead[order[0]] - lead[order[1]] <= self.BRANCH_TOL * np.abs(rows[0] * velocities[0]).max():
+            raise TieAtStart("the leading two Re(lam gamma'(0)) tie within tolerance; cannot order the sheets")
+        self._ts, self._sheets, self._velocities = ts, rows, velocities
 
     # -- public surface ----------------------------------------------------------------
 
     def _continued(self, t: float) -> np.ndarray:
-        """The eigenvalue row at t, continued from the grid node before it."""
-        return self._from_node(min(bisect_right(self._ts, t) - 1, len(self._ts) - 2), self._at(t))
+        """The eigenvalue row at t, its sheets continued from the grid node before it."""
+        sheets, v = self._at(t)
+        return _matched(self._sheets[min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)], sheets) * v
 
     def __call__(self, t: float) -> complex:
         return complex(self._continued(t)[0])
@@ -681,13 +643,10 @@ class EigenvalueTrack:
         return list(self._ts)
 
     def node_values(self) -> List[np.ndarray]:
-        """values(t) at every node of grid(), stored when the track was built.
-
-        At higher rank a node's stored row is what values(t_k) returns:
-        matched against itself, a row of distinct eigenvalues comes back
-        unchanged.
-        """
-        return list(self._rows)
+        """values(t) at every node of grid(), from the rows stored when the
+        track was built: matched against itself, a row of distinct sheets
+        comes back unchanged."""
+        return [row * v for row, v in zip(self._sheets, self._velocities)]
 
 
 @dataclass(frozen=True)
@@ -697,18 +656,18 @@ class WkbCurveCheck:
 
 
 def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[EigenvalueTrack] = None) -> WkbCurveCheck:
-    """Strict positivity of the tracked real part (rank 2) or of every gap
-    Re(lam_k - lam_{k+1}) between consecutive eigenvalues in the tracked
-    order, times the path's orientation (higher rank), with refinement near
-    minima.  Two tracked real parts that cross make a gap negative.
+    """Strict positivity of every gap Re(lam_k - lam_{k+1}) between
+    consecutive eigenvalues in the tracked order, times the path's
+    orientation, with refinement near minima.  Two tracked real parts that
+    cross make a gap negative.  A reversed path keeps its verdict.
 
     Margins and the scale of the tolerance come from the track's stored
     node values; only the (at most 16) refinement midpoints are evaluated.
     No midpoint falls inside a segment where the field is constant: the
     margin there is the node value at the segment's start.
 
-    A branch tie at the start (Re mu(0) = 0) already decides the answer: the
-    path is not a WKB curve, margin zero.
+    A tie at the start (TieAtStart: the leading two Re(lam gamma'(0)) are
+    equal) already decides the answer: the path is not a WKB curve, margin zero.
     """
     if track is None:
         try:
@@ -716,11 +675,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
         except TieAtStart:
             return WkbCurveCheck(is_wkb=False, margin=0.0)
 
-    if track.n == 2:
-        margin_of = lambda vals: float(vals[0].real)
-    else:
-        margin_of = lambda vals: float(np.min(np.diff(-gamma.orientation * vals.real)))
-
+    margin_of = lambda vals: float((gamma.orientation * (vals.real[:-1] - vals.real[1:])).min())
     nodes = track.node_values()
     ts = track.grid()
     vals = [margin_of(v) for v in nodes]
@@ -740,7 +695,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
 
 
 def period(Phi: MatrixOneForm, gamma: ParamPath) -> complex:
-    """Integral of the tracked eigenvalue over the path.
+    """Integral of the leading tracked eigenvalue mu = lam gamma' over the path.
 
     On a segment where the field is constant, mu is constant and the
     segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its

@@ -288,6 +288,13 @@ def test_trace_summary_on_stderr_carries_the_schema(capsys):
     assert summary["schema"] == SCHEMA and summary["terminated"] == "ClosedUp"
 
 
+def test_error_object_on_stderr_carries_the_schema(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    err = _refusal(["flatness", missing], capsys)
+    assert err == {"error": "FileNotFoundError", "message": err["message"], "schema": SCHEMA}
+    assert missing in err["message"]
+
+
 def test_loaded_files_need_no_schema(tmp_path, capsys):
     # to_json returns the bare value; loaders never read the tag
     data = nilpotent_sl2().to_json()
@@ -320,4 +327,4 @@ def test_main_returns_the_error_class_exit_code(family_file, monkeypatch, cls, c
     assert main(["jordan", family_file]) == cls.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": cls.__name__, "message": "stubbed"}
+    assert json.loads(captured.err) == {"error": cls.__name__, "message": "stubbed", "schema": SCHEMA}

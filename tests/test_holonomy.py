@@ -671,7 +671,8 @@ def test_track_node_values_equal_values_at_nodes(Phi, gamma):
 def test_is_wkb_curve_examples():
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     chk = is_wkb_curve(Phi, SEG)
-    assert chk.is_wkb and chk.margin == pytest.approx(1.0)
+    # the margin is the gap between the two sheets, 2 Re mu at rank 2
+    assert chk.is_wkb and chk.margin == pytest.approx(2.0)
     chk_v = is_wkb_curve(Phi, ParamPath.segment(0, 1j))
     assert not chk_v.is_wkb
 
@@ -768,11 +769,14 @@ def test_closed_form_period_matches_quadrature(n, count):
         done += 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_period_exactly_odd_on_a_constant_segment(n):
-    rng = random.Random(500 + n)
+    # the reversed track reads the same eigvals row and negates gamma', so the
+    # two periods are the same bits with opposite signs (eigvals(-A) is not
+    # bit for bit -eigvals(A), so tracking the pulled-back field would miss some)
+    rng = random.Random(9000 + n)
     done = 0
-    while done < 30:
+    while done < 400:
         Phi = _random_traceless(rng, n)
         z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(0.2, 1.5), rng.uniform(-0.4, 0.4)))
@@ -784,6 +788,53 @@ def test_period_exactly_odd_on_a_constant_segment(n):
             continue
         assert total == 0, done
         done += 1
+
+
+@pytest.mark.parametrize("Phi, lam", [(_phi([[0, 1], [1, 0]]), 1.0), (_phi([[2, 0, 0], [0, 1, 0], [0, 0, -3]]), 2.0)])
+def test_a_corner_moves_no_sheet(Phi, lam):
+    # the sheet seeded on the first segment is kept past a corner that turns
+    # more than 90 degrees, where matching lam gamma' would jump to another sheet;
+    # no sheet ordering holds on both segments, so neither path is a WKB curve
+    for points in ([0, 1, 0.5 + 0.9j], [0, 1, 0.1 + 0.1j]):
+        gamma = ParamPath.from_points(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert abs(period(Phi, gamma) - lam * (points[-1] - points[0])) <= 1e-12
+        chk = is_wkb_curve(Phi, gamma)
+        assert not chk.is_wkb and chk.margin < 0
+
+
+@pytest.mark.parametrize(
+    "Phi, gamma",
+    [(_phi([[0, 3], [2, 0]]), ParamPath.segment(0.1, 0.9)), (_phi([[2, 0, 0], [0, 0, 0], [0, 0, -2]]), SEG)],
+)
+def test_reversed_path_keeps_its_verdict(Phi, gamma):
+    forward, backward = is_wkb_curve(Phi, gamma), is_wkb_curve(Phi, gamma.reversed())
+    assert forward.is_wkb and backward == forward
+
+
+@pytest.mark.parametrize("k", [126, 128])
+def test_track_refines_where_the_sheets_move_fast(k):
+    # z^k on the unit circle: the sheets +-z^(k/2) turn k/2 times, about pi/2
+    # per step of the even grid (exactly at k = 128, where nearest matching
+    # without refinement loses the sheet and the period is 0.45 off)
+    Phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[BRF.zero(), _zpow(k)], [BRF.one(), BRF.zero()]]))
+    gamma = ParamPath([ArcSegment(0j, 1.0, 0.3, 0.3 + 2 * math.pi)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert abs(period(Phi, gamma)) <= 1e-10
+
+
+def test_track_refuses_sheets_too_close_to_follow(monkeypatch):
+    # diag(z, z + d, -2z - d): two sheets d apart move together, and a step may
+    # move them by d/4 at most, so following them takes about 4/d nodes
+    z, zero, d = BRF.z(), BRF.zero(), BRF.constant(Fraction(1, 1000))
+    Phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[z, zero, zero], [zero, z + d, zero], [zero, zero, -(z + z + d)]]))
+    gamma = ParamPath.segment(0.1, 1.1)
+    assert len(EigenvalueTrack(Phi, gamma).grid()) > 4000
+    monkeypatch.setattr(EigenvalueTrack, "MAX_NODES", 4000)
+    with pytest.raises(BranchPointOnPath, match="too close to follow"):
+        EigenvalueTrack(Phi, gamma)
 
 
 def _parabolic_secondary():
@@ -822,18 +873,18 @@ def test_period_on_mixed_paths_matches_quadrature(Phi, gamma):
 
 @pytest.mark.parametrize("Phi", [_phi([[0, 2], [3, 0]]), _phi([[1, 2], [3, -1]]), _phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]])])
 def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
-    # cost guard: on a constant polyline the track evaluates q (rank 2) or
-    # each nonzero entry and its eigenvalues (rank 3) once per segment, the
-    # WKB predicate refines nothing and the period reads mu once per segment
+    # cost guard: on a constant polyline the track evaluates each nonzero
+    # entry and its eigenvalues once per segment, the WKB predicate refines
+    # nothing and the period reads mu once per segment
     calls = _counting_closures(monkeypatch)
     eigvals, refined = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
     mu = _counting(monkeypatch, EigenvalueTrack, "__call__")
-    entries = 1 if Phi.n == 2 else sum(bool(e) for row in Phi.dz_part.entries for e in row)
+    entries = sum(bool(e) for row in Phi.dz_part.entries for e in row)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         period(Phi, _POLY)
     assert 0 < calls[0] <= entries * len(_POLY.segments)
-    assert eigvals[0] <= (0 if Phi.n == 2 else len(_POLY.segments)) and refined[0] == 0
+    assert eigvals[0] <= len(_POLY.segments) and refined[0] == 0
     assert mu[0] == len(_POLY.segments)
     # the shortcut must not widen: a z-dependent field evaluates every node
     calls[0] = 0
