@@ -44,6 +44,7 @@ from .holonomy import (
     HolonomySample,
     LineSegment,
     ParamPath,
+    Period,
     WkbCurveCheck,
     WkbFit,
     is_wkb_curve,

@@ -5,8 +5,8 @@ Every JSON object the CLI writes goes through one writer, which adds the
 are byte-identical.  Option values are parsed by the parser, so a refusal
 names its option.  A failure exits with its error class's exit_code (1 for
 invalid input, argparse's refusals of a command line included; 2 for a
-numerical budget), with a machine-readable error object on stderr.  A
-warning (period's NotWkbCurve) is one stamped JSON line on stderr.
+numerical budget), with a machine-readable error object on stderr.  The
+writer refuses NaN and infinities, which are not JSON, as invalid output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -61,8 +60,8 @@ from .toymodel import (
 
 
 def _stamped(payload: dict) -> str:
-    """payload as the sorted-key JSON the CLI writes, tagged with its schema."""
-    return json.dumps({**payload, "schema": "nilwkb/1"}, sort_keys=True)
+    """payload as the sorted-key JSON the CLI writes, tagged with its schema; a NaN or infinity raises ValueError."""
+    return json.dumps({**payload, "schema": "nilwkb/1"}, sort_keys=True, allow_nan=False)
 
 
 def _emit(payload: dict, path=None) -> None:
@@ -145,11 +144,11 @@ def _field(args, family: ConnectionFamily):
 
 
 def _surface_from_args(args) -> PolygonSurface:
-    if getattr(args, "staircase", None) is not None:
+    if args.staircase is not None:
         return staircase(args.staircase, style=args.style, half=args.half)
-    if getattr(args, "torus", False):
+    if args.torus:
         return flat_torus()
-    if getattr(args, "surface", None):
+    if args.surface:
         return _load_json(args.surface, PolygonSurface.from_json)
     raise ValueError("provide a surface file, --staircase N, or --torus")
 
@@ -219,13 +218,8 @@ def _cmd_holonomy(args) -> int:
 
 def _cmd_period(args) -> int:
     family, gamma = _load_family(args.family), _load_path(args.path)
-    with warnings.catch_warnings(record=True) as caught:
-        Z = period(_field(args, family), gamma)
-    # each warning the filters let through as one stamped line on stderr, with its own fields
-    # (a NotWkbCurve's margin), not in Python's format, which names a source file and line
-    for w in caught:
-        print(_stamped({"warning": str(w.message), **vars(w.message)}), file=sys.stderr)
-    _emit({"Z": [Z.real, Z.imag]})
+    Z = period(_field(args, family), gamma)
+    _emit({"Z": [Z.real, Z.imag], "is_wkb": Z.is_wkb, "margin": Z.margin})
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Each class carries the CLI exit code it maps to: 1 for validation-type
 errors (bad input, pole hit, dimension mismatch), 2 for numerical-budget
-errors.  NotWkbCurve is the one warning, which carries its margin.
+errors.
 """
 
 
@@ -86,15 +86,6 @@ class NonFiniteSample(NilwkbError):
 class HolonomyOverflow(NilwkbError):
     """A transported holonomy or its error estimate exceeds double precision."""
     exit_code = 2
-
-
-class NotWkbCurve(UserWarning):
-    """A period was integrated along a path that fails the WKB predicate;
-    margin is the predicate's margin.  A warning, not an error."""
-
-    def __init__(self, margin: float):
-        super().__init__(f"path is not a WKB curve (margin {margin:.3e}); period computed anyway")
-        self.margin = margin
 
 
 # --- surface ---------------------------------------------------------------

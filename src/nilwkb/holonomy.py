@@ -28,14 +28,13 @@ t.  On a constant segment the track's ends are its only grid nodes and
 the period adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's
 grid nodes are evaluated once, when it is built; the WKB predicate reads
 them back, and the period's real and imaginary quadratures share their
-evaluations.
+evaluations.  A period (a complex) carries the WKB verdict of its path.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import astuple, dataclass
 from fractions import Fraction
@@ -46,6 +45,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
+from .algebra import _Frozen
 from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
@@ -54,7 +54,6 @@ from .errors import (
     InsufficientSamples,
     NonDecayingSequence,
     NonFiniteSample,
-    NotWkbCurve,
     StiffnessBudgetExceeded,
     TieAtStart,
 )
@@ -694,21 +693,32 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     return WkbCurveCheck(is_wkb=margin > tol, margin=margin)
 
 
-def period(Phi: MatrixOneForm, gamma: ParamPath) -> complex:
-    """Integral of the leading tracked eigenvalue mu = lam gamma' over the path.
+class Period(_Frozen, complex):
+    """A complex period with is_wkb_curve's is_wkb and margin on its track; arithmetic gives a plain complex."""
+
+    __slots__ = ("is_wkb", "margin")
+
+    def __new__(cls, value: complex, is_wkb: bool, margin: float):
+        self = complex.__new__(cls, value)
+        object.__setattr__(self, "is_wkb", is_wkb)
+        object.__setattr__(self, "margin", margin)
+        return self
+
+    def __reduce__(self):
+        return Period, (complex(self), self.is_wkb, self.margin)
+
+
+def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
+    """Integral of the leading tracked eigenvalue mu = lam gamma' over the path, with its WKB verdict.
 
     On a segment where the field is constant, mu is constant and the
     segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its
     start.  Any other segment is integrated by adaptive quadrature of the
     real and imaginary parts, which share their evaluations, to absolute
     error 1e-12 and relative error 1e-12.
-
-    Warns NotWkbCurve (but still integrates) when the path fails the WKB predicate.
     """
     track = EigenvalueTrack(Phi, gamma)
     check = is_wkb_curve(Phi, gamma, track)
-    if not check.is_wkb:
-        warnings.warn(NotWkbCurve(check.margin), stacklevel=2)
     memo = {}  # the real and imaginary quadratures share many nodes
 
     def mu(t: float) -> complex:
@@ -722,7 +732,7 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> complex:
             total += track(t0) * (t1 - t0)
             continue
         total += quad(mu, t0, t1, complex_func=True, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    return total
+    return Period(total, check.is_wkb, check.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +800,14 @@ def _free_fit_exponent(eps: np.ndarray, traces: Sequence[complex]) -> float:
 
     A shift d of log|T| moves log log|T| by d / log|T|: the cut drops samples near |T| = 1, where
     that is unbounded.  No other trim: where the trace changes sign its dips are one-sided, and
-    trimming those at the large-eps end tilts the slope."""
+    trimming those at the large-eps end tilts the slope.  Fewer than 3 samples past the cut raise InsufficientSamples."""
     logmag = np.array([math.log(abs(T)) if T != 0 else -math.inf for T in traces])
-    good = logmag > 0.1 * np.median(np.maximum(logmag, 0.0))
+    cut = 0.1 * np.median(np.maximum(logmag, 0.0))
+    good = logmag > cut
     if good.sum() < 3:
-        return math.nan
+        raise InsufficientSamples(
+            f"the free-fit exponent needs 3 samples with log|T| > {cut:.3g}, a tenth of the median; {good.sum()} have it"
+        )
     x = np.log(1.0 / eps[good])
     y = np.log(logmag[good])
     A = np.vstack([x, np.ones_like(x)]).T

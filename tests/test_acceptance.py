@@ -9,7 +9,6 @@ import cmath
 import math
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -277,9 +276,7 @@ def test_criterion_9_invariant_suites():
         )
         z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(0.2, 1.5), rng.uniform(-0.4, 0.4)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert abs(period(Phi, gamma) + period(Phi, gamma.reversed())) <= 1e-10
+        assert abs(period(Phi, gamma) + period(Phi, gamma.reversed())) <= 1e-10
 
     # Gauss-Bonnet, exact, 20 randomized surfaces
     for _ in range(20):

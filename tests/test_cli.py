@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import os
 import signal
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import nilwkb
 from nilwkb.catalog import nilpotent_sl2, nilpotent_sl2_parabolic
-from nilwkb.cli import main
+from nilwkb.cli import _stamped, main
 from nilwkb.holonomy import ArcSegment, ParamPath
 from nilwkb.surface import flat_torus
 
@@ -109,22 +110,29 @@ def test_period_and_wkbcheck(family_file, segment_file, capsys):
     assert payload["is_wkb"] is True
 
 
-def test_period_off_a_wkb_curve_warns_in_one_json_line(tmp_path):
-    # run as a user runs it: stdout and exit 0 as on a WKB curve, and stderr one
-    # stamped JSON line with the margin, naming no source file (Python's format does)
-    path = tmp_path / "polyline.json"
-    path.write_text(json.dumps(ParamPath.from_points([0, 1, 1 + 1j]).to_json()))
+@pytest.mark.parametrize(
+    "points, Z, is_wkb, margin",
+    [([0, 1, 1 + 1j], [1.0, 1.0], False, 0.0), ([0, 1], [1.0, 0.0], True, 2.0)],
+    ids=["polyline", "segment"],
+)
+def test_period_writes_its_wkb_verdict_on_stdout(tmp_path, points, Z, is_wkb, margin, capsys):
+    # run as a user runs it: on a WKB curve or off one, exit 0, the period with
+    # wkbcheck's verdict and margin on stdout, and nothing on stderr
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(ParamPath.from_points(points).to_json()))
     run = subprocess.run(
         [sys.executable, "-m", "nilwkb.cli", "period", "catalog:nilpotent_sl2", str(path), "--blocks", "1,1"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(nilwkb.__file__).parents[1])},
     )
-    assert run.returncode == 0
-    assert json.loads(run.stdout) == {"Z": [pytest.approx(1.0), pytest.approx(1.0)], "schema": "nilwkb/1"}
-    assert len(run.stderr.splitlines()) == 1 and ".py" not in run.stderr
-    note = json.loads(run.stderr)
-    assert sorted(note) == ["margin", "schema", "warning"] and note["schema"] == "nilwkb/1"
-    assert abs(note["margin"]) < 1e-12 and "not a WKB curve" in note["warning"]
+    assert run.returncode == 0 and run.stderr == ""
+    out = json.loads(run.stdout)
+    assert sorted(out) == ["Z", "is_wkb", "margin", "schema"]
+    assert out["Z"] == [pytest.approx(Z[0]), pytest.approx(Z[1])] and out["is_wkb"] is is_wkb
+    assert abs(out["margin"] - margin) < 1e-12
+    assert main(["wkbcheck", "catalog:nilpotent_sl2", str(path), "--blocks", "1,1"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert {k: out[k] for k in verdict} == verdict
 
 
 def test_surface_subcommands(tmp_path, capsys):
@@ -347,6 +355,25 @@ def test_wkbfit_non_finite_trace_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "NonFiniteSample"
+
+
+def test_wkbfit_with_no_free_fit_exponent_exits_1(tmp_path, capsys):
+    # every |T| < 1, so no sample passes the log|T| cut: an error, not a NaN exponent and exit 0
+    rows = ["epsilon,re_trace,im_trace"]
+    rows += [f"{0.8 / 2**k},{T},0" for k, T in enumerate([0.1, 0.15, 0.2, 0.3, 0.4, 0.5])]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(rows) + "\n")
+    assert main(["wkbfit", str(samples)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InsufficientSamples" and "log|T|" in err["message"]
+
+
+def test_writer_refuses_nan_and_infinity():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _stamped({"value": bad})
 
 
 def test_non_finite_path_exits_1(family_file, tmp_path, capsys):

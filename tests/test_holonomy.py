@@ -1,7 +1,10 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -37,6 +40,7 @@ from nilwkb.holonomy import (
     EigenvalueTrack,
     HolonomySample,
     ParamPath,
+    Period,
     _free_fit_exponent,
     _pulled_back,
     _term_matrices,
@@ -715,10 +719,8 @@ def test_period_reversal_antisymmetry_randomized():
         z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         z1 = z0 + complex(rng.uniform(0.2, 1.5), rng.uniform(-0.4, 0.4))
         gamma = ParamPath.segment(z0, z1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            Z = period(Phi, gamma)
-            Zrev = period(Phi, gamma.reversed())
+        Z = period(Phi, gamma)
+        Zrev = period(Phi, gamma.reversed())
         assert abs(Z + Zrev) <= 1e-10
         count += 1
 
@@ -759,9 +761,7 @@ def test_closed_form_period_matches_quadrature(n, count):
         pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 4))]
         gamma = ParamPath.from_points(pts)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                Z = period(Phi, gamma)
+            Z = period(Phi, gamma)
         except (TieAtStart, BranchPointOnPath):
             continue
         assert abs(Z - _quad_period(Phi, gamma)) <= 1e-10, (done, pts)
@@ -781,9 +781,7 @@ def test_period_exactly_odd_on_a_constant_segment(n):
         z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(0.2, 1.5), rng.uniform(-0.4, 0.4)))
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                total = period(Phi, gamma) + period(Phi, gamma.reversed())
+            total = period(Phi, gamma) + period(Phi, gamma.reversed())
         except (TieAtStart, BranchPointOnPath):
             continue
         assert total == 0, done
@@ -797,11 +795,9 @@ def test_a_corner_moves_no_sheet(Phi, lam):
     # no sheet ordering holds on both segments, so neither path is a WKB curve
     for points in ([0, 1, 0.5 + 0.9j], [0, 1, 0.1 + 0.1j]):
         gamma = ParamPath.from_points(points)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert abs(period(Phi, gamma) - lam * (points[-1] - points[0])) <= 1e-12
-        chk = is_wkb_curve(Phi, gamma)
-        assert not chk.is_wkb and chk.margin < 0
+        Z = period(Phi, gamma)
+        assert abs(Z - lam * (points[-1] - points[0])) <= 1e-12
+        assert not Z.is_wkb and Z.margin < 0
 
 
 @pytest.mark.parametrize(
@@ -820,9 +816,7 @@ def test_track_refines_where_the_sheets_move_fast(k):
     # without refinement loses the sheet and the period is 0.45 off)
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[BRF.zero(), _zpow(k)], [BRF.one(), BRF.zero()]]))
     gamma = ParamPath([ArcSegment(0j, 1.0, 0.3, 0.3 + 2 * math.pi)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert abs(period(Phi, gamma)) <= 1e-10
+    assert abs(period(Phi, gamma)) <= 1e-10
 
 
 def test_track_refuses_sheets_too_close_to_follow(monkeypatch):
@@ -841,6 +835,46 @@ def _parabolic_secondary():
     from nilwkb.gauge import secondary_higgs
 
     return secondary_higgs(nilpotent_sl2_parabolic(), [1, 1]).Phi
+
+
+def test_period_carries_the_verdict_of_its_path():
+    # the verdict is is_wkb_curve's on the same path; arithmetic drops it
+    Phi = _phi([[0, 1], [1, 0]])
+    for gamma, is_wkb in ((SEG, True), (ParamPath.from_points([0, 1, 1 + 1j]), False)):
+        Z = period(Phi, gamma)
+        assert (Z.is_wkb, Z.margin) == astuple(is_wkb_curve(Phi, gamma)) and Z.is_wkb is is_wkb
+        assert all(type(w) is complex for w in (Z + Z, Z - 1, -Z, 2 * Z, complex(Z)))
+        with pytest.raises(AttributeError):
+            Z.is_wkb = True
+        for copied in (copy.deepcopy(Z), pickle.loads(pickle.dumps(Z))):
+            assert type(copied) is Period and (copied, copied.is_wkb, copied.margin) == (Z, Z.is_wkb, Z.margin)
+
+
+def test_period_odd_under_reversal_wherever_the_path_is_wkb():
+    # on a WKB curve both directions follow one sheet; off one the reversed
+    # track orders the sheets at the far end, where another can lead
+    Phi = _parabolic_secondary()
+    rng = random.Random(71)
+    wkb = 0
+    for _ in range(60):
+        if rng.random() < 0.5:
+            z0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        else:
+            a0 = rng.uniform(-math.pi, math.pi)
+            centre = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            gamma = ParamPath([ArcSegment(centre, rng.uniform(0.2, 1.0), a0, a0 + rng.uniform(-2, 2))])
+        try:
+            Z, Zrev = period(Phi, gamma), period(Phi, gamma.reversed())
+        except (TieAtStart, BranchPointOnPath):
+            continue
+        assert Zrev.is_wkb == Z.is_wkb
+        if Z.is_wkb:
+            assert abs(Z + Zrev) <= 1e-10, gamma
+            wkb += 1
+    assert wkb >= 30
+    arc = ParamPath([ArcSegment(0.3 + 0.2j, 0.7, 0.1, 2.0)])
+    assert not period(Phi, arc).is_wkb and not period(Phi, arc.reversed()).is_wkb
 
 
 def test_rank2_track_reads_numpy_and_python_floats_alike():
@@ -866,9 +900,7 @@ def test_rank2_track_reads_numpy_and_python_floats_alike():
     ],
 )
 def test_period_on_mixed_paths_matches_quadrature(Phi, gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert abs(period(Phi, gamma) - _quad_period(Phi, gamma)) <= 1e-10
+    assert abs(period(Phi, gamma) - _quad_period(Phi, gamma)) <= 1e-10
 
 
 @pytest.mark.parametrize("Phi", [_phi([[0, 2], [3, 0]]), _phi([[1, 2], [3, -1]]), _phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]])])
@@ -880,17 +912,13 @@ def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
     eigvals, refined = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
     mu = _counting(monkeypatch, EigenvalueTrack, "__call__")
     entries = sum(bool(e) for row in Phi.dz_part.entries for e in row)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        period(Phi, _POLY)
+    period(Phi, _POLY)
     assert 0 < calls[0] <= entries * len(_POLY.segments)
     assert eigvals[0] <= len(_POLY.segments) and refined[0] == 0
     assert mu[0] == len(_POLY.segments)
     # the shortcut must not widen: a z-dependent field evaluates every node
     calls[0] = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        period(_parabolic_secondary(), _POLY)
+    period(_parabolic_secondary(), _POLY)
     assert calls[0] >= 257
 
 
