@@ -61,12 +61,28 @@ def _as_fraction(x) -> Fraction:
 
 class _Frozen:
     """Base of the immutable value types: constructors set the slots through
-    object.__setattr__, and any later assignment raises."""
+    object.__setattr__, and any later assignment raises.  pickle and
+    copy.deepcopy rebuild a value the same way, through :func:`_rebuilt`."""
 
     __slots__ = ()
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        slots = [name for cls in type(self).__mro__ for name in cls.__dict__.get("__slots__", ())]
+        # a complex subclass passes its value to complex.__new__; others pass nothing
+        return _rebuilt, (type(self), getattr(self, "__getnewargs__", tuple)(), [(name, getattr(self, name)) for name in slots])
+
+
+def _rebuilt(cls, args: tuple, slots: list) -> _Frozen:
+    """A new cls from the non-_Frozen base's __new__(cls, *args) and its slot
+    values.  cls's own constructor, which may return a shared value such as
+    the zero singleton, is bypassed, so no existing value is ever set."""
+    self = super(_Frozen, cls).__new__(cls, *args)
+    for name, value in slots:
+        object.__setattr__(self, name, value)
+    return self
 
 
 class GaussianRational(_Frozen):

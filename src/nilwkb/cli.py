@@ -219,7 +219,7 @@ def _cmd_holonomy(args) -> int:
 def _cmd_period(args) -> int:
     family, gamma = _load_family(args.family), _load_path(args.path)
     Z = period(_field(args, family), gamma)
-    _emit({"Z": [Z.real, Z.imag], "is_wkb": Z.is_wkb, "margin": Z.margin})
+    _emit({"Z": [Z.real, Z.imag], "est_error": Z.est_error, "is_wkb": Z.is_wkb, "margin": Z.margin})
     return 0
 
 

@@ -20,15 +20,18 @@ stays below est_error; beyond, the determinant of the stored double-precision
 matrix is dominated by representation roundoff.
 
 The eigenvalue track continues the sheets of Phi's spectral cover (eigvals
-rows of its coefficient, matched node to node at every rank) and reports
-them times gamma'(t).  Transport's M(t) and the track's rows are read by one
-per-segment sampler, _pulled_back(forms, gamma, value): where the forms are
-constant it evaluates value(z, v) once, elsewhere on Python scalars at each
-t.  On a constant segment the track's ends are its only grid nodes and
-the period adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's
-grid nodes are evaluated once, when it is built; the WKB predicate reads
-them back, and the period's real and imaginary quadratures share their
-evaluations.  A period (a complex) carries the WKB verdict of its path.
+rows of its coefficient, each sheet matched to its nearest in the row
+before, at every rank) and reports them times gamma'(t).  Transport's M(t)
+and the track's rows are read by one per-segment sampler,
+_pulled_back(forms, gamma, value): where the forms are constant it
+evaluates value(z, v) once, elsewhere on Python scalars at each t.  On a
+constant segment the track's ends are its only grid nodes and the period
+adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
+are evaluated once, when it is built; the WKB predicate reads them back,
+and off the nodes it and the period read one method, values(t), whose
+evaluations the period's real and imaginary quadratures share.  A period
+(a complex) carries its est_error, from quad's full output, and the WKB
+verdict of its path.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
-from .algebra import _Frozen
+from .algebra import GR_ZERO, _Frozen
 from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
@@ -64,6 +67,11 @@ MAX_REL_TOL = 1e-2
 STEP_BUDGET = 10_000_000
 # roundoff of expm(X) in units of 2.3e-16 (1 + ||X||) ||expm(X)||, calibrated against mpmath.expm
 EXPM_ROUNDOFF = 10
+# backward error of eigvals(A) in units of n 2.3e-16 ||A||_F; against mpmath.eig, times the
+# condition bound, the largest error seen was 0.9 units
+EIGVALS_ROUNDOFF = 10
+# the absolute and relative tolerance of the period's quadrature
+QUAD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +532,11 @@ def transport_grid(
 
 
 def _matched(prev: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """lam reordered by the one-to-one match nearest to prev.  Where each
-    entry of prev has a different nearest entry of lam, that map is the
-    match: its cost bounds every assignment's from below."""
-    dist = np.abs(lam[None, :] - prev[:, None])
-    nearest = dist.argmin(axis=1)
-    if len(set(nearest.tolist())) == len(nearest):
-        return lam[nearest]
-    from scipy.optimize import linear_sum_assignment
-
-    return lam[linear_sum_assignment(dist)[1]]
+    """lam reordered so that each entry of prev is followed by its nearest
+    entry of lam.  The map need not be one-to-one; a repeated sheet makes
+    the row's closest pair 0, so the track refines that step and a WKB
+    margin read off it is at most 0."""
+    return lam[np.abs(lam[None, :] - prev[:, None]).argmin(axis=1)]
 
 
 def _closest_pair(row: np.ndarray) -> float:
@@ -548,9 +551,9 @@ class EigenvalueTrack:
     the sheet row is eigvals(phi(gamma(t))), and the track reports it times
     the velocity gamma'(t): the eigenvalues of the pulled-back field.  Each
     grid node keeps its sheet row and its velocity apart, so a corner of the
-    path, where gamma' jumps, moves no sheet.  A row at t is continued from
-    the node before t: the sheet row there is matched to the node's
-    (:func:`_matched`).
+    path, where gamma' jumps, moves no sheet.  values(t), the one read off
+    the nodes, continues the row from the node before t: each of the node's
+    sheets takes its nearest in the sheet row at t (:func:`_matched`).
 
     The first row is sorted by orientation * Re(lam gamma'(0)), largest
     first (TieAtStart if the leading two tie).  Reversing a path negates
@@ -627,16 +630,10 @@ class EigenvalueTrack:
 
     # -- public surface ----------------------------------------------------------------
 
-    def _continued(self, t: float) -> np.ndarray:
-        """The eigenvalue row at t, its sheets continued from the grid node before it."""
+    def values(self, t: float) -> np.ndarray:
+        """The eigenvalue row at t, its sheets continued from the grid node before t."""
         sheets, v = self._at(t)
         return _matched(self._sheets[min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)], sheets) * v
-
-    def __call__(self, t: float) -> complex:
-        return complex(self._continued(t)[0])
-
-    def values(self, t: float) -> np.ndarray:
-        return self._continued(t)
 
     def grid(self) -> List[float]:
         return list(self._ts)
@@ -661,7 +658,10 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     cross make a gap negative.  A reversed path keeps its verdict.
 
     Margins and the scale of the tolerance come from the track's stored
-    node values; only the (at most 16) refinement midpoints are evaluated.
+    node values; only the (at most 16) refinement midpoints are evaluated,
+    by track.values.  Where a midpoint's nearest map repeats a sheet, its
+    real parts cannot strictly decrease, so its margin is at most 0: the
+    conservative verdict.
     No midpoint falls inside a segment where the field is constant: the
     margin there is the node value at the segment's start.
 
@@ -693,29 +693,45 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
     return WkbCurveCheck(is_wkb=margin > tol, margin=margin)
 
 
+def _eigvals_error(row: np.ndarray, norm: float) -> float:
+    """Bound, to first order in roundoff, on the error of each entry of
+    row = eigvals(A), where norm = ||A||_F: EIGVALS_ROUNDOFF n 2.3e-16 ||A||_F,
+    the QR algorithm's backward error, times Smith's (1967) bound on the
+    condition number of an eigenvalue, (1 + (||A||_F^2 - sum |lam|^2) /
+    ((n - 1) gap^2))^((n - 1) / 2), with gap the closest pair of row."""
+    n = len(row)
+    departure = max(norm**2 - float(np.sum(np.abs(row) ** 2)), 0.0)
+    return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * (1.0 + departure / ((n - 1) * _closest_pair(row) ** 2)) ** ((n - 1) / 2)
+
+
 class Period(_Frozen, complex):
-    """A complex period with is_wkb_curve's is_wkb and margin on its track; arithmetic gives a plain complex."""
+    """A complex period with its est_error and is_wkb_curve's is_wkb and margin on its track; arithmetic gives a plain complex."""
 
-    __slots__ = ("is_wkb", "margin")
+    __slots__ = ("est_error", "is_wkb", "margin")
 
-    def __new__(cls, value: complex, is_wkb: bool, margin: float):
+    def __new__(cls, value: complex, est_error: float, is_wkb: bool, margin: float):
         self = complex.__new__(cls, value)
+        object.__setattr__(self, "est_error", est_error)
         object.__setattr__(self, "is_wkb", is_wkb)
         object.__setattr__(self, "margin", margin)
         return self
 
-    def __reduce__(self):
-        return Period, (complex(self), self.is_wkb, self.margin)
-
 
 def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
-    """Integral of the leading tracked eigenvalue mu = lam gamma' over the path, with its WKB verdict.
+    """Integral of the leading tracked eigenvalue mu = lam gamma' over the path, with its est_error and WKB verdict.
 
     On a segment where the field is constant, mu is constant and the
     segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its
-    start.  Any other segment is integrated by adaptive quadrature of the
-    real and imaginary parts, which share their evaluations, to absolute
-    error 1e-12 and relative error 1e-12.
+    start; its est_error is that eigenvalue's roundoff (:func:`_eigvals_error`
+    of the exact coefficient) times the segment's length.  Any other segment
+    is integrated by adaptive quadrature (QUADPACK, Piessens et al. 1983,
+    through scipy's quad) of mu = track.values(t)[0], whose real and
+    imaginary parts share their evaluations, each to absolute or relative
+    error QUAD_TOL.  Its est_error is the modulus of quad's error estimate,
+    but no less than the tolerance, sqrt(2) QUAD_TOL max(1, |value|), since
+    that heuristic estimate can fall short of an error below it (z^109 dz on
+    an arc: 5.3e-17 for an error of 6.1e-17).  quad returns its full output,
+    so a tolerance it cannot reach shows in est_error, not as a warning.
     """
     track = EigenvalueTrack(Phi, gamma)
     check = is_wkb_curve(Phi, gamma, track)
@@ -723,16 +739,23 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
 
     def mu(t: float) -> complex:
         if t not in memo:
-            memo[t] = track(t)
+            memo[t] = track.values(t)[0]
         return memo[t]
 
-    total = 0j
+    total, est_error, lam_error = 0j, 0.0, None
     for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
         if track.constant_at(t0):
-            total += track(t0) * (t1 - t0)
+            row, v = track.values(t0), gamma.velocity(t0)
+            total += row[0] * (t1 - t0)
+            if lam_error is None:  # constant in z, Phi has one exact coefficient on every constant segment
+                norm = math.sqrt(sum(abs(e.evaluate_exact(GR_ZERO).to_complex()) ** 2 for _i, _j, e, _e in Phi.nonzero_entries()))
+                lam_error = _eigvals_error(row / v, norm)
+            est_error += lam_error * abs(v) * (t1 - t0)
             continue
-        total += quad(mu, t0, t1, complex_func=True, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    return Period(total, check.is_wkb, check.margin)
+        value, abserr, _info = quad(mu, t0, t1, complex_func=True, full_output=1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+        total += value
+        est_error += max(abs(abserr), math.sqrt(2) * QUAD_TOL * max(1.0, abs(value)))
+    return Period(total, est_error, check.is_wkb, check.margin)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -7,6 +9,10 @@ from fractions import Fraction
 import pytest
 
 from nilwkb.algebra import (
+    GR_ONE,
+    GR_ZERO,
+    _BRF_ZERO,
+    _Frozen,
     BiPolynomial,
     _poly_div_exact,
     _poly_gcd,
@@ -570,3 +576,46 @@ def test_flatness_multiplies_no_zero_and_differentiates_no_variable_free_entry(m
     BRF.zero() * BRF.z()
     assert len(zero_products) == 1  # the counter sees what it counts
 
+
+
+def _frozen_types(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_types(sub)
+
+
+def test_every_frozen_value_survives_pickle_and_deepcopy():
+    # each immutable value type, every catalog family among them, comes back
+    # equal slot for slot, and rebuilding one sets no shared value
+    from nilwkb.catalog import catalog
+    from nilwkb.connection import ConnectionFamily
+    from nilwkb.holonomy import Period
+
+    def slots(value):
+        return [(name, getattr(value, name)) for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())]
+
+    z = BRF.z()
+    values = [
+        GaussianRational(0),
+        GaussianRational(Fraction(1, 2), -3),
+        BiPolynomial({(2, 1): GaussianRational(1, 1), (0, 0): GaussianRational(-4)}),
+        BRF.zero(),
+        z / (z - BRF.one()),
+        RationalFunctionMatrix([[z, BRF.zero()], [BRF.one(), -z]]),
+        MatrixOneForm(RationalFunctionMatrix([[z]]), RationalFunctionMatrix([[BRF.zbar()]])),
+        *catalog().values(),
+        Period(complex(-0.0, 2.5), 1e-13, True, 0.75),
+    ]
+    assert {type(v) for v in values} == set(_frozen_types()) == {
+        GaussianRational, BiPolynomial, BRF, RationalFunctionMatrix, MatrixOneForm, ConnectionFamily, Period
+    }
+    shared = [(value, slots(value)) for value in (GR_ZERO, GR_ONE, BRF.zero(), BRF.one())]
+    for value in values:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(copied) is type(value) and copied == value and slots(copied) == slots(value)
+            with pytest.raises(AttributeError, match="immutable"):
+                copied.x = 1
+    assert repr(pickle.loads(pickle.dumps(values[-1]))) == repr(values[-1])
+    assert all(slots(value) == before for value, before in shared)
+    assert (GaussianRational(0).a, GaussianRational(0).b, GaussianRational(0).d) == (0, 0, 1)
+    assert BRF.zero() is _BRF_ZERO and BRF.zero().is_zero and BRF.zero().den == BiPolynomial.constant(1)

@@ -127,7 +127,7 @@ def test_period_writes_its_wkb_verdict_on_stdout(tmp_path, points, Z, is_wkb, ma
     )
     assert run.returncode == 0 and run.stderr == ""
     out = json.loads(run.stdout)
-    assert sorted(out) == ["Z", "is_wkb", "margin", "schema"]
+    assert sorted(out) == ["Z", "est_error", "is_wkb", "margin", "schema"]
     assert out["Z"] == [pytest.approx(Z[0]), pytest.approx(Z[1])] and out["is_wkb"] is is_wkb
     assert abs(out["margin"] - margin) < 1e-12
     assert main(["wkbcheck", "catalog:nilpotent_sl2", str(path), "--blocks", "1,1"]) == 0

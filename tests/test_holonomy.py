@@ -1,13 +1,19 @@
 import cmath
 import copy
+import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -30,6 +36,7 @@ from nilwkb.errors import (
     InsufficientSamples,
     NonDecayingSequence,
     NonFiniteSample,
+    PoleHit,
     StiffnessBudgetExceeded,
     TieAtStart,
 )
@@ -583,12 +590,12 @@ def test_overflow_in_a_finished_dop853_solve_changes_nothing(monkeypatch):
 def test_track_examples():
     Phi = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[0, 1], [1, 0]]))
     track = EigenvalueTrack(Phi, SEG)
-    assert track(0.0) == pytest.approx(1.0)
-    assert track(0.77) == pytest.approx(1.0)
+    assert track.values(0.0)[0] == pytest.approx(1.0)
+    assert track.values(0.77)[0] == pytest.approx(1.0)
 
     diag = MatrixOneForm.from_dz(RationalFunctionMatrix.from_scalars([[1, 0], [0, -1]]))
     track2 = EigenvalueTrack(diag, SEG)
-    assert track2(0.5) == pytest.approx(1.0)
+    assert track2.values(0.5)[0] == pytest.approx(1.0)
 
     z = BRF.z()
     half = BRF.constant(Fraction(1, 2))
@@ -626,7 +633,7 @@ def test_track_continuous_branch_on_circle():
     # dz/z around the circle: mu is constant despite the winding coefficient
     fam = regular_diagonal()
     track = EigenvalueTrack(fam.phi, ParamPath.circle())
-    values = [track(t) for t in np.linspace(0, 1, 17)]
+    values = [track.values(t)[0] for t in np.linspace(0, 1, 17)]
     assert max(abs(v - values[0]) for v in values) < 1e-9
 
 
@@ -667,7 +674,6 @@ def test_track_node_values_equal_values_at_nodes(Phi, gamma):
     assert len(nodes) == len(ts)
     for vals, t in zip(nodes, ts):
         assert np.array_equal(vals, track.values(t))
-        assert vals[0] == track(t)
     # is_wkb_curve reads the node values: same margin from a prebuilt track
     assert is_wkb_curve(Phi, gamma, track) == is_wkb_curve(Phi, gamma)
 
@@ -726,16 +732,16 @@ def test_period_reversal_antisymmetry_randomized():
 
 
 def _quad_period(Phi, gamma):
-    # reference: adaptive quadrature of track(t) on every segment, the track
-    # built as if no segment were constant, so the field is evaluated at every
-    # node and every quadrature point
+    # reference: adaptive quadrature of track.values(t)[0] on every segment,
+    # the track built as if no segment were constant, so the field is
+    # evaluated at every node and every quadrature point
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("nilwkb.holonomy._constant_segments", lambda forms, gamma: [False] * len(gamma.segments))
         track = EigenvalueTrack(Phi, gamma)
         total = 0j
         for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
-            re, _ = quad(lambda t: track(t).real, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-            im, _ = quad(lambda t: track(t).imag, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+            re, _ = quad(lambda t: track.values(t)[0].real, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+            im, _ = quad(lambda t: track.values(t)[0].imag, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
             total += re + 1j * im
     return total
 
@@ -884,7 +890,7 @@ def test_rank2_track_reads_numpy_and_python_floats_alike():
     nodes = track.grid()
     assert any(isinstance(t, np.floating) for t in nodes)
     for t in nodes:
-        assert repr(complex(track(t))) == repr(complex(track(float(t)))), t
+        assert repr(complex(track.values(t)[0])) == repr(complex(track.values(float(t))[0])), t
 
 
 @pytest.mark.parametrize(
@@ -907,19 +913,205 @@ def test_period_on_mixed_paths_matches_quadrature(Phi, gamma):
 def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
     # cost guard: on a constant polyline the track evaluates each nonzero
     # entry and its eigenvalues once per segment, the WKB predicate refines
-    # nothing and the period reads mu once per segment
+    # nothing and the period reads values once per segment
     calls = _counting_closures(monkeypatch)
-    eigvals, refined = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
-    mu = _counting(monkeypatch, EigenvalueTrack, "__call__")
+    eigvals, values = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
     entries = sum(bool(e) for row in Phi.dz_part.entries for e in row)
     period(Phi, _POLY)
     assert 0 < calls[0] <= entries * len(_POLY.segments)
-    assert eigvals[0] <= len(_POLY.segments) and refined[0] == 0
-    assert mu[0] == len(_POLY.segments)
+    assert eigvals[0] <= len(_POLY.segments)
+    assert values[0] == len(_POLY.segments)
     # the shortcut must not widen: a z-dependent field evaluates every node
     calls[0] = 0
     period(_parabolic_secondary(), _POLY)
     assert calls[0] >= 257
+
+
+_PARABOLIC = _parabolic_secondary()
+
+
+def _oracle_field(rng):
+    z, one, zero = BRF.z(), BRF.one(), BRF.zero()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _PARABOLIC
+    if kind == 1:
+        return MatrixOneForm.from_dz(RationalFunctionMatrix([[z, zero, zero], [zero, one - z, zero], [zero, zero, -one]]))
+    if kind == 2:
+        return MatrixOneForm.from_dz(RationalFunctionMatrix([[zero, _zpow(rng.randint(20, 130))], [one, zero]]))
+    # constant plus linear entries at rank 2 or 3; a steep linear part makes
+    # some steps of the even grid move a sheet past another
+    n, steep = kind - 1, rng.choice([1, 100])
+    c = lambda s: BRF.constant(GaussianRational(rng.randint(-3 * s, 3 * s), rng.randint(-3 * s, 3 * s)))
+    return MatrixOneForm.from_dz(RationalFunctionMatrix([[c(1) + c(steep) * z for _ in range(n)] for _ in range(n)]))
+
+
+def _oracle_path(rng):
+    point = lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        gamma = ParamPath.segment(point(), point())
+    elif kind == 1:
+        a0 = rng.uniform(-math.pi, math.pi)
+        gamma = ParamPath([ArcSegment(point() / 2, rng.uniform(0.2, 1.0), a0, a0 + rng.uniform(-6, 6))])
+    else:
+        gamma = ParamPath.from_points([point() for _ in range(rng.randint(3, 5))])
+    return gamma.reversed() if rng.random() < 0.5 else gamma
+
+
+def test_nearest_map_matches_the_assignment_oracle(monkeypatch):
+    # the oracle is the one-to-one match of least total distance.  Where the
+    # nearest map repeats a sheet, the step is refined under either matcher,
+    # so both give the same grid, node rows, period bits and verdict, or
+    # raise the same error
+    from scipy.optimize import linear_sum_assignment
+
+    nearest, repeats = holonomy._matched, [0]
+
+    def counted(prev, lam):
+        out = nearest(prev, lam)
+        repeats[0] += len(set(out.tolist())) < len(out)
+        return out
+
+    def assignment(prev, lam):
+        return lam[linear_sum_assignment(np.abs(lam[None, :] - prev[:, None]))[1]]
+
+    built = []
+
+    class Kept(EigenvalueTrack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(holonomy, "EigenvalueTrack", Kept)
+
+    def run(Phi, gamma, matcher):
+        monkeypatch.setattr(holonomy, "_matched", matcher)
+        try:
+            Z = period(Phi, gamma)
+        except (TieAtStart, BranchPointOnPath, PoleHit) as err:
+            return type(err)
+        track = built[-1]
+        return track.grid(), [row.tobytes() for row in track.node_values()], repr(complex(Z)), Z.est_error, Z.is_wkb, Z.margin
+
+    rng = random.Random(2026)
+    followed = 0
+    for i in range(400):
+        Phi, gamma = _oracle_field(rng), _oracle_path(rng)
+        out = run(Phi, gamma, counted)
+        assert out == run(Phi, gamma, assignment), (i, gamma.segments)
+        followed += not isinstance(out, type)
+    assert followed >= 300 and repeats[0] > 0
+
+
+def _exact_point(seg, s):
+    """seg's point at s, in mpmath's precision: the path's own geometry, not its rounded doubles."""
+    if isinstance(seg, LineSegment):
+        return mpmath.mpc(seg.start) + s * (mpmath.mpc(seg.end) - mpmath.mpc(seg.start))
+    return mpmath.mpc(seg.center) + seg.radius * mpmath.expj(seg.angle0 + s * (mpmath.mpf(seg.angle1) - seg.angle0))
+
+
+def _power_period(gamma, k, lam0):
+    """The closed form of the period of [[0, z^k], [1, 0]] dz: (2/(k+2)) z^((k+2)/2)
+    between the ends of gamma, on the branch of z^(k/2) that starts at lam0 and
+    is continued along gamma; 40 digits."""
+    with mpmath.workdps(40):
+        ends = [_exact_point(gamma.segments[0], 0), _exact_point(gamma.segments[-1], 1)]
+        phases = np.unwrap([cmath.phase(gamma.point(t)) for t in np.linspace(0.0, 1.0, 4001)])
+        logs = [mpmath.log(z) + 2j * mpmath.pi * round((p - float(mpmath.arg(z))) / (2 * math.pi)) for z, p in zip(ends, phases[[0, -1]])]
+        start = complex(mpmath.exp(k * logs[0] / 2))
+        sign = 1 if abs(lam0 - start) < abs(lam0 + start) else -1
+        return sign * 2 / mpmath.mpf(k + 2) * (mpmath.exp((k + 2) * logs[1] / 2) - mpmath.exp((k + 2) * logs[0] / 2))
+
+
+def _power_field(k):
+    return _PARABOLIC if k == -1 else MatrixOneForm.from_dz(RationalFunctionMatrix([[BRF.zero(), _zpow(k)], [BRF.one(), BRF.zero()]]))
+
+
+@pytest.mark.parametrize("powers, shape", [((-1,), "segment"), ((-1,), "arc"), (range(20, 131), "arc")])
+def test_period_est_error_bounds_the_closed_form(powers, shape):
+    # the parabolic secondary field is [[0, 1/z], [1, 0]] dz, whose period is
+    # 2 (sqrt(b) - sqrt(a)); z^k arcs stay within radius 1.3 of 0, where z^k
+    # is below 1e14 and no entry is refused as a pole
+    rng = random.Random(f"{powers} {shape}")
+    done = 0
+    while done < 40:
+        power = rng.choice(powers)
+        if shape == "segment":
+            z0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            gamma = ParamPath.segment(z0, z0 + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        else:
+            a0, reach = rng.uniform(-math.pi, math.pi), 0.5 if power == -1 else 0.2
+            centre = complex(rng.uniform(-reach, reach), rng.uniform(-reach, reach))
+            gamma = ParamPath([ArcSegment(centre, rng.uniform(0.2, 1.0), a0, a0 + rng.uniform(-6, 6))])
+        if rng.random() < 0.5:
+            gamma = gamma.reversed()
+        Phi = _power_field(power)
+        try:
+            Z = period(Phi, gamma)
+        except (TieAtStart, BranchPointOnPath, PoleHit):
+            continue
+        lam0 = EigenvalueTrack(Phi, gamma).values(0.0)[0] / gamma.velocity(0.0)
+        assert abs(Z - _power_period(gamma, power, lam0)) <= Z.est_error, (power, gamma.segments)
+        done += 1
+
+
+def test_period_est_error_bounds_the_exact_eigenvalue_on_constant_paths():
+    # constant fields on polylines: mu dt per segment against the exact
+    # eigenvalue of the exact matrix, in 40 digits.  Some have a block near a
+    # branch point: [[0, a], [d, 0]] (d down to 1e-9), which balancing makes
+    # well conditioned, or [[1 + K + e, -K], [K, 1 - K - e]], eigenvalues
+    # 1 +- sqrt(2 K e + e^2), which it does not: at K = 1e4, e = 1e-8
+    # eigvals is 1.4e-6 off
+    rng = random.Random(77)
+    done = 0
+    while done < 150:
+        n = rng.choice([2, 3, 4])
+        if rng.random() < 0.4:
+            grid = [[GaussianRational(j if i == j > 1 else 0) for j in range(n)] for i in range(n)]
+            if rng.random() < 0.5:
+                grid[0][1], grid[1][0] = GaussianRational(rng.randint(1, 5)), GaussianRational(1, rng.choice([10**3, 10**6, 10**9]))
+            else:
+                K, e = rng.choice([10**2, 10**3, 10**4]), GaussianRational(1, rng.choice([10**4, 10**6, 10**8]))
+                grid[0][0], grid[0][1], grid[1][0], grid[1][1] = 1 + K + e, GaussianRational(-K), GaussianRational(K), 1 - K - e
+        else:
+            s = rng.choice([1, 1000])
+            grid = [[GaussianRational(rng.randint(-s, s), rng.randint(-s, s)) for _ in range(n)] for _ in range(n)]
+        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 4))]
+        gamma = ParamPath.from_points(points)
+        try:
+            Z = period(_phi(grid), gamma)
+        except (TieAtStart, BranchPointOnPath):
+            continue
+        lam0 = EigenvalueTrack(_phi(grid), gamma).values(0.0)[0] / gamma.velocity(0.0)
+        with mpmath.workdps(40):
+            A = mpmath.matrix([[mpmath.mpf(c.a) / c.d + 1j * mpmath.mpf(c.b) / c.d for c in row] for row in grid])
+            lam = min(mpmath.eig(A, left=False, right=False), key=lambda e: abs(complex(e) - lam0))
+            assert abs(Z - lam * (mpmath.mpc(points[-1]) - mpmath.mpc(points[0]))) <= Z.est_error, (grid, points)
+        done += 1
+
+
+# the arc on which quad cannot reach its tolerance for z^77: it used to warn twice
+_Z77_ARC = ArcSegment(-0.7711935290401906 + 0.11429370361024116j, 0.6735629502555041, -5.068851432658857, -2.0977795889151456)
+
+
+def test_period_command_reports_est_error_where_quad_falls_short(tmp_path):
+    gamma = ParamPath([_Z77_ARC])
+    Phi = _power_field(77)
+    family, path = tmp_path / "family.json", tmp_path / "path.json"
+    family.write_text(json.dumps(ConnectionFamily(2, Phi, MatrixOneForm.zero(2), MatrixOneForm.zero(2)).to_json()))
+    path.write_text(json.dumps(gamma.to_json()))
+    run = subprocess.run(
+        [sys.executable, "-m", "nilwkb.cli", "period", str(family), str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(holonomy.__file__).parents[1])},
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    out = json.loads(run.stdout)
+    exact = _power_period(gamma, 77, EigenvalueTrack(Phi, gamma).values(0.0)[0] / gamma.velocity(0.0))
+    error = abs(complex(*out["Z"]) - exact)
+    # quad reports roundoff: the estimate exceeds the tolerance asked for, and bounds the error
+    assert 1e-10 < error <= out["est_error"] and out["est_error"] > 1e-9
 
 
 # -- rate fitting -----------------------------------------------------------------------
