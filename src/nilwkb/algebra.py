@@ -26,7 +26,9 @@ denominator are both free of the variable is the zero singleton, the value
 the quotient rule would normalise to.
 
 Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
-place where coefficients become floats and near-poles raise ``PoleHit``.
+place where coefficients become floats, and it raises ``PoleHit`` where the
+denominator is within roundoff of 0 relative to its own terms (a one-term
+denominator only where it is exactly 0).
 Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
 transport layer's pullback included, goes through it.
 """
@@ -34,7 +36,7 @@ transport layer's pullback included, goes through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Callable, Iterable, Mapping
 
 import sympy
@@ -565,7 +567,8 @@ class BiRationalFunction(_Frozen):
     # -- evaluation -----------------------------------------------------------------------
 
     def evaluate(self, z: complex) -> complex:
-        """Numeric value at z with zbar := conj(z); raises PoleHit near poles."""
+        """Numeric value at z with zbar := conj(z); raises PoleHit where
+        :meth:`compiled` does."""
         return self.compiled()(complex(z))
 
     def evaluate_exact(self, z: GaussianRational) -> GaussianRational:
@@ -579,7 +582,9 @@ class BiRationalFunction(_Frozen):
         """Closure evaluating this function in doubles, zbar := conj(z).
 
         The only conversion of coefficients to doubles; raises PoleHit where
-        the denominator vanishes to within EVAL_TOLERANCE.
+        the denominator vanishes to within EVAL_TOLERANCE of the sum of its
+        terms' moduli, so a one-term denominator raises only where it is 0
+        (and the numerator's size plays no part).
         """
         num_terms = [(i, j, c.to_complex()) for (i, j), c in self.num.terms.items()]
         den_terms = [(i, j, c.to_complex()) for (i, j), c in self.den.terms.items()]
@@ -589,10 +594,13 @@ class BiRationalFunction(_Frozen):
             n = 0j
             for i, j, c in num_terms:
                 n += c * z**i * zb**j
-            d = 0j
+            d, scale = 0j, 0.0
             for i, j, c in den_terms:
-                d += c * z**i * zb**j
-            if abs(d) <= EVAL_TOLERANCE * (1.0 + abs(n)):
+                term = c * z**i * zb**j
+                d += term
+                scale += abs(term)
+            # a denominator term past a double is no pole
+            if abs(d) <= EVAL_TOLERANCE * scale < inf:
                 raise PoleHit(f"denominator vanishes at z={z!r}")
             return n / d
 

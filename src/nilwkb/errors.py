@@ -57,7 +57,7 @@ class ClearanceViolated(NilwkbError):
 
 
 class StiffnessBudgetExceeded(NilwkbError):
-    """The transport integrator exceeded its step budget."""
+    """A DOP853 solve failed, or its progress projects more right-hand sides than its budget."""
     exit_code = 2
 
 

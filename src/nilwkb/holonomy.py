@@ -4,17 +4,20 @@ Paths are piecewise lines/arcs parametrized proportionally to arc length.
 Transport carries the flat-section system S'(t) = -M(t) S(t) for a whole eps
 grid, a (B, n, n) stack, segment by segment; a single transport is the
 one-member grid.  The K term matrices of M = sum_k eps^x_k M_k are pulled
-back side by side, as one (n, K*n) block.  Whether a segment's block depends
-on t is decided once: a z-independent family on a line segment has constant
-M there, and S is multiplied by the closed form expm(-M dt) (scaling and
-squaring, Higham 2005).  Any other segment is solved by an adaptive embedded
-pair (DOP853) on the grid laid side by side, one (n, B*n) state, so that a
-right-hand side is one 2-D product; all members share one step count, and
-a solve that fails on an overflowed double raises HolonomyOverflow.
+back side by side, as one (n, K*n) block.  One walk over the forms' entries
+compiles them and decides whether the family is z-independent; such a
+family has constant M on a line segment, and there S is multiplied by the
+closed form expm(-M dt) (scaling and squaring, Higham 2005).  Any other
+segment is solved by an adaptive embedded pair (DOP853) on the grid laid
+side by side, one (n, B*n) state, so that a right-hand side is one 2-D
+product into a buffer kept for the segment; all members share one step
+count.  A solve that fails on an overflowed double raises HolonomyOverflow;
+one that, at its progress in t so far, would take more than RHS_BUDGET
+right-hand sides raises StiffnessBudgetExceeded.
 est_error compares a second run at a hundredfold tighter tolerance (only
 where DOP853 runs: the exponentials do not depend on it), plus the roundoff
 the steps and the exponentials can accumulate, so it bounds each reported
-matrix.
+matrix.  Finiteness, norms and traces are taken on the whole stack at once.
 Determinant fidelity of a sample is meaningful while eps_machine * ||H||^2
 stays below est_error; beyond, the determinant of the stored double-precision
 matrix is dominated by representation roundoff.
@@ -23,7 +26,7 @@ The eigenvalue track continues the sheets of Phi's spectral cover (eigvals
 rows of its coefficient, each sheet matched to its nearest in the row
 before, at every rank) and reports them times gamma'(t).  Transport's M(t)
 and the track's rows are read by one per-segment sampler,
-_pulled_back(forms, gamma, value): where the forms are constant it
+_pulled_back(gamma, value, flat): where the field is constant it
 evaluates value(z, v) once, elsewhere on Python scalars at each t.  On a
 constant segment the track's ends are its only grid nodes and the period
 adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
@@ -64,7 +67,12 @@ from .errors import (
 DEFAULT_CLEARANCE = 1e-6
 # the largest rel_tol transport accepts; up to it est_error bounds the actual error of every closed-form test case
 MAX_REL_TOL = 1e-2
-STEP_BUDGET = 10_000_000
+# right-hand sides one DOP853 solve may take: 10^7 steps of DOP853's 12.  From RHS_PROBE evaluations on, a solve
+# stops as soon as its average progress in t so far projects more than that for its segment, so one whose steps
+# shrink toward the roundoff of t (about 6e-14 per evaluation on an arc of radius 2^70) ends at RHS_PROBE, in
+# about 1 s on a 2 GHz Xeon, while an oscillatory solve needs as many as its integral of |eigenvalue| dt asks for
+RHS_BUDGET = 120_000_000
+RHS_PROBE = 100_000
 # roundoff of expm(X) in units of 2.3e-16 (1 + ||X||) ||expm(X)||, calibrated against mpmath.expm
 EXPM_ROUNDOFF = 10
 # backward error of eigvals(A) in units of n 2.3e-16 ||A||_F; against mpmath.eig, times the
@@ -289,26 +297,19 @@ class HolonomySample:
     rhs_evals: int = 0
 
 
-def _constant_segments(forms: Sequence[MatrixOneForm], gamma: ParamPath) -> List[bool]:
-    """Per segment of gamma, whether the forms pull back to constants there:
-    a line segment (constant velocity) on which every nonzero entry is
-    constant in z (numerator and denominator of degree (0, 0))."""
-    entries = (e for form in forms for _i, _j, *pair in form.nonzero_entries() for e in pair if e)
-    flat = all(e.num.degree() == e.den.degree() == (0, 0) for e in entries)
-    return [flat and isinstance(seg, LineSegment) for seg in gamma.segments]
-
-
-def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Callable[[complex, complex], np.ndarray]:
+def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool]:
     """(z, v) -> the K term matrices P(z) v + Q(z) conj(v), one per form
     k = P dz + Q dzbar, side by side as one (n, K*n) row block: entry (i, j)
-    of term k is at row i, column k*n + j.  Each nonzero entry is compiled
-    once and evaluated on Python scalars."""
+    of term k is at row i, column k*n + j; and whether the forms are
+    constant in z (every nonzero entry's numerator and denominator has no
+    term but z^0 zbar^0).  One walk over the nonzero entries compiles each
+    once and decides that; the block is evaluated on Python scalars."""
     K = len(forms)
-    entries = [
-        ((i * K + k) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None)
-        for k, form in enumerate(forms)
-        for i, j, dz_e, dzbar_e in form.nonzero_entries()
-    ]
+    entries, flat = [], True
+    for k, form in enumerate(forms):
+        for i, j, dz_e, dzbar_e in form.nonzero_entries():
+            flat = flat and all(e.num.terms.keys() | e.den.terms.keys() <= {(0, 0)} for e in (dz_e, dzbar_e) if e)
+            entries.append(((i * K + k) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None))
     shape = (n, K * n)
 
     def evaluate(z: complex, v: complex) -> np.ndarray:
@@ -323,35 +324,35 @@ def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Callable[[complex,
             out[idx] = acc
         return out.reshape(shape)
 
-    return evaluate
+    return evaluate, flat
 
 
-def _pulled_back(forms: Sequence[MatrixOneForm], gamma: ParamPath, value: Callable[[complex, complex], Any]) -> List[Any]:
-    """Per segment of gamma, value(gamma(t), gamma'(t)) of a field built from forms.
+def _pulled_back(gamma: ParamPath, value: Callable[[complex, complex], Any], flat: bool) -> List[Any]:
+    """Per segment of gamma, value(gamma(t), gamma'(t)) of a field that is
+    constant in z if flat (the flag of :func:`_term_matrices`).
 
-    Whether the forms depend on t is decided once per segment, by
-    :func:`_constant_segments`.  Where they do not, that segment's item is
-    value evaluated once (read-only if it is an array).  Any other segment's
-    item is a map t -> value at s = (t - t_k) / (t_{k+1} - t_k), clamped to
-    [0, 1], on that segment alone.  Both evaluate on Python scalars.
+    A flat field on a line segment (constant velocity) does not depend on
+    t: that segment's item is value evaluated once (read-only if it is an
+    array).  Any other segment's item is a map t -> value at s = (t - t_k) /
+    (t_{k+1} - t_k), clamped to [0, 1], on that segment alone.  Both
+    evaluate on Python scalars.
     """
 
-    def on_segment(seg: Segment, t0: float, t1: float, constant: bool):
+    def on_segment(seg: Segment, t0: float, t1: float):
         dt = t1 - t0
-        if constant:
-            P = value(seg.point(0.0), seg.velocity(0.0) / dt)
-            if isinstance(P, np.ndarray):
-                P.flags.writeable = False
-            return P
 
         def P(t: float):
             s = min(1.0, max(0.0, (float(t) - t0) / dt))
             return value(seg.point(s), seg.velocity(s) / dt)
 
-        return P
+        if not (flat and isinstance(seg, LineSegment)):
+            return P
+        constant = P(t0)
+        if isinstance(constant, np.ndarray):
+            constant.flags.writeable = False
+        return constant
 
-    constant = _constant_segments(forms, gamma)
-    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:], constant)]
+    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:])]
 
 
 def _on_path(pieces: Sequence[Any], gamma: ParamPath) -> Callable[[float], Any]:
@@ -386,7 +387,7 @@ def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Call
     n = family.n
     forms, weights = _term_weights(family, [epsilon])
     gamma.check_clearance(family.punctures)
-    P = _on_path(_pulled_back(forms, gamma, _term_matrices(forms, n)), gamma)
+    P = _on_path(_pulled_back(gamma, *_term_matrices(forms, n)), gamma)
     # (K,) @ (n, K, n): one matmul per row, summing the side-by-side terms
     return lambda t: weights[0] @ P(t).reshape(n, len(forms), n)
 
@@ -418,8 +419,9 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     On a DOP853 segment the grid is one (n, B*n) state Y, whose column
     b*n + j is column j of member b, and each right-hand side is one 2-D
     product P(t) @ (Y * C).reshape(K*n, B*n): C, (K, 1, B*n), scales member
-    b's columns by its weight -w_bk in term k's row block.  Y is transposed
-    in from y and out to it once per segment.
+    b's columns by its weight -w_bk in term k's row block, and Y * C is
+    written into a buffer allocated once per segment.  Y is transposed in
+    from y and out to it once per segment.
 
     Returns the final state, DOP853's accepted steps and RHS evaluations, and
     per member the exponentials' roundoff bound: EXPM_ROUNDOFF 2.3e-16
@@ -431,8 +433,12 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     A DOP853 solve that fails with a floating-point overflow or invalid
     operation after its last RHS evaluation began raises HolonomyOverflow
     naming the segment; one that fails otherwise raises
-    StiffnessBudgetExceeded.  Overflows in steps DOP853 rejects and retries
-    change nothing, and none of them warns.
+    StiffnessBudgetExceeded, and so does one that has taken RHS_PROBE
+    right-hand sides and, at its average progress in t so far, would need
+    more than RHS_BUDGET for the segment (counted as they are asked for, so
+    a solve whose steps shrink toward roundoff ends in bounded time).
+    Overflows in steps DOP853 rejects and retries change nothing, and none
+    of them warns.
     """
     (B, K), n = neg_weights.shape, y.shape[-1]
     steps = rhs_evals = 0
@@ -448,10 +454,22 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             continue
         overflows = []  # floating-point errors since the latest RHS call began
         C = np.repeat(neg_weights.T, n, axis=1).reshape(K, 1, B * n)
+        stacked = np.empty((K * n, B * n), dtype=complex)  # (Y * C).reshape(K*n, B*n), rewritten by every RHS
+        weighted = stacked.reshape(K, n, B * n)
+        evals = 0
 
         def rhs(t, s):
+            nonlocal evals
+            evals += 1
+            if evals >= RHS_PROBE and evals * (t1 - t0) > RHS_BUDGET * (t - t0):
+                raise StiffnessBudgetExceeded(
+                    f"DOP853 reached t = {t:.6g} on segment {k} [{t0}, {t1}] after {evals} right-hand sides:"
+                    f" at that rate it would need more than {RHS_BUDGET}"
+                )
             overflows.clear()
-            return (P(t) @ (s.reshape(n, B * n) * C).reshape(K * n, B * n)).reshape(-1)
+            np.multiply(s.reshape(n, B * n), C, out=weighted)
+            # a fresh array: DOP853 keeps the last one returned
+            return np.dot(P(t), stacked).ravel()
 
         start = np.tile(np.eye(n, dtype=complex), (1, B)) if roundoff.any() else y.transpose(1, 0, 2).reshape(n, B * n)
         with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
@@ -462,8 +480,6 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             raise StiffnessBudgetExceeded(f"integrator failed on [{t0}, {t1}]: {sol.message}")
         steps += len(sol.t) - 1
         rhs_evals += sol.nfev
-        if steps > STEP_BUDGET:
-            raise StiffnessBudgetExceeded(f"step budget {STEP_BUDGET} exceeded")
         # a copy: a view keeps the whole solution history alive
         end = sol.y[:, -1].reshape(n, B, n).transpose(1, 0, 2).copy()
         if roundoff.any():
@@ -500,8 +516,10 @@ def transport_grid(
     est_error is the Frobenius distance between its two runs, but at least
     2.3e-16 (1 + ||S_b||) steps (a member far less stiff than the stiffest
     one ends both runs at roundoff), plus the exponentials' roundoff bound,
-    which both runs share.
-    A member whose holonomy or est_error is not finite raises HolonomyOverflow.
+    which both runs share.  Norms, finiteness and traces are taken on the
+    whole stack at once, and the fields are Python floats and complexes.
+    The first member in input order whose holonomy or est_error is not
+    finite raises HolonomyOverflow naming its eps.
     rel_tol must be finite and in (0, MAX_REL_TOL] (ValueError otherwise).
     """
     if not (math.isfinite(rel_tol) and 0 < rel_tol <= MAX_REL_TOL):
@@ -511,19 +529,20 @@ def transport_grid(
         return []
     forms, weights = _term_weights(family, eps)
     gamma.check_clearance(family.punctures)
-    pieces = _pulled_back(forms, gamma, _term_matrices(forms, family.n))
+    pieces = _pulled_back(gamma, *_term_matrices(forms, family.n))
     y0 = np.tile(np.eye(family.n, dtype=complex), (len(eps), 1, 1))
     coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0] if any(map(callable, pieces)) else None
     fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
-    samples = []
-    for e, c, f, r in zip(eps, fine if coarse is None else coarse, fine, roundoff):
-        if not np.isfinite(f).all():
-            raise HolonomyOverflow(f"holonomy at eps={e!r} exceeds double precision")
-        est = float(max(_frobenius(c - f), 2.3e-16 * (1.0 + _frobenius(f)) * steps) + r)
-        if not math.isfinite(est):
-            raise HolonomyOverflow(f"est_error at eps={e!r} exceeds double precision")
-        samples.append(HolonomySample(e, f, complex(np.trace(f)), est, steps=steps, rhs_evals=rhs_evals))
-    return samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = 0.0 if coarse is None else _frobenius(coarse - fine)
+        est = np.maximum(spread, 2.3e-16 * (1.0 + _frobenius(fine)) * steps) + roundoff
+    finite = (np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(est)).tolist()
+    if not all(finite):
+        b = finite.index(False)
+        what = "est_error" if np.isfinite(fine[b]).all() else "holonomy"
+        raise HolonomyOverflow(f"{what} at eps={eps[b]!r} exceeds double precision")
+    traces = np.trace(fine, axis1=1, axis2=2).tolist()
+    return [HolonomySample(*fields, steps=steps, rhs_evals=rhs_evals) for fields in zip(eps, fine, traces, est.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +598,8 @@ class EigenvalueTrack:
         self.gamma = gamma
         if not Phi.dzbar_part.is_zero:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-        term = _term_matrices([Phi], Phi.n)
-        pieces = _pulled_back([Phi], gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0)), v))
+        term, flat = _term_matrices([Phi], Phi.n)
+        pieces = _pulled_back(gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0)), v), flat)
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
         self._build()

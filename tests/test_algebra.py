@@ -46,6 +46,23 @@ def test_evaluate_examples():
         (one / z).evaluate(0.0)
 
 
+def test_pole_test_is_relative_to_the_denominator():
+    # |z^110| is about 1.1e14 at 0.124+1.336i: a polynomial has no pole,
+    # however large its value, nor has 1/(z zbar)^20 where its denominator
+    # is past a double; a denominator near its zero still raises
+    z, one = BRF.z(), BRF.one()
+    power, far = one, one
+    for _ in range(110):
+        power = power * z
+    for _ in range(20):
+        far = far * z * BRF.zbar()
+    assert math.isfinite(abs(power.compiled()(0.124 + 1.336j)))
+    assert (one / far).compiled()(1e10) == 0
+    for f, at in [(one / z, 0j), (one / (z - one), 1 + 0j), (one / (z - one), 1 + 1e-15j)]:
+        with pytest.raises(PoleHit):
+            f.compiled()(at)
+
+
 def test_rank_examples():
     z, one = BRF.z(), BRF.one()
     assert matrix_rank_exact(RationalFunctionMatrix.zeros(2), at=GaussianRational(1)) == 0

@@ -603,6 +603,20 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_holonomy_where_steps_shrink_to_roundoff_exits_2(tmp_path, capsys):
+    # an arc of radius 2^70: DOP853's steps shrink to the roundoff of t, and
+    # its right-hand-side budget ends the solve within seconds (it used to run
+    # without end): exit 2 with a JSON error, nothing on stdout
+    arc = tmp_path / "arc.json"
+    arc.write_text(json.dumps(ParamPath([ArcSegment(0j, 2.0**70, 0.0, 1.0)]).to_json()))
+    with _time_limit(30):
+        code = main(["holonomy", "catalog:nilpotent_sl2_parabolic", str(arc), "--eps", "0.5:0.25:geometric:1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "StiffnessBudgetExceeded"
+
+
 @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])
 def test_holonomy_rel_tol_outside_its_range_exits_1(family_file, tmp_path, rel_tol, capsys):
     # nan and inf used to run without end, 1e10 to exit 0 with a trace off by

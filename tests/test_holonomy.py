@@ -199,7 +199,7 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
     fam = nilpotent_sl2_full()
     gamma = ParamPath.from_points([0.2 + 0.1j, 1.1 + 0.7j, 0.4 + 1.3j])
     forms, _weights = _term_weights(fam, [0.3])
-    pieces = _pulled_back(forms, gamma, _term_matrices(forms, 2))
+    pieces = _pulled_back(gamma, *_term_matrices(forms, 2))
     for k, (seg, P) in enumerate(zip(gamma.segments, pieces)):
         assert isinstance(P, np.ndarray) and not P.flags.writeable
         z = seg.point(0.0)
@@ -216,9 +216,9 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
                     expected[i, 2 * f + j] = acc
         assert np.array_equal(P, expected)
     # an arc and a z-dependent entry keep evaluating per t
-    assert all(callable(P) for P in _pulled_back(forms, ParamPath.circle(0.3 + 0.2j, 0.7), _term_matrices(forms, 2)))
+    assert all(callable(P) for P in _pulled_back(ParamPath.circle(0.3 + 0.2j, 0.7), *_term_matrices(forms, 2)))
     diag_forms, _w = _term_weights(regular_diagonal(), [0.3])
-    assert all(callable(P) for P in _pulled_back(diag_forms, SEG, _term_matrices(diag_forms, 2)))
+    assert all(callable(P) for P in _pulled_back(SEG, *_term_matrices(diag_forms, 2)))
 
 
 def _counting_closures(monkeypatch):
@@ -439,6 +439,34 @@ def test_transport_grid_ordering():
         assert np.linalg.norm(s.holonomy - single.holonomy) <= s.est_error + single.est_error
 
 
+@pytest.mark.parametrize("build, path", [(nilpotent_sl2, SEG), (regular_diagonal, ParamPath.circle())])
+def test_sample_fields_are_python_numbers(build, path):
+    # the stack-wide finish hands out Python numbers, not numpy scalars
+    for s in transport_grid(build(), path, [0.5, 0.2]):
+        assert (type(s.epsilon), type(s.trace), type(s.est_error)) == (float, complex, float)
+
+
+def test_grid_norms_do_not_grow_with_the_grid(monkeypatch):
+    # cost guard: a constant grid takes every Frobenius norm on the whole
+    # (B, n, n) stack, so 32 members take as many calls as 2
+    calls, counts = _counting(monkeypatch, holonomy, "_frobenius"), []
+    for size in (2, 32):
+        calls[0] = 0
+        transport_grid(nilpotent_sl2(), ParamPath.from_points([0, 1, 1 + 1j]), np.geomspace(0.5, 0.05, size))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("build, path", [(nilpotent_sl2_full, ParamPath.from_points([0, 1, 1 + 1j])), (regular_diagonal, ParamPath.circle())])
+def test_transport_walks_each_term_form_once(monkeypatch, build, path):
+    # cost guard: one walk over a term form's entries compiles them and
+    # decides whether the field is constant in z
+    family = build()
+    walks = _counting(monkeypatch, MatrixOneForm, "nonzero_entries")
+    transport_grid(family, path, [0.5, 0.2])
+    assert walks[0] == sum(not form.is_zero for _name, _x, form in family.terms()) > 0
+
+
 def test_transport_grid_counters_shared():
     # DOP853's counters, shared by the grid; constant segments take no steps
     out = transport_grid(regular_diagonal(), ParamPath.circle(), [0.5, 0.2])
@@ -535,9 +563,13 @@ def test_constant_segment_est_error_finite_past_norm_overflow():
 
 
 def test_non_finite_holonomy_raises_overflow():
-    # the trace 2 cosh(eps^-1/2) at eps 1e-7 is past a double
+    # the trace 2 cosh(eps^-1/2) at eps 1e-7 is past a double; a grid is
+    # checked as one stack, and the member named is the first in input order
+    # that is not finite, as when members were checked one by one
     with pytest.raises(HolonomyOverflow):
         transport(nilpotent_sl2(), SEG, 1e-7)
+    with pytest.raises(HolonomyOverflow, match=r"^holonomy at eps=1e-07 exceeds double precision$"):
+        transport_grid(nilpotent_sl2(), SEG, [0.5, 1e-7, 1e-8])
 
 
 @pytest.mark.parametrize("eps", [1.42e-3, 1e-3])
@@ -560,7 +592,32 @@ def test_failed_dop853_step_raises_stiffness(monkeypatch):
         transport(regular_diagonal(), ParamPath.circle(), 0.3)
 
 
-@pytest.mark.parametrize("order, error", [(("overflow", "rhs"), StiffnessBudgetExceeded), (("rhs", "overflow"), HolonomyOverflow)])
+def test_oscillatory_solve_takes_the_right_hand_sides_it_needs():
+    # on the radial segment 1 -> 2 dz/z is real and regular_diagonal's
+    # eigenvalues are imaginary: the holonomy stays finite, with trace
+    # 2 cos(log 2 / (2 pi eps)), however many evaluations the solve takes
+    # (here past 200,000, steps of DOP853 advancing t at an even pace)
+    eps = 3e-5
+    sample = transport(regular_diagonal(), ParamPath.segment(1, 2), eps)
+    assert sample.rhs_evals > 200_000
+    assert abs(sample.trace - 2 * math.cos(math.log(2) / (2 * math.pi * eps))) <= sample.est_error
+
+
+@pytest.mark.parametrize("budget, ends", [(9_000, False), (3_000, True)])
+def test_rhs_budget_is_projected_from_progress(monkeypatch, budget, ends):
+    # the fine solve takes 6014 right-hand sides on the circle at eps 0.01,
+    # at an even pace in t: from the probe on, a budget above that lets it
+    # finish, one below it ends it at the probe
+    monkeypatch.setattr("nilwkb.holonomy.RHS_PROBE", 500)
+    monkeypatch.setattr("nilwkb.holonomy.RHS_BUDGET", budget)
+    if ends:
+        with pytest.raises(StiffnessBudgetExceeded, match=r"after 500 right-hand sides: .* more than 3000$"):
+            transport(regular_diagonal(), ParamPath.circle(), 0.01)
+    else:
+        assert transport(regular_diagonal(), ParamPath.circle(), 0.01).rhs_evals == 6014
+
+
+@pytest.mark.parametrize("order, error",[(("overflow", "rhs"), StiffnessBudgetExceeded), (("rhs", "overflow"), HolonomyOverflow)])
 def test_failed_dop853_solve_is_an_overflow_only_after_its_last_rhs_call(monkeypatch, order, error):
     # an overflow in a step DOP853 went on from does not make a later failure an overflow
     def failing_solve(fun, t_span, y0, **kwargs):
@@ -736,7 +793,7 @@ def _quad_period(Phi, gamma):
     # the track built as if no segment were constant, so the field is
     # evaluated at every node and every quadrature point
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nilwkb.holonomy._constant_segments", lambda forms, gamma: [False] * len(gamma.segments))
+        mp.setattr("nilwkb.holonomy._term_matrices", lambda forms, n: (_term_matrices(forms, n)[0], False))
         track = EigenvalueTrack(Phi, gamma)
         total = 0j
         for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
@@ -1112,6 +1169,15 @@ def test_period_command_reports_est_error_where_quad_falls_short(tmp_path):
     error = abs(complex(*out["Z"]) - exact)
     # quad reports roundoff: the estimate exceeds the tolerance asked for, and bounds the error
     assert 1e-10 < error <= out["est_error"] and out["est_error"] > 1e-9
+
+
+def test_period_of_a_large_polynomial_entry_is_finite():
+    # z^110 passes 1e14 in modulus on this segment; the pole test is relative
+    # to the denominator (exactly 1 here), not to the numerator, so nothing raises
+    Phi, gamma = _power_field(110), ParamPath.segment(0.142 + 0.943j, 0.121 + 1.392j)
+    Z = period(Phi, gamma)
+    exact = _power_period(gamma, 110, EigenvalueTrack(Phi, gamma).values(0.0)[0] / gamma.velocity(0.0))
+    assert cmath.isfinite(Z) and abs(Z - exact) <= Z.est_error
 
 
 # -- rate fitting -----------------------------------------------------------------------
