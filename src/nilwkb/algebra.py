@@ -28,7 +28,8 @@ the quotient rule would normalise to.
 Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
 place where coefficients become floats, and it raises ``PoleHit`` where the
 denominator is within roundoff of 0 relative to its own terms (a one-term
-denominator only where it is exactly 0).
+denominator only where it is exactly 0), and ``EvaluationOverflow`` where a
+power of z or a modulus in the sum leaves double precision.
 Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
 transport layer's pullback included, goes through it.
 """
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Mapping
 import sympy
 from sympy.polys.domains import QQ, QQ_I
 
-from .errors import DimensionMismatch, PoleHit
+from .errors import DimensionMismatch, EvaluationOverflow, PoleHit
 
 _Z, _ZBAR = sympy.symbols("z zbar")
 
@@ -584,7 +585,8 @@ class BiRationalFunction(_Frozen):
         The only conversion of coefficients to doubles; raises PoleHit where
         the denominator vanishes to within EVAL_TOLERANCE of the sum of its
         terms' moduli, so a one-term denominator raises only where it is 0
-        (and the numerator's size plays no part).
+        (and the numerator's size plays no part), and EvaluationOverflow
+        where Python refuses a power z^i or a modulus as past a double.
         """
         num_terms = [(i, j, c.to_complex()) for (i, j), c in self.num.terms.items()]
         den_terms = [(i, j, c.to_complex()) for (i, j), c in self.den.terms.items()]
@@ -592,13 +594,16 @@ class BiRationalFunction(_Frozen):
         def ev(z: complex) -> complex:
             zb = z.conjugate()
             n = 0j
-            for i, j, c in num_terms:
-                n += c * z**i * zb**j
             d, scale = 0j, 0.0
-            for i, j, c in den_terms:
-                term = c * z**i * zb**j
-                d += term
-                scale += abs(term)
+            try:
+                for i, j, c in num_terms:
+                    n += c * z**i * zb**j
+                for i, j, c in den_terms:
+                    term = c * z**i * zb**j
+                    d += term
+                    scale += abs(term)
+            except OverflowError:
+                raise EvaluationOverflow(f"a term of the rational function at z={z!r} exceeds double precision") from None
             # a denominator term past a double is no pole
             if abs(d) <= EVAL_TOLERANCE * scale < inf:
                 raise PoleHit(f"denominator vanishes at z={z!r}")

@@ -21,6 +21,11 @@ class DimensionMismatch(NilwkbError):
     """Matrix or form dimensions are incompatible."""
 
 
+class EvaluationOverflow(NilwkbError):
+    """A term of a rational function evaluated in doubles exceeds double
+    precision: like a pole, a point where the field has no double value."""
+
+
 # --- connection ------------------------------------------------------------
 
 class ZeroScale(NilwkbError):

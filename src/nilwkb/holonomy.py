@@ -5,10 +5,14 @@ Transport carries the flat-section system S'(t) = -M(t) S(t) for a whole eps
 grid, a (B, n, n) stack, segment by segment; a single transport is the
 one-member grid.  The K term matrices of M = sum_k eps^x_k M_k are pulled
 back side by side, as one (n, K*n) block.  One walk over the forms' entries
-compiles them and decides whether the family is z-independent; such a
-family has constant M on a line segment, and there S is multiplied by the
-closed form expm(-M dt) (scaling and squaring, Higham 2005).  Any other
-segment is solved by an adaptive embedded pair (DOP853) on the grid laid
+compiles them, drops the zero forms and decides whether the family is
+z-independent, and the block is kept for the latest few tuples of forms,
+so repeated calls on one family compile it once.  A z-independent family
+has constant M on a line segment, and there S is multiplied by the closed
+form expm(-M dt): the grid's exponentials are one batched Pade [13/13]
+scaling and squaring (Higham 2005), in which each member is scaled and
+squared on its own, as E - I while exp stays near I and as E once it
+decays, and so gets the same bits in any grid.  Any other segment is solved by an adaptive embedded pair (DOP853) on the grid laid
 side by side, one (n, B*n) state, so that a right-hand side is one 2-D
 product into a buffer kept for the segment; all members share one step
 count.  A solve that fails on an overflowed double raises HolonomyOverflow;
@@ -49,7 +53,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import expm
 
 from .algebra import GR_ZERO, _Frozen
 from .connection import ConnectionFamily, MatrixOneForm
@@ -75,6 +78,21 @@ RHS_BUDGET = 120_000_000
 RHS_PROBE = 100_000
 # roundoff of expm(X) in units of 2.3e-16 (1 + ||X||) ||expm(X)||, calibrated against mpmath.expm
 EXPM_ROUNDOFF = 10
+# how many tuples of term forms keep their compiled block (holonomy._term_matrices)
+TERM_BLOCKS_KEPT = 16
+# the 1-norm up to which the Pade [13/13] approximant of exp has backward error below 2^-53 (Higham 2005, Table 2.3)
+THETA13 = 5.371920351148152
+# its coefficients b_0..b_13, as the rows that combine (1, A^2, A^4, A^6) into W_U = b13 A^6 + b11 A^4 + b9 A^2,
+# W_V = b12 A^6 + b10 A^4 + b8 A^2, Z_U = b7 A^6 + b5 A^4 + b3 A^2 + b1 and Z_V = b6 A^6 + b4 A^4 + b2 A^2 + b0
+PADE13 = np.array(
+    [
+        [0.0, 40840800.0, 16380.0, 1.0],
+        [0.0, 1323241920.0, 960960.0, 182.0],
+        [32382376266240000.0, 1187353796428800.0, 10559470521600.0, 33522128640.0],
+        [64764752532480000.0, 7771770303897600.0, 129060195264000.0, 670442572800.0],
+    ],
+    dtype=complex,
+)
 # backward error of eigvals(A) in units of n 2.3e-16 ||A||_F; against mpmath.eig, times the
 # condition bound, the largest error seen was 0.9 units
 EIGVALS_ROUNDOFF = 10
@@ -105,8 +123,8 @@ class LineSegment:
         return LineSegment(self.end, self.start)
 
     def distance_to(self, q: complex) -> float:
-        d = self.end - self.start
-        s = max(0.0, min(1.0, ((q - self.start) * d.conjugate()).real / abs(d) ** 2))
+        # the projection's parameter Re((q - start) / d), which no |d|^2 can overflow
+        s = max(0.0, min(1.0, ((q - self.start) / (self.end - self.start)).real))
         return abs(q - self.point(s))
 
     def to_json(self) -> dict:
@@ -297,19 +315,42 @@ class HolonomySample:
     rhs_evals: int = 0
 
 
-def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool]:
-    """(z, v) -> the K term matrices P(z) v + Q(z) conj(v), one per form
-    k = P dz + Q dzbar, side by side as one (n, K*n) row block: entry (i, j)
-    of term k is at row i, column k*n + j; and whether the forms are
-    constant in z (every nonzero entry's numerator and denominator has no
-    term but z^0 zbar^0).  One walk over the nonzero entries compiles each
-    once and decides that; the block is evaluated on Python scalars."""
-    K = len(forms)
-    entries, flat = [], True
-    for k, form in enumerate(forms):
+# (id(form) for each form) -> (forms, their compiled block), oldest first
+_TERM_BLOCKS: dict = {}
+
+
+def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
+    """:func:`_compiled_terms` of the forms, kept for the latest
+    TERM_BLOCKS_KEPT tuples of forms.  The forms are immutable, so a block
+    never goes stale; an entry holds its forms, so no id in its key is
+    reused while it is kept."""
+    key = tuple(map(id, forms))
+    hit = _TERM_BLOCKS.get(key)
+    if hit is None:
+        if len(_TERM_BLOCKS) >= TERM_BLOCKS_KEPT:
+            del _TERM_BLOCKS[next(iter(_TERM_BLOCKS))]
+        hit = _TERM_BLOCKS[key] = (tuple(forms), _compiled_terms(forms, n))
+    return hit[1]
+
+
+def _compiled_terms(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
+    """(z, v) -> the term matrices P(z) v + Q(z) conj(v) of the nonzero forms
+    k = P dz + Q dzbar, in the order given, side by side as one (n, K*n) row
+    block: entry (i, j) of the k-th nonzero term is at row i, column k*n + j;
+    whether the forms are constant in z (every nonzero entry's numerator and
+    denominator has no term but z^0 zbar^0); and the indices in forms of the
+    K nonzero ones.  One walk over each form's nonzero entries compiles each
+    once and decides both; the block is evaluated on Python scalars."""
+    found, kept, flat = [], [], True
+    for f, form in enumerate(forms):
+        k, before = len(kept), len(found)
         for i, j, dz_e, dzbar_e in form.nonzero_entries():
             flat = flat and all(e.num.terms.keys() | e.den.terms.keys() <= {(0, 0)} for e in (dz_e, dzbar_e) if e)
-            entries.append(((i * K + k) * n + j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None))
+            found.append((i, k, j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None))
+        if len(found) > before:
+            kept.append(f)
+    K = len(kept)
+    entries = [((i * K + k) * n + j, dz_fn, dzbar_fn) for i, k, j, dz_fn, dzbar_fn in found]
     shape = (n, K * n)
 
     def evaluate(z: complex, v: complex) -> np.ndarray:
@@ -324,7 +365,8 @@ def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[co
             out[idx] = acc
         return out.reshape(shape)
 
-    return evaluate, flat
+    return evaluate, flat, tuple(kept)
+
 
 
 def _pulled_back(gamma: ParamPath, value: Callable[[complex, complex], Any], flat: bool) -> List[Any]:
@@ -366,18 +408,28 @@ def _on_path(pieces: Sequence[Any], gamma: ParamPath) -> Callable[[float], Any]:
     return P
 
 
-def _term_weights(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[List[MatrixOneForm], np.ndarray]:
-    """The family's nonzero term forms and the (B, K) weights eps_b^exponent_k.
+def _family_terms(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[Callable[[complex, complex], np.ndarray], bool, np.ndarray]:
+    """The family's term block (the evaluate and flat flag of
+    :func:`_term_matrices`, its nonzero terms only) and the (B, K) weights
+    eps_b^exponent_k of those terms.
 
-    Fractional term exponents become real powers of the (positive) parameter
-    here and only here.
+    Each eps must be finite and positive (ValueError otherwise).  Fractional
+    term exponents become real powers of the parameter here and only here; a
+    weight past double precision raises HolonomyOverflow naming its eps.
     """
     for e in epsilons:
         if not (math.isfinite(e) and e > 0):
             raise ValueError(f"epsilon must be finite and positive, got {e!r}")
-    terms = [(float(x), form) for _name, x, form in family.terms() if not form.is_zero]
-    weights = [[float(e) ** x for x, _form in terms] for e in epsilons]
-    return [form for _x, form in terms], np.array(weights, dtype=complex).reshape(len(epsilons), len(terms))
+    terms = family.terms()
+    evaluate, flat, kept = _term_matrices([form for _name, _x, form in terms], family.n)
+    exponents = [float(terms[k][1]) for k in kept]
+    weights = []
+    for e in epsilons:
+        try:
+            weights.append([float(e) ** x for x in exponents])
+        except OverflowError:
+            raise HolonomyOverflow(f"a term weight eps^x at eps={e!r} exceeds double precision") from None
+    return evaluate, flat, np.array(weights, dtype=complex).reshape(len(epsilons), len(kept))
 
 
 def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Callable[[float], np.ndarray]:
@@ -385,11 +437,11 @@ def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Call
 
     The path must keep DEFAULT_CLEARANCE from every declared puncture."""
     n = family.n
-    forms, weights = _term_weights(family, [epsilon])
+    evaluate, flat, weights = _family_terms(family, [epsilon])
     gamma.check_clearance(family.punctures)
-    P = _on_path(_pulled_back(gamma, *_term_matrices(forms, n)), gamma)
+    P = _on_path(_pulled_back(gamma, evaluate, flat), gamma)
     # (K,) @ (n, K, n): one matmul per row, summing the side-by-side terms
-    return lambda t: weights[0] @ P(t).reshape(n, len(forms), n)
+    return lambda t: weights[0] @ P(t).reshape(n, weights.shape[1], n)
 
 
 def _frobenius(a: np.ndarray):
@@ -397,9 +449,10 @@ def _frobenius(a: np.ndarray):
     overflows (entries past about 1e154) on a finite matrix, it is taken on a / max|a_ij|."""
     if a.ndim == 3:
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(a, axis=(1, 2))
-        for b in np.flatnonzero(np.isinf(norms)):
-            norms[b] = _frobenius(a[b])
+            norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(1, 2)))  # np.linalg.norm's sum, without its checks
+        if not math.isfinite(norms.sum()):
+            for b in np.flatnonzero(np.isinf(norms)):
+                norms[b] = _frobenius(a[b])
         return norms
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
@@ -409,13 +462,69 @@ def _frobenius(a: np.ndarray):
     return norm
 
 
+def _expm(X: np.ndarray) -> np.ndarray:
+    """expm(X_b) for every member of a (B, n, n) stack at once, by Pade [13/13]
+    scaling and squaring (Higham 2005).
+
+    Member b is scaled by 2^-s_b, the least power of 2 that takes its 1-norm
+    below THETA13; the stack's powers A^2, A^4, A^6 are one product each, and
+    one batched solve gives both Y = r(A) - I = 2 (V - U)^-1 U and
+    E = r(A) = (V - U)^-1 (V + U).  The stack is squared max(s) times, member
+    b exactly s_b times.  While every diagonal entry of E has real part at
+    least 1/2, a member is held and squared as Y <- Y (Y + 2I): the part of
+    exp that differs from I keeps its relative accuracy, so a member scaled
+    far below its size is not rounded to I and then squared toward 0.  Once
+    a diagonal entry's real part is below 1/2, the member is held and squared
+    as E <- E E, so an exp that decays keeps its relative accuracy too: I + Y
+    puts an absolute roundoff of about 2^-53 on each diagonal entry (and,
+    through the products, on the rows and columns it meets), which only
+    entries of modulus 1/2 or more can take.  Each member goes through the
+    same elementwise and per-member numpy calls and switches on its own
+    entries, so it gets the same bits in any stack.  Floating-point errors
+    are left to the caller's errstate: a member past double precision
+    overflows in its squarings, and one whose 1-norm is not finite (frexp
+    gives it s = 0) in its powers; either comes back non-finite, and the
+    batched solve passes NaN through without raising.
+    """
+    B, n, _ = X.shape
+    eye = np.eye(n)
+    s = np.maximum(np.frexp(np.abs(X).sum(axis=1).max(axis=1) / THETA13)[1], 0)[:, None, None]
+    A = X * np.ldexp(1.0, -s)
+    powers = np.empty((B, 4, n, n), dtype=complex)
+    powers[:, 0] = eye
+    A2 = np.matmul(A, A, out=powers[:, 1])
+    A4 = np.matmul(A2, A2, out=powers[:, 2])
+    A6 = np.matmul(A4, A2, out=powers[:, 3])
+    C = (PADE13 @ powers.reshape(B, 4, n * n)).reshape(B, 4, n, n)
+    UV = A6[:, None] @ C[:, :2]
+    UV += C[:, 2:]  # A^6 W_U + Z_U and V = A^6 W_V + Z_V
+    U, V = A @ UV[:, 0], UV[:, 1]
+    YE = np.linalg.solve(V - U, np.concatenate((U + U, V + U), axis=2))
+    # the members held as Y = E - I rather than as E
+    near = (YE[..., n:].diagonal(axis1=1, axis2=2).real >= 0.5).all(axis=1)[:, None, None]
+    F = np.where(near, YE[..., :n], YE[..., n:])
+    shift, s_min, s_max = 2 * eye * near, s.min(), s.max()
+    for i in range(s_max):
+        squared = F @ (F + shift)
+        F = squared if i < s_min else np.where(s > i, squared, F)
+        if i + 1 < s_max and near.any():  # after the last squaring, the return converts alike
+            shrunk = near & (F.diagonal(axis1=1, axis2=2).real < -0.5).any(axis=1)[:, None, None]
+            if shrunk.any():
+                np.add(F, eye, out=F, where=shrunk)
+                near = near & ~shrunk
+                shift = 2 * eye * near
+    return np.add(F, eye, out=F, where=near)
+
+
 def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, int, np.ndarray]:
     """The stacked (B, n, n) state y carried across the path one segment at a
     time: a constant segment (an array item P of :func:`_pulled_back`) by its
     closed form expm(X_b), X_b = -M_b (t_{k+1} - t_k), any other by DOP853.
 
     A constant segment reads its (n, K*n) term block back as (K, n*n) rows,
-    one transpose per segment, and combines them with the (B, K) weights.
+    one transpose per segment, combines them with the (B, K) weights, and
+    takes the stack's exponentials in one :func:`_expm` call and the norms
+    of its bound (below) in one pass over E, X and y stacked.
     On a DOP853 segment the grid is one (n, B*n) state Y, whose column
     b*n + j is column j of member b, and each right-hand side is one 2-D
     product P(t) @ (Y * C).reshape(K*n, B*n): C, (K, 1, B*n), scales member
@@ -448,8 +557,9 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             terms = P.reshape(n, K, n).transpose(1, 0, 2).reshape(K, n * n)
             X = (neg_weights @ terms).reshape(y.shape) * (t1 - t0)
             with np.errstate(over="ignore", invalid="ignore"):
-                E = expm(X)
-                roundoff = _frobenius(E) * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + _frobenius(X)) * _frobenius(y))
+                E = _expm(X)
+                norm_E, norm_X, norm_y = _frobenius(np.concatenate((E, X, y))).reshape(3, B)
+                roundoff = norm_E * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + norm_X) * norm_y)
                 y = E @ y
             continue
         overflows = []  # floating-point errors since the latest RHS call began
@@ -483,7 +593,8 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
         # a copy: a view keeps the whole solution history alive
         end = sol.y[:, -1].reshape(n, B, n).transpose(1, 0, 2).copy()
         if roundoff.any():
-            roundoff, end = _frobenius(end) * (roundoff + 2.3e-16 * len(sol.t) * _frobenius(y)), end @ y
+            norm_end, norm_y = _frobenius(np.concatenate((end, y))).reshape(2, B)
+            roundoff, end = norm_end * (roundoff + 2.3e-16 * len(sol.t) * norm_y), end @ y
         y = end
     return y, steps, rhs_evals, roundoff
 
@@ -516,10 +627,12 @@ def transport_grid(
     est_error is the Frobenius distance between its two runs, but at least
     2.3e-16 (1 + ||S_b||) steps (a member far less stiff than the stiffest
     one ends both runs at roundoff), plus the exponentials' roundoff bound,
-    which both runs share.  Norms, finiteness and traces are taken on the
-    whole stack at once, and the fields are Python floats and complexes.
+    which both runs share; with no DOP853 segment it is that bound alone.
+    Norms, finiteness and traces are taken on the whole stack at once, and
+    the fields are Python floats and complexes.
     The first member in input order whose holonomy or est_error is not
-    finite raises HolonomyOverflow naming its eps.
+    finite raises HolonomyOverflow naming its eps, and so does a term weight
+    eps^x past a double.
     rel_tol must be finite and in (0, MAX_REL_TOL] (ValueError otherwise).
     """
     if not (math.isfinite(rel_tol) and 0 < rel_tol <= MAX_REL_TOL):
@@ -527,15 +640,16 @@ def transport_grid(
     eps = [float(e) for e in epsilons]
     if not eps:
         return []
-    forms, weights = _term_weights(family, eps)
+    evaluate, flat, weights = _family_terms(family, eps)
     gamma.check_clearance(family.punctures)
-    pieces = _pulled_back(gamma, *_term_matrices(forms, family.n))
+    pieces = _pulled_back(gamma, evaluate, flat)
     y0 = np.tile(np.eye(family.n, dtype=complex), (len(eps), 1, 1))
     coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0] if any(map(callable, pieces)) else None
     fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = 0.0 if coarse is None else _frobenius(coarse - fine)
-        est = np.maximum(spread, 2.3e-16 * (1.0 + _frobenius(fine)) * steps) + roundoff
+    est = roundoff  # no DOP853 segment: no spread, and the step floor is 0
+    if coarse is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = np.maximum(_frobenius(coarse - fine), 2.3e-16 * (1.0 + _frobenius(fine)) * steps) + roundoff
     finite = (np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(est)).tolist()
     if not all(finite):
         b = finite.index(False)
@@ -598,8 +712,9 @@ class EigenvalueTrack:
         self.gamma = gamma
         if not Phi.dzbar_part.is_zero:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-        term, flat = _term_matrices([Phi], Phi.n)
-        pieces = _pulled_back(gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0)), v), flat)
+        term, flat, kept = _term_matrices([Phi], Phi.n)
+        zero = np.zeros((Phi.n, Phi.n))  # a zero Phi's block has no columns
+        pieces = _pulled_back(gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0) if kept else zero), v), flat)
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
         self._build()

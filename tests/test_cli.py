@@ -617,6 +617,26 @@ def test_holonomy_where_steps_shrink_to_roundoff_exits_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "StiffnessBudgetExceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, start, end, error, code",
+    [
+        # eps^-1 at eps 1e-309 is past a double
+        (["holonomy", "catalog:nilpotent_sl2", "--eps", "1e-309:1e-310:geometric:2"], 0, 1, "HolonomyOverflow", 2),
+        # a segment at 1e200: |d|^2 in the clearance test, z^2 in the field's entries
+        (["holonomy", "catalog:toy_phi_p", "--eps", "0.5:0.25:geometric:2"], 1e200, 2e200, "EvaluationOverflow", 1),
+        (["period", "catalog:toy_phi_p"], 1e200, 2e200, "EvaluationOverflow", 1),
+    ],
+)
+def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start, end, error, code):
+    # each of these ended in an OverflowError traceback
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(ParamPath.segment(start, end).to_json()))
+    assert main(argv[:2] + [str(path)] + argv[2:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
+
+
 @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])
 def test_holonomy_rel_tol_outside_its_range_exits_1(family_file, tmp_path, rel_tol, capsys):
     # nan and inf used to run without end, 1e10 to exit 0 with a trace off by

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -48,10 +49,10 @@ from nilwkb.holonomy import (
     HolonomySample,
     ParamPath,
     Period,
+    _family_terms,
     _free_fit_exponent,
     _pulled_back,
     _term_matrices,
-    _term_weights,
     is_wkb_curve,
     period,
     pullback,
@@ -198,8 +199,9 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
     # the entries evaluated one by one
     fam = nilpotent_sl2_full()
     gamma = ParamPath.from_points([0.2 + 0.1j, 1.1 + 0.7j, 0.4 + 1.3j])
-    forms, _weights = _term_weights(fam, [0.3])
-    pieces = _pulled_back(gamma, *_term_matrices(forms, 2))
+    evaluate, flat, _weights = _family_terms(fam, [0.3])
+    forms = [form for _name, _x, form in fam.terms()]
+    pieces = _pulled_back(gamma, evaluate, flat)
     for k, (seg, P) in enumerate(zip(gamma.segments, pieces)):
         assert isinstance(P, np.ndarray) and not P.flags.writeable
         z = seg.point(0.0)
@@ -216,9 +218,8 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
                     expected[i, 2 * f + j] = acc
         assert np.array_equal(P, expected)
     # an arc and a z-dependent entry keep evaluating per t
-    assert all(callable(P) for P in _pulled_back(ParamPath.circle(0.3 + 0.2j, 0.7), *_term_matrices(forms, 2)))
-    diag_forms, _w = _term_weights(regular_diagonal(), [0.3])
-    assert all(callable(P) for P in _pulled_back(SEG, *_term_matrices(diag_forms, 2)))
+    assert all(callable(P) for P in _pulled_back(ParamPath.circle(0.3 + 0.2j, 0.7), evaluate, flat))
+    assert all(callable(P) for P in _pulled_back(SEG, *_family_terms(regular_diagonal(), [0.3])[:2]))
 
 
 def _counting_closures(monkeypatch):
@@ -364,27 +365,72 @@ def _random_constant_family(rng, n):
     return phi, conn
 
 
-@pytest.mark.parametrize("n, count", [(2, 200), (3, 100)])
-def test_constant_segment_est_error_bounds_mpmath_expm(n, count):
+def _small_eps_constant_family(rng, n, shift=0):
+    # the norms of the benchmark's grids: a nilpotent Higgs field (superdiagonal
+    # 1..3, at rank 3 also a corner) and a traceless connection, full, lower or
+    # upper triangular (nilpotent_sl3's connection is its lower corner), plus
+    # shift * I (a connection with a trace, whose exponentials decay or grow)
+    phi = [[rng.randint(1, 3) if j == i + 1 else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    conn = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    conn[-1][-1] = -sum(conn[i][i] for i in range(n - 1))
+    shape = rng.choice(["full", "lower", "upper"])
+    keep = {"full": lambda i, j: True, "lower": lambda i, j: j <= i, "upper": lambda i, j: j >= i}[shape]
+    return phi, [[(c if keep(i, j) else 0) + (shift if i == j else 0) for j, c in enumerate(row)] for i, row in enumerate(conn)]
+
+
+@pytest.mark.parametrize(
+    "n, count, eps_low, shift",
+    [
+        pytest.param(2, 200, None, 0, id="2-200"),
+        pytest.param(3, 100, None, 0, id="3-100"),
+        pytest.param(2, 100, 5e-4, 0, id="2-100-to-5e-4"),
+        pytest.param(3, 60, 1e-3, 0, id="3-60-to-1e-3"),
+        pytest.param(2, 60, 2e-6, 0, id="2-60-to-2e-6"),
+        pytest.param(3, 40, 5e-5, 0, id="3-40-to-5e-5"),
+        pytest.param(2, 40, 5e-4, 10, id="2-40-to-5e-4-plus-10I"),
+        pytest.param(2, 40, 5e-4, 40, id="2-40-to-5e-4-plus-40I"),
+        pytest.param(3, 30, 1e-3, 40, id="3-30-to-1e-3-plus-40I"),
+    ],
+)
+def test_constant_segment_est_error_bounds_mpmath_expm(n, count, eps_low, shift):
     # oracle: the holonomy of a constant dz-family is the ordered product of
-    # expm(-(phi / eps + conn) dz) over the segments, here at 50 digits
+    # expm(-(phi / eps + conn) dz) over the segments, here at 50 digits; with
+    # eps_low, eps is log-uniform down to it and the families are those of
+    # _small_eps_constant_family.  Down to 2e-6 at rank 2 and 5e-5 at rank 3
+    # the exponentials take up to about 20 squarings, and a transport whose
+    # segments' norms multiply past a double must raise HolonomyOverflow;
+    # with a shift the exponentials decay far below I on some segments
     import mpmath as mp
 
-    rng = random.Random(100 + n)
+    rng = random.Random(100 + n if eps_low is None else 300 + n + shift if eps_low >= 5e-4 else 400 + n)
+    finite = 0
     with mp.workdps(50):
         for trial in range(count):
-            phi, conn = _random_constant_family(rng, n)
-            eps = rng.uniform(0.3, 1.0)
+            if eps_low is None:
+                phi, conn = _random_constant_family(rng, n)
+                eps = rng.uniform(0.3, 1.0)
+            else:
+                phi, conn = _small_eps_constant_family(rng, n, shift)
+                eps = math.exp(rng.uniform(math.log(eps_low), 0.0))
             pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
             fam = _const_family(phi, conn)
             M = mp.matrix(phi) / mp.mpf(eps) + mp.matrix(conn)
-            exact = mp.eye(n)
+            exact, steps_norm = mp.eye(n), 1
             for k, (a, b) in enumerate(zip(pts, pts[1:])):
-                exact = mp.expm(-M * (mp.mpc(b) - mp.mpc(a))) * exact
+                step = mp.expm(-M * (mp.mpc(b) - mp.mpc(a)))
+                exact, steps_norm = step * exact, steps_norm * mp.mnorm(step, "f")
                 if k in (0, 2):
-                    s = transport(fam, ParamPath.from_points(pts[: k + 2]), eps)
+                    try:
+                        s = transport(fam, ParamPath.from_points(pts[: k + 2]), eps)
+                    except HolonomyOverflow:
+                        # the roundoff bound grows as the product of the
+                        # segments' norms, which can pass a double first
+                        assert steps_norm > 1e280, (trial, k)
+                        continue
+                    finite += 1
                     err = mp.mnorm(mp.matrix(s.holonomy.tolist()) - exact, "f")
                     assert s.steps == 0 and err <= s.est_error, (trial, k)
+    assert finite >= count  # at least half of the 2 * count transports are checked
 
 
 @pytest.mark.parametrize("n, count", [(2, 60), (3, 30)])
@@ -459,12 +505,23 @@ def test_grid_norms_do_not_grow_with_the_grid(monkeypatch):
 
 @pytest.mark.parametrize("build, path", [(nilpotent_sl2_full, ParamPath.from_points([0, 1, 1 + 1j])), (regular_diagonal, ParamPath.circle())])
 def test_transport_walks_each_term_form_once(monkeypatch, build, path):
-    # cost guard: one walk over a term form's entries compiles them and
-    # decides whether the field is constant in z
+    # cost guard: one walk over a term form's entries compiles them, decides
+    # whether the field is constant in z and whether the form is zero; no
+    # form is tested for zero apart from it, and a later call on the same
+    # family reuses the compiled block
     family = build()
+    is_zero, zero_tests = MatrixOneForm.is_zero, [0]
+
+    def counted(form):
+        zero_tests[0] += 1
+        return is_zero.fget(form)
+
     walks = _counting(monkeypatch, MatrixOneForm, "nonzero_entries")
+    monkeypatch.setattr(MatrixOneForm, "is_zero", property(counted))
     transport_grid(family, path, [0.5, 0.2])
-    assert walks[0] == sum(not form.is_zero for _name, _x, form in family.terms()) > 0
+    assert (walks[0], zero_tests[0]) == (len(family.terms()), 0)
+    transport(family, path, 0.3)
+    assert walks[0] == len(family.terms())
 
 
 def test_transport_grid_counters_shared():
@@ -572,6 +629,61 @@ def test_non_finite_holonomy_raises_overflow():
         transport_grid(nilpotent_sl2(), SEG, [0.5, 1e-7, 1e-8])
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-12])
+def test_exponential_past_double_precision_raises_overflow(eps):
+    # 2 cosh(eps^-1/2) is past a double at both.  At 1e-300 the exponential is
+    # scaled by 2^-995, about 500 squarings more than its eigenvalues ask for:
+    # squaring r(A) itself would round its diagonal to within an ulp of 1 and
+    # square it toward 0 before the growth sets in, a finite trace of 0.
+    # Alone and among finite members, it is an overflow
+    message = rf"^holonomy at eps={re.escape(repr(eps))} exceeds double precision$"
+    with pytest.raises(HolonomyOverflow, match=message):
+        transport(nilpotent_sl2(), SEG, eps)
+    with pytest.raises(HolonomyOverflow, match=message):
+        transport_grid(nilpotent_sl2(), SEG, [0.5, eps, 0.2])
+
+
+def test_batched_exponential_of_a_non_finite_member():
+    # a member with an infinite or NaN entry, or whose 1-norm is past a double,
+    # comes back non-finite, with no LinAlgError from the batched solve; the
+    # finite member keeps the bits it gets alone
+    X = np.tile(np.array([[0.3, -1.2], [0.7j, -0.3]]), (4, 1, 1))
+    X[1, 0, 1] = np.inf
+    X[2, 1, 0] = np.nan
+    X[3] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, alone = holonomy._expm(X), holonomy._expm(X[:1])
+    assert np.isfinite(E[0]).all() and E[0].tobytes() == alone[0].tobytes()
+    assert not np.isfinite(E[1:]).all(axis=(1, 2)).any()
+
+
+def test_batched_exponential_member_bits_do_not_depend_on_the_stack():
+    # members that are squared 0 to about 20 times, held as E - I throughout,
+    # as E throughout, or switched between the two (a trace makes exp decay
+    # far below I): each gets the bits it gets alone, in either order
+    rng = np.random.default_rng(29)
+    X = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(8)]
+    X = np.array([x * scale + shift * np.eye(3) for x, scale, shift in zip(X, [0.1, 1, 30, 0.01, 0.5, 2, 8, 30], [0, 0, 0, 0, -40, -5, 20, -200])])
+    X[3] += 1e5 * np.triu(X[0], 1)  # 12 squarings, its size off the diagonal
+    X[5] = np.triu(X[5]) + 50 * np.triu(X[1], 1)  # held as E - I, then as E once its diagonal decays
+    stacked, reversed_ = holonomy._expm(X), holonomy._expm(X[::-1].copy())[::-1]
+    assert np.isfinite(stacked).all()
+    for b in range(len(X)):
+        alone = holonomy._expm(X[b : b + 1])[0]
+        assert stacked[b].tobytes() == alone.tobytes() == reversed_[b].tobytes(), b
+
+
+def test_constant_grid_member_is_its_lone_transport_bit_for_bit():
+    # the batched exponential scales and squares each member on its own: at
+    # these eps the members take 0, 0, 10, 2, 6, 0 and 5 squarings, in a
+    # stack of mixed order, and each gets the bits it gets alone
+    gamma = ParamPath.from_points([0, 1, 1 + 1j])
+    eps = [0.3, 20.0, 2.5e-4, 0.05, 3e-3, 1.0, 0.01]
+    for s in transport_grid(nilpotent_sl2(), gamma, eps):
+        alone = transport(nilpotent_sl2(), gamma, s.epsilon)
+        assert (s.holonomy.tobytes(), s.trace, s.est_error) == (alone.holonomy.tobytes(), alone.trace, alone.est_error)
+
+
 @pytest.mark.parametrize("eps", [1.42e-3, 1e-3])
 def test_overflowing_dop853_state_raises_overflow(eps):
     # the circle transport of regular_diagonal (trace 2 cosh(1/eps)) reaches
@@ -661,6 +773,9 @@ def test_track_examples():
     )
     with pytest.raises(BranchPointOnPath):
         EigenvalueTrack(vanishing, SEG)
+    # a zero field: every sheet is 0 everywhere, the same collision
+    with pytest.raises(BranchPointOnPath, match="collide"):
+        EigenvalueTrack(MatrixOneForm.zero(2), ParamPath.circle())
 
     with pytest.raises(TieAtStart):
         EigenvalueTrack(Phi, ParamPath.segment(0, 1j))
@@ -792,8 +907,12 @@ def _quad_period(Phi, gamma):
     # reference: adaptive quadrature of track.values(t)[0] on every segment,
     # the track built as if no segment were constant, so the field is
     # evaluated at every node and every quadrature point
+    def never_flat(forms, n):
+        evaluate, _flat, kept = _term_matrices(forms, n)
+        return evaluate, False, kept
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("nilwkb.holonomy._term_matrices", lambda forms, n: (_term_matrices(forms, n)[0], False))
+        mp.setattr("nilwkb.holonomy._term_matrices", never_flat)
         track = EigenvalueTrack(Phi, gamma)
         total = 0j
         for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
