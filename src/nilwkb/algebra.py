@@ -25,11 +25,13 @@ in the same order.  The derivative of an entry whose numerator and
 denominator are both free of the variable is the zero singleton, the value
 the quotient rule would normalise to.
 
-Doubles enter only through :meth:`BiRationalFunction.compiled`: it is the one
-place where coefficients become floats, and it raises ``PoleHit`` where the
-denominator is within roundoff of 0 relative to its own terms (a one-term
-denominator only where it is exactly 0), and ``EvaluationOverflow`` where a
-power of z or a modulus in the sum leaves double precision.
+An exact value becomes a double only in :meth:`GaussianRational.to_complex`,
+which raises ``EvaluationOverflow`` where it is past a double.  Doubles enter
+only through :meth:`BiRationalFunction.compiled`: it is the one place where
+coefficients become floats, and it raises ``PoleHit`` where the denominator
+is within roundoff of 0 relative to its own terms (a one-term denominator
+only where it is exactly 0), and ``EvaluationOverflow`` where a coefficient,
+a power of z or a modulus in the sum leaves double precision.
 Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
 transport layer's pullback included, goes through it.
 """
@@ -37,7 +39,7 @@ transport layer's pullback included, goes through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, log10
 from typing import Callable, Iterable, Mapping
 
 import sympy
@@ -194,8 +196,13 @@ class GaussianRational(_Frozen):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        # int / int is correctly rounded, as float(Fraction) is.
-        return complex(self.a / self.d, self.b / self.d)
+        # int / int is correctly rounded, as float(Fraction) is; a part past a double is named
+        # by its decimal exponent, since its digits can be too many for str
+        try:
+            return complex(self.a / self.d, self.b / self.d)
+        except OverflowError:
+            exponent = log10(max(abs(self.a), abs(self.b))) - log10(self.d)
+            raise EvaluationOverflow(f"an exact value of modulus about 1e{exponent:.0f} exceeds double precision") from None
 
     def __repr__(self):
         if not self.b:
@@ -586,7 +593,8 @@ class BiRationalFunction(_Frozen):
         the denominator vanishes to within EVAL_TOLERANCE of the sum of its
         terms' moduli, so a one-term denominator raises only where it is 0
         (and the numerator's size plays no part), and EvaluationOverflow
-        where Python refuses a power z^i or a modulus as past a double.
+        where a coefficient is past a double or Python refuses a power z^i or
+        a modulus as past one.
         """
         num_terms = [(i, j, c.to_complex()) for (i, j), c in self.num.terms.items()]
         den_terms = [(i, j, c.to_complex()) for (i, j), c in self.den.terms.items()]
@@ -772,11 +780,6 @@ class RationalFunctionMatrix(_Frozen):
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
-    # -- evaluation ----------------------------------------------------------------
-
-    def evaluate_exact(self, z: GaussianRational):
-        return [[e.evaluate_exact(z) for e in row] for row in self.entries]
-
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> list:
@@ -795,16 +798,18 @@ class RationalFunctionMatrix(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _exact_rank_of_grid(grid, one) -> int:
-    """Rank of a matrix over a field by fraction-free (Bareiss) elimination.
+def matrix_rank_exact(M: RationalFunctionMatrix) -> int:
+    """Exact rank of M over the function field Q(i)(z, zbar): the generic rank.
 
-    ``one`` is the field's unit and the first divisor: GaussianRational entries
-    with ``GR_ONE``, or BiRationalFunction entries with ``BiRationalFunction.one()``.
+    Every minor is a rational function, so the rank at a point is this rank
+    off the zero set of one nonzero minor and never above it.  It is computed
+    by fraction-free (Bareiss) elimination on the entries themselves, with
+    BiRationalFunction.one() as the first divisor and no sample point.
     """
-    m = [list(row) for row in grid]
+    m = [list(row) for row in M.entries]
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    prev = one
+    prev = _BRF_ONE
     row = 0
     for col in range(ncols):
         pivot = None
@@ -824,20 +829,6 @@ def _exact_rank_of_grid(grid, one) -> int:
         if row == nrows:
             break
     return rank
-
-
-def matrix_rank_exact(M: RationalFunctionMatrix, at: GaussianRational | None = None) -> int:
-    """Exact rank of M over the function field Q(i)(z, zbar), or of M at ``at``.
-
-    The rank over the function field is the generic rank: every minor is a
-    rational function, so the rank at a point is this rank off the zero set
-    of one nonzero minor and never above it.  It is computed by elimination on
-    the entries themselves, with no sample point.  With ``at`` the matrix is
-    evaluated exactly there first (PoleHit at a pole).
-    """
-    if at is None:
-        return _exact_rank_of_grid(M.entries, _BRF_ONE)
-    return _exact_rank_of_grid(M.evaluate_exact(at), GR_ONE)
 
 
 def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:

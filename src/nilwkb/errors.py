@@ -22,7 +22,8 @@ class DimensionMismatch(NilwkbError):
 
 
 class EvaluationOverflow(NilwkbError):
-    """A term of a rational function evaluated in doubles exceeds double
+    """An exact coefficient or puncture, a term of a rational function evaluated
+    in doubles, or the field an eigenvalue track reads at a point, is past double
     precision: like a pole, a point where the field has no double value."""
 
 

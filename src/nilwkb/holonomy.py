@@ -59,6 +59,7 @@ from .connection import ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
     ClearanceViolated,
+    EvaluationOverflow,
     HolonomyOverflow,
     InsufficientSamples,
     NonDecayingSequence,
@@ -205,7 +206,6 @@ class ParamPath:
         if any(L <= 0 for L in lengths):
             raise ValueError("zero-length path segment")
         total = sum(lengths)
-        self.total_length = total
         breaks = [0.0]
         for L in lengths:
             breaks.append(breaks[-1] + L / total)
@@ -444,22 +444,20 @@ def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Call
     return lambda t: weights[0] @ P(t).reshape(n, weights.shape[1], n)
 
 
-def _frobenius(a: np.ndarray):
-    """Frobenius norm of a, per member if a is (B, n, n); where the plain sum of squares
-    overflows (entries past about 1e154) on a finite matrix, it is taken on a / max|a_ij|."""
-    if a.ndim == 3:
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(1, 2)))  # np.linalg.norm's sum, without its checks
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a (B, n, n) stack.  Where a member's plain sum
+    of squares overflows (entries past about 1e154), np.linalg.norm takes it again, and
+    on a finite member whose norm is still past a double, it is taken on a_b / max|a_ij|."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(1, 2)))  # np.linalg.norm's sum, without its checks
         if not math.isfinite(norms.sum()):
             for b in np.flatnonzero(np.isinf(norms)):
-                norms[b] = _frobenius(a[b])
-        return norms
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if math.isinf(norm) and np.isfinite(a).all():
-        top = float(np.abs(a).max())
-        norm = top * float(np.linalg.norm(a / top))
-    return norm
+                norm = float(np.linalg.norm(a[b]))
+                if math.isinf(norm) and np.isfinite(a[b]).all():
+                    top = float(np.abs(a[b]).max())
+                    norm = top * float(np.linalg.norm(a[b] / top))
+                norms[b] = norm
+    return norms
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -545,7 +543,8 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     StiffnessBudgetExceeded, and so does one that has taken RHS_PROBE
     right-hand sides and, at its average progress in t so far, would need
     more than RHS_BUDGET for the segment (counted as they are asked for, so
-    a solve whose steps shrink toward roundoff ends in bounded time).
+    a solve whose steps shrink toward roundoff ends in bounded time); one
+    whose t is NaN by then raises HolonomyOverflow naming the segment.
     Overflows in steps DOP853 rejects and retries change nothing, and none
     of them warns.
     """
@@ -571,7 +570,9 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
         def rhs(t, s):
             nonlocal evals
             evals += 1
-            if evals >= RHS_PROBE and evals * (t1 - t0) > RHS_BUDGET * (t - t0):
+            if evals >= RHS_PROBE and not evals * (t1 - t0) <= RHS_BUDGET * (t - t0):  # a NaN t fails it too
+                if math.isnan(t):  # a value past a double made a step NaN, and DOP853 does not stop on it
+                    raise HolonomyOverflow(f"DOP853's t is NaN on segment {k} [{t0}, {t1}]: a value overflowed a double")
                 raise StiffnessBudgetExceeded(
                     f"DOP853 reached t = {t:.6g} on segment {k} [{t0}, {t1}] after {evals} right-hand sides:"
                     f" at that rate it would need more than {RHS_BUDGET}"
@@ -701,7 +702,8 @@ class EigenvalueTrack:
     moves a sheet by more than a quarter of the closest pair of sheets at
     either end.  BranchPointOnPath if two sheets at a node are closer than
     BRANCH_TOL times the largest, or if following them takes a step below
-    1e-9 or more than MAX_NODES nodes.
+    1e-9 or more than MAX_NODES nodes; EvaluationOverflow at a point where
+    Phi's coefficient is not finite in doubles.
     """
 
     BRANCH_TOL = 1e-12
@@ -714,7 +716,17 @@ class EigenvalueTrack:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
         term, flat, kept = _term_matrices([Phi], Phi.n)
         zero = np.zeros((Phi.n, Phi.n))  # a zero Phi's block has no columns
-        pieces = _pulled_back(gamma, lambda z, v: (np.linalg.eigvals(term(z, 1.0) if kept else zero), v), flat)
+
+        def sheets(z, v):
+            a = term(z, 1.0) if kept else zero
+            try:
+                return np.linalg.eigvals(a), v
+            except np.linalg.LinAlgError:
+                if np.isfinite(a).all():
+                    raise
+                raise EvaluationOverflow(f"Phi's coefficient at z={z!r} is not finite in doubles") from None
+
+        pieces = _pulled_back(gamma, sheets, flat)
         self._at = _on_path(pieces, gamma)
         self._constant = [not callable(p) for p in pieces]
         self._build()

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import nilwkb
+from nilwkb.algebra import BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
 from nilwkb.catalog import nilpotent_sl2, nilpotent_sl2_parabolic
 from nilwkb.cli import _stamped, main
+from nilwkb.connection import ConnectionFamily, MatrixOneForm
 from nilwkb.holonomy import ArcSegment, ParamPath
 from nilwkb.surface import flat_torus
 
@@ -617,6 +619,18 @@ def test_holonomy_where_steps_shrink_to_roundoff_exits_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "StiffnessBudgetExceeded"
 
 
+def _dz_family(entries, punctures=()):
+    """The rank-2 family with phi = entries dz and conn, psi zero."""
+    phi = MatrixOneForm.from_dz(RationalFunctionMatrix(entries))
+    return ConnectionFamily(2, phi, MatrixOneForm.zero(2), MatrixOneForm.zero(2), punctures)
+
+
+_ZERO, _ONE, _HUGE = BRF.zero(), BRF.one(), GaussianRational(10**400)
+# an exact coefficient past a double, and a field past a double on a segment at 1e10
+_HUGE_ENTRY = lambda: _dz_family([[_ZERO, BRF.constant(_HUGE)], [_ZERO, _ZERO]])
+_FAR_FIELD = lambda: _dz_family([[_ZERO, BRF.constant(10**300) * BRF.z()], [_ONE, _ZERO]])
+
+
 @pytest.mark.parametrize(
     "argv, start, end, error, code",
     [
@@ -625,13 +639,28 @@ def test_holonomy_where_steps_shrink_to_roundoff_exits_2(tmp_path, capsys):
         # a segment at 1e200: |d|^2 in the clearance test, z^2 in the field's entries
         (["holonomy", "catalog:toy_phi_p", "--eps", "0.5:0.25:geometric:2"], 1e200, 2e200, "EvaluationOverflow", 1),
         (["period", "catalog:toy_phi_p"], 1e200, 2e200, "EvaluationOverflow", 1),
+        # 10^400 as a coefficient, as a pole with its declared puncture, and as a puncture alone
+        (["holonomy", _HUGE_ENTRY, "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
+        (["period", _HUGE_ENTRY], 0, 1, "EvaluationOverflow", 1),
+        (["holonomy", lambda: _dz_family([[_ZERO, BRF.from_poles(1, [_HUGE])], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
+        (["holonomy", lambda: _dz_family([[_ZERO, _ONE], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
+        # 10^300 z at z = 1e10 is inf in doubles: eigvals refused it with a bare LinAlgError, and DOP853's
+        # first step came out NaN, after which it ran without end at t = NaN
+        (["period", _FAR_FIELD], 1e10, 2e10, "EvaluationOverflow", 1),
+        (["wkbcheck", _FAR_FIELD], 1e10, 2e10, "EvaluationOverflow", 1),
+        (["holonomy", _FAR_FIELD, "--eps", "0.5:0.25:geometric:1"], 1e10, 2e10, "HolonomyOverflow", 2),
     ],
 )
 def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start, end, error, code):
-    # each of these ended in an OverflowError traceback
+    # each of these ended in an OverflowError traceback, a LinAlgError or a hang
+    command, family, *options = argv
+    if callable(family):
+        (tmp_path / "family.json").write_text(json.dumps(family().to_json()))
+        family = str(tmp_path / "family.json")
     path = tmp_path / "path.json"
     path.write_text(json.dumps(ParamPath.segment(start, end).to_json()))
-    assert main(argv[:2] + [str(path)] + argv[2:]) == code
+    with _time_limit(30):
+        assert main([command, family, str(path), *options]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == error

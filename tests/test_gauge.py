@@ -88,9 +88,8 @@ def test_jordan_type_of_a_high_order_pole():
 
 def test_jordan_type_evaluates_at_no_point(monkeypatch):
     calls = []
-    for cls in (BRF, RationalFunctionMatrix):
-        original = cls.evaluate_exact
-        monkeypatch.setattr(cls, "evaluate_exact", lambda self, z, f=original: calls.append(z) or f(self, z))
+    original = BRF.evaluate_exact
+    monkeypatch.setattr(BRF, "evaluate_exact", lambda self, z: calls.append(z) or original(self, z))
     types = {}
     for name, fam in catalog().items():
         try:
