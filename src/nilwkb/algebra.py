@@ -11,7 +11,8 @@ evaluation time, which keeps unitary-frame connection terms such as
 Canonical forms divide out the gcd of numerator and denominator.  When either
 polynomial has a single term (a constant included) the gcd and the exact
 division are exponent arithmetic; sympy is used only for the gcd or division
-of two polynomials that each have several terms.
+of two polynomials that each have several terms, over the variables that
+occur in them, so a pair in z alone takes sympy's one-variable algorithms.
 
 Zero is the identity of rational-function arithmetic here and nowhere else:
 ``x + 0`` and ``0 + x`` return ``x``, ``0 - x`` returns ``-x`` and a product
@@ -47,7 +48,7 @@ from sympy.polys.domains import QQ, QQ_I
 
 from .errors import DimensionMismatch, EvaluationOverflow, PoleHit
 
-_Z, _ZBAR = sympy.symbols("z zbar")
+_GENS = sympy.symbols("z zbar")
 
 EVAL_TOLERANCE = 1e-14
 
@@ -377,15 +378,24 @@ class BiPolynomial(_Frozen):
 
     # -- sympy bridge (gcd and division of two multi-term polynomials) -------------
 
-    def _to_sympy(self):
-        d = {k: _domain_elt(c) for k, c in self.terms.items()}
+    def _to_sympy(self, gens: tuple = (0, 1)):
+        """This polynomial as a sympy Poly over QQ_I in the variables gens (0 for
+        z, 1 for zbar); every variable with a positive exponent must be in gens."""
+        d = {tuple(k[g] for g in gens): _domain_elt(c) for k, c in self.terms.items()}
         if not d:
-            d = {(0, 0): QQ_I.zero}
-        return sympy.Poly.from_dict(d, _Z, _ZBAR, domain=QQ_I)
+            d = {(0,) * len(gens): QQ_I.zero}
+        return sympy.Poly.from_dict(d, *(_GENS[g] for g in gens), domain=QQ_I)
 
     @classmethod
-    def _from_sympy(cls, poly) -> "BiPolynomial":
-        return cls({k: _from_domain_elt(c) for k, c in poly.rep.to_dict().items()})
+    def _from_sympy(cls, poly, gens: tuple = (0, 1)) -> "BiPolynomial":
+        """The inverse of :meth:`_to_sympy` over the same gens, terms in sympy's order."""
+        terms = {}
+        for exponents, c in poly.rep.to_dict().items():
+            k = [0, 0]
+            for g, e in zip(gens, exponents):
+                k[g] = e
+            terms[tuple(k)] = _from_domain_elt(c)
+        return cls(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -396,28 +406,41 @@ class BiPolynomial(_Frozen):
         return "BiPolynomial(" + " + ".join(bits) + ")"
 
 
+def _occurring(a: BiPolynomial, b: BiPolynomial) -> tuple:
+    """The variables (0 for z, 1 for zbar) with a positive exponent in a or b:
+    at least one where either operand has several terms."""
+    keys = a.terms.keys() | b.terms.keys()
+    return tuple(g for g in (0, 1) if any(k[g] for k in keys))
+
+
 def _poly_gcd(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
     """Monic gcd.  With a one-term operand it is the monomial z^i zbar^j whose
-    exponents are the smallest over both operands' terms."""
+    exponents are the smallest over both operands' terms; otherwise sympy's,
+    over the variables that occur in a or b (a pair in z alone is a
+    one-variable gcd, with the value and term order of the two-variable one)."""
     if len(a.terms) == 1 or len(b.terms) == 1:
         keys = a.terms.keys() | b.terms.keys()
         return BiPolynomial._of({(min(i for i, _ in keys), min(j for _, j in keys)): GR_ONE})
-    return BiPolynomial._from_sympy(a._to_sympy().gcd(b._to_sympy()))
+    gens = _occurring(a, b)
+    return BiPolynomial._from_sympy(a._to_sympy(gens).gcd(b._to_sympy(gens)), gens)
 
 
 def _poly_div_exact(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
     """Exact quotient a / b, its terms in ascending (deg_z, deg_zbar) order as
-    sympy returns them; raises ArithmeticError when b does not divide a."""
+    sympy returns them (by exponent arithmetic for a one-term b, otherwise over
+    the variables that occur in a or b); raises ArithmeticError when b does
+    not divide a."""
     if len(b.terms) == 1:
         ((bi, bj), c), = b.terms.items()
         if any(i < bi or j < bj for i, j in a.terms):
             raise ArithmeticError("inexact polynomial division during normalization")
         q = BiPolynomial._of({(i - bi, j - bj): v for (i, j), v in sorted(a.terms.items())})
         return q if c == GR_ONE else q.scale(GR_ONE / c)
-    q, r = a._to_sympy().div(b._to_sympy())
+    gens = _occurring(a, b)
+    q, r = a._to_sympy(gens).div(b._to_sympy(gens))
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division during normalization")
-    return BiPolynomial._from_sympy(q)
+    return BiPolynomial._from_sympy(q, gens)
 
 
 _POLY_ONE = BiPolynomial.constant(1)
@@ -835,8 +858,10 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
     """True when every irreducible factor of den divides allowed.
 
     Used to verify exactly that a rational entry has poles only at declared
-    locations: strip common factors until the denominator is exhausted or a
-    foreign factor remains.
+    locations: strip g = gcd(r, allowed) from the remainder r (den at first)
+    until g is a constant, a foreign factor remaining, or r / g is one.  g
+    divides r, and bidegrees add under products, so r / g is a constant
+    exactly when g has the bidegree of r; that last division is not made.
     """
     r = den
     while True:
@@ -845,6 +870,8 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
         g = _poly_gcd(r, allowed)
         if g.degree() == (0, 0):
             return False
+        if g.degree() == r.degree():
+            return True
         r = _poly_div_exact(r, g)
 
 

@@ -256,9 +256,14 @@ class ParamPath:
         return self.segments[k].velocity(s) / dt
 
     def check_clearance(self, punctures) -> None:
-        """ClearanceViolated if the path passes within DEFAULT_CLEARANCE of a puncture."""
-        for p in punctures:
-            q = p.to_complex()
+        """ClearanceViolated if the path passes within DEFAULT_CLEARANCE of a
+        puncture; EvaluationOverflow naming a puncture, by its index, that is
+        past a double."""
+        for index, p in enumerate(punctures):
+            try:
+                q = p.to_complex()
+            except EvaluationOverflow as err:
+                raise EvaluationOverflow(f"puncture {index}: {err}") from None
             d = min(seg.distance_to(q) for seg in self.segments)
             if d < DEFAULT_CLEARANCE:
                 raise ClearanceViolated(
@@ -319,50 +324,67 @@ class HolonomySample:
 _TERM_BLOCKS: dict = {}
 
 
-def _term_matrices(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
+def _term_matrices(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
     """:func:`_compiled_terms` of the forms, kept for the latest
     TERM_BLOCKS_KEPT tuples of forms.  The forms are immutable, so a block
     never goes stale; an entry holds its forms, so no id in its key is
-    reused while it is kept."""
+    reused while it is kept.  The names only label errors, and a block that
+    raises is not kept."""
     key = tuple(map(id, forms))
     hit = _TERM_BLOCKS.get(key)
     if hit is None:
         if len(_TERM_BLOCKS) >= TERM_BLOCKS_KEPT:
             del _TERM_BLOCKS[next(iter(_TERM_BLOCKS))]
-        hit = _TERM_BLOCKS[key] = (tuple(forms), _compiled_terms(forms, n))
+        hit = _TERM_BLOCKS[key] = (tuple(forms), _compiled_terms(forms, n, names))
     return hit[1]
 
 
-def _compiled_terms(forms: Sequence[MatrixOneForm], n: int) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
+def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]) -> Tuple[Callable[[complex, complex], np.ndarray], bool, Tuple[int, ...]]:
     """(z, v) -> the term matrices P(z) v + Q(z) conj(v) of the nonzero forms
     k = P dz + Q dzbar, in the order given, side by side as one (n, K*n) row
     block: entry (i, j) of the k-th nonzero term is at row i, column k*n + j;
     whether the forms are constant in z (every nonzero entry's numerator and
     denominator has no term but z^0 zbar^0); and the indices in forms of the
     K nonzero ones.  One walk over each form's nonzero entries compiles each
-    once and decides both; the block is evaluated on Python scalars."""
+    once and decides both; the block is evaluated on Python scalars.  An
+    EvaluationOverflow, in compiling or in evaluating, names the entry
+    (i, j) of form f as names[f], and in compiling its dz or dzbar part."""
     found, kept, flat = [], [], True
     for f, form in enumerate(forms):
         k, before = len(kept), len(found)
         for i, j, dz_e, dzbar_e in form.nonzero_entries():
             flat = flat and all(e.num.terms.keys() | e.den.terms.keys() <= {(0, 0)} for e in (dz_e, dzbar_e) if e)
-            found.append((i, k, j, dz_e.compiled() if dz_e else None, dzbar_e.compiled() if dzbar_e else None))
+            where = f"{names[f]} entry ({i}, {j})"
+            fns = []
+            for part, e in (("dz", dz_e), ("dzbar", dzbar_e)):
+                try:
+                    fns.append(e.compiled() if e else None)
+                except EvaluationOverflow as err:
+                    raise EvaluationOverflow(f"{where}, {part} part: {err}") from None
+            found.append((i, k, j, *fns, where))
         if len(found) > before:
             kept.append(f)
     K = len(kept)
-    entries = [((i * K + k) * n + j, dz_fn, dzbar_fn) for i, k, j, dz_fn, dzbar_fn in found]
+    entries, labels = [], {}
+    for i, k, j, dz_fn, dzbar_fn, where in found:
+        idx = (i * K + k) * n + j
+        entries.append((idx, dz_fn, dzbar_fn))
+        labels[idx] = where
     shape = (n, K * n)
 
     def evaluate(z: complex, v: complex) -> np.ndarray:
         vv = v.conjugate()
         out = np.zeros(shape[0] * shape[1], dtype=complex)
-        for idx, dz_fn, dzbar_fn in entries:
-            acc = 0j
-            if dz_fn is not None:
-                acc += dz_fn(z) * v
-            if dzbar_fn is not None:
-                acc += dzbar_fn(z) * vv
-            out[idx] = acc
+        try:
+            for idx, dz_fn, dzbar_fn in entries:
+                acc = 0j
+                if dz_fn is not None:
+                    acc += dz_fn(z) * v
+                if dzbar_fn is not None:
+                    acc += dzbar_fn(z) * vv
+                out[idx] = acc
+        except EvaluationOverflow as err:
+            raise EvaluationOverflow(f"{labels[idx]}: {err}") from None
         return out.reshape(shape)
 
     return evaluate, flat, tuple(kept)
@@ -415,13 +437,14 @@ def _family_terms(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[
 
     Each eps must be finite and positive (ValueError otherwise).  Fractional
     term exponents become real powers of the parameter here and only here; a
-    weight past double precision raises HolonomyOverflow naming its eps.
+    weight past double precision raises HolonomyOverflow naming its eps.  An
+    EvaluationOverflow names the term (phi, conn or psi) and its entry.
     """
     for e in epsilons:
         if not (math.isfinite(e) and e > 0):
             raise ValueError(f"epsilon must be finite and positive, got {e!r}")
     terms = family.terms()
-    evaluate, flat, kept = _term_matrices([form for _name, _x, form in terms], family.n)
+    evaluate, flat, kept = _term_matrices([form for _name, _x, form in terms], family.n, [name for name, _x, _form in terms])
     exponents = [float(terms[k][1]) for k in kept]
     weights = []
     for e in epsilons:
@@ -543,8 +566,9 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     StiffnessBudgetExceeded, and so does one that has taken RHS_PROBE
     right-hand sides and, at its average progress in t so far, would need
     more than RHS_BUDGET for the segment (counted as they are asked for, so
-    a solve whose steps shrink toward roundoff ends in bounded time); one
-    whose t is NaN by then raises HolonomyOverflow naming the segment.
+    a solve whose steps shrink toward roundoff ends in bounded time).  A
+    right-hand side asked for at a NaN t raises HolonomyOverflow naming the
+    segment at once.
     Overflows in steps DOP853 rejects and retries change nothing, and none
     of them warns.
     """
@@ -570,9 +594,9 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
         def rhs(t, s):
             nonlocal evals
             evals += 1
-            if evals >= RHS_PROBE and not evals * (t1 - t0) <= RHS_BUDGET * (t - t0):  # a NaN t fails it too
-                if math.isnan(t):  # a value past a double made a step NaN, and DOP853 does not stop on it
-                    raise HolonomyOverflow(f"DOP853's t is NaN on segment {k} [{t0}, {t1}]: a value overflowed a double")
+            if t != t:  # a value past a double made a step NaN, and DOP853 does not stop on it
+                raise HolonomyOverflow(f"DOP853's t is NaN on segment {k} [{t0}, {t1}]: a value overflowed a double")
+            if evals >= RHS_PROBE and not evals * (t1 - t0) <= RHS_BUDGET * (t - t0):
                 raise StiffnessBudgetExceeded(
                     f"DOP853 reached t = {t:.6g} on segment {k} [{t0}, {t1}] after {evals} right-hand sides:"
                     f" at that rate it would need more than {RHS_BUDGET}"
@@ -702,8 +726,8 @@ class EigenvalueTrack:
     moves a sheet by more than a quarter of the closest pair of sheets at
     either end.  BranchPointOnPath if two sheets at a node are closer than
     BRANCH_TOL times the largest, or if following them takes a step below
-    1e-9 or more than MAX_NODES nodes; EvaluationOverflow at a point where
-    Phi's coefficient is not finite in doubles.
+    1e-9 or more than MAX_NODES nodes; EvaluationOverflow naming an entry of
+    Phi that is past a double, exactly or at a point.
     """
 
     BRANCH_TOL = 1e-12
@@ -714,7 +738,7 @@ class EigenvalueTrack:
         self.gamma = gamma
         if not Phi.dzbar_part.is_zero:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
-        term, flat, kept = _term_matrices([Phi], Phi.n)
+        term, flat, kept = _term_matrices([Phi], Phi.n, ["Phi"])
         zero = np.zeros((Phi.n, Phi.n))  # a zero Phi's block has no columns
 
         def sheets(z, v):
@@ -724,7 +748,8 @@ class EigenvalueTrack:
             except np.linalg.LinAlgError:
                 if np.isfinite(a).all():
                     raise
-                raise EvaluationOverflow(f"Phi's coefficient at z={z!r} is not finite in doubles") from None
+                i, j = np.argwhere(~np.isfinite(a))[0]
+                raise EvaluationOverflow(f"Phi entry ({i}, {j}) at z={z!r} is not finite in doubles") from None
 
         pieces = _pulled_back(gamma, sheets, flat)
         self._at = _on_path(pieces, gamma)

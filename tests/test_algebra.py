@@ -223,6 +223,62 @@ def test_monomial_shortcuts_match_sympy():
         _poly_div_exact(BiPolynomial.monomial(3, 0), BiPolynomial.monomial(1, 1, 2))
 
 
+def _multi_term_poly(rng: random.Random, variables: str) -> BiPolynomial:
+    """A polynomial of two to four terms in z, zbar or both, each exponent at most 2."""
+    exponent = lambda v: rng.randint(0, 2) if v in variables else 0
+    while True:
+        p = BiPolynomial({(exponent("z"), exponent("zbar")): _random_gr(rng) for _ in range(rng.randint(2, 4))})
+        if len(p.terms) > 1:
+            return p
+
+
+@pytest.mark.parametrize("variables", ["z", "zbar", "z zbar"])
+def test_gcd_and_division_over_the_occurring_variables_match_two_variables(variables):
+    # sympy sees only the variables that occur in either operand; the gcd and
+    # the quotient must be those of the two-variable route, down to the
+    # insertion order of their terms.  A mixed pair here has at least one
+    # operand in both variables.  Three gcd pairs and one quotient each time:
+    # 160 pairs per set of variables
+    rng = random.Random(3030 + len(variables))
+    two = lambda poly: BiPolynomial._from_sympy(poly)
+    for _ in range(40):
+        if variables == "z zbar":
+            a = _multi_term_poly(rng, rng.choice(["z", "zbar", "z zbar"]))
+            b = _multi_term_poly(rng, "z zbar")
+        else:
+            a, b = _multi_term_poly(rng, variables), _multi_term_poly(rng, variables)
+        c = _multi_term_poly(rng, variables)
+        for x, y in ((a * c, b * c), (a * c, b), (a, b)):
+            g, want = _poly_gcd(x, y), two(x._to_sympy().gcd(y._to_sympy()))
+            assert g == want and list(g.terms) == list(want.terms), (x, y)
+        q, want = _poly_div_exact(a * c, c), two((a * c)._to_sympy().div(c._to_sympy())[0])
+        assert q == a and list(q.terms) == list(want.terms), (a, c)
+        if not (b * c)._to_sympy().div(a._to_sympy())[1].is_zero:
+            with pytest.raises(ArithmeticError):
+                _poly_div_exact(b * c, a)
+
+
+def test_sympy_sees_only_the_variables_that_occur(monkeypatch):
+    # the catalog's pole checks are all in z alone: one generator each; a
+    # pair in z and zbar takes both
+    import sympy
+
+    from nilwkb.catalog import catalog
+
+    seen = []
+    for name in ("gcd", "div"):
+        method = getattr(sympy.Poly, name)
+        monkeypatch.setattr(sympy.Poly, name, lambda a, b, _m=method, _n=name: seen.append((_n, a.gens, b.gens)) or _m(a, b))
+    catalog()
+    assert seen and {gens for _name, *both in seen for gens in both} == {sympy.symbols("z,")}
+    seen.clear()
+    z, zb, one = BiPolynomial.z(), BiPolynomial.zbar(), BiPolynomial.constant(1)
+    assert _poly_div_exact((z + one) * (zb - one), z + one) == zb - one
+    assert _poly_gcd((z + one) * (zb - one), z * z - one) == z + one
+    both = sympy.symbols("z zbar")
+    assert seen == [("div", both, both), ("gcd", both, both)]
+
+
 def _multi_term_brf(rng: random.Random) -> BRF:
     while True:
         f = _random_brf(rng)

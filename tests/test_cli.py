@@ -635,25 +635,27 @@ _FAR_FIELD = lambda: _dz_family([[_ZERO, BRF.constant(10**300) * BRF.z()], [_ONE
     "argv, start, end, error, code",
     [
         # eps^-1 at eps 1e-309 is past a double
-        (["holonomy", "catalog:nilpotent_sl2", "--eps", "1e-309:1e-310:geometric:2"], 0, 1, "HolonomyOverflow", 2),
-        # a segment at 1e200: |d|^2 in the clearance test, z^2 in the field's entries
-        (["holonomy", "catalog:toy_phi_p", "--eps", "0.5:0.25:geometric:2"], 1e200, 2e200, "EvaluationOverflow", 1),
-        (["period", "catalog:toy_phi_p"], 1e200, 2e200, "EvaluationOverflow", 1),
+        ((["holonomy", "catalog:nilpotent_sl2", "--eps", "1e-309:1e-310:geometric:2"], "eps=1e-309"), 0, 1, "HolonomyOverflow", 2),
+        # a segment at 1e200: z^2 in the denominator of the field's entry (0, 0)
+        ((["holonomy", "catalog:toy_phi_p", "--eps", "0.5:0.25:geometric:2"], "phi entry (0, 0): "), 1e200, 2e200, "EvaluationOverflow", 1),
+        ((["period", "catalog:toy_phi_p"], "Phi entry (0, 0): "), 1e200, 2e200, "EvaluationOverflow", 1),
         # 10^400 as a coefficient, as a pole with its declared puncture, and as a puncture alone
-        (["holonomy", _HUGE_ENTRY, "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
-        (["period", _HUGE_ENTRY], 0, 1, "EvaluationOverflow", 1),
-        (["holonomy", lambda: _dz_family([[_ZERO, BRF.from_poles(1, [_HUGE])], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
-        (["holonomy", lambda: _dz_family([[_ZERO, _ONE], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], 0, 1, "EvaluationOverflow", 1),
+        ((["holonomy", _HUGE_ENTRY, "--eps", "0.5:0.25:geometric:2"], "phi entry (0, 1), dz part: "), 0, 1, "EvaluationOverflow", 1),
+        ((["period", _HUGE_ENTRY], "Phi entry (0, 1), dz part: "), 0, 1, "EvaluationOverflow", 1),
+        ((["holonomy", lambda: _dz_family([[_ZERO, BRF.from_poles(1, [_HUGE])], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], "phi entry (0, 1), dz part: "), 0, 1, "EvaluationOverflow", 1),
+        ((["holonomy", lambda: _dz_family([[_ZERO, _ONE], [_ZERO, _ZERO]], [_HUGE]), "--eps", "0.5:0.25:geometric:2"], "puncture 0: "), 0, 1, "EvaluationOverflow", 1),
         # 10^300 z at z = 1e10 is inf in doubles: eigvals refused it with a bare LinAlgError, and DOP853's
         # first step came out NaN, after which it ran without end at t = NaN
-        (["period", _FAR_FIELD], 1e10, 2e10, "EvaluationOverflow", 1),
-        (["wkbcheck", _FAR_FIELD], 1e10, 2e10, "EvaluationOverflow", 1),
-        (["holonomy", _FAR_FIELD, "--eps", "0.5:0.25:geometric:1"], 1e10, 2e10, "HolonomyOverflow", 2),
+        ((["period", _FAR_FIELD], "Phi entry (0, 1) at z="), 1e10, 2e10, "EvaluationOverflow", 1),
+        ((["wkbcheck", _FAR_FIELD], "Phi entry (0, 1) at z="), 1e10, 2e10, "EvaluationOverflow", 1),
+        ((["holonomy", _FAR_FIELD, "--eps", "0.5:0.25:geometric:1"], "segment 0"), 1e10, 2e10, "HolonomyOverflow", 2),
     ],
 )
 def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start, end, error, code):
-    # each of these ended in an OverflowError traceback, a LinAlgError or a hang
-    command, family, *options = argv
+    # each of these ended in an OverflowError traceback, a LinAlgError or a hang;
+    # argv pairs the command line with the text naming the eps, entry, puncture
+    # or segment at fault, which the message must contain
+    (command, family, *options), culprit = argv
     if callable(family):
         (tmp_path / "family.json").write_text(json.dumps(family().to_json()))
         family = str(tmp_path / "family.json")
@@ -663,7 +665,9 @@ def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start,
         assert main([command, family, str(path), *options]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == error
+    err = json.loads(captured.err)
+    assert err["error"] == error
+    assert culprit in err["message"], err["message"]
 
 
 @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])

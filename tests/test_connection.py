@@ -10,6 +10,8 @@ from nilwkb.algebra import (
     BiRationalFunction as BRF,
     GaussianRational,
     RationalFunctionMatrix,
+    _poly_div_exact,
+    _poly_gcd,
     radical_divides,
 )
 from nilwkb.catalog import FAMILIES, catalog, nilpotent_sl2
@@ -269,10 +271,23 @@ def _in_corner(entry, n=2):
     return RationalFunctionMatrix(rows)
 
 
+def _divides_by_stripping(den, allowed):
+    """radical_divides without its early return: strip gcds until the
+    remainder is a constant or shares no factor with allowed."""
+    r = den
+    while r.degree() != (0, 0):
+        g = _poly_gcd(r, allowed)
+        if g.degree() == (0, 0):
+            return False
+        r = _poly_div_exact(r, g)
+    return True
+
+
 def test_pole_locus_split_by_variable_gives_the_joint_verdict(monkeypatch):
     # a denominator in z alone is tested against prod (z - p), one in zbar alone
     # against prod (zbar - conj p); the verdict, and the number of sympy gcds
-    # taken, must be those of the joint locus prod (z - p)(zbar - conj p)
+    # taken, must be those of the joint locus prod (z - p)(zbar - conj p), and
+    # the verdict that of stripping gcds until a constant is left
     import nilwkb.connection as connection
 
     gcd_calls = []
@@ -311,6 +326,7 @@ def test_pole_locus_split_by_variable_gives_the_joint_verdict(monkeypatch):
             declared = False
         assert declared == expected, (entry, punctures)
         assert len(gcd_calls) == joint_gcds, (entry, punctures)
+        assert _divides_by_stripping(entry.den, joint) == expected, (entry, punctures)
         deg_z, deg_zbar = entry.den.degree()
         seen.add(("z" if deg_zbar == 0 else "zbar" if deg_z == 0 else "mixed", declared))
     assert seen == {(kind, verdict) for kind in ("z", "zbar", "mixed") for verdict in (True, False)}

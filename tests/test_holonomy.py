@@ -695,6 +695,25 @@ def test_overflowing_dop853_state_raises_overflow(eps):
             transport_grid(regular_diagonal(), ParamPath.circle(), [0.5, eps], rel_tol=1e-11)
 
 
+def test_nan_t_ends_the_dop853_solve_at_once(monkeypatch):
+    # 10^300 z at z = 1e10 is inf in doubles, so DOP853's first step comes out
+    # NaN; the solve used to run 100,000 right-hand sides at t = NaN (over 1 s)
+    # before its budget test stopped it
+    rhs_calls = []
+    solve = holonomy.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        return solve(lambda t, s: rhs_calls.append(t) or fun(t, s), *args, **kwargs)
+
+    monkeypatch.setattr("nilwkb.holonomy.solve_ivp", counted)
+    zero, one = BRF.zero(), BRF.one()
+    phi = MatrixOneForm.from_dz(RationalFunctionMatrix([[zero, BRF.constant(10**300) * BRF.z()], [one, zero]]))
+    family = ConnectionFamily(2, phi, MatrixOneForm.zero(2), MatrixOneForm.zero(2))
+    with pytest.raises(HolonomyOverflow, match=r"^DOP853's t is NaN on segment 0 \[0.0, 1.0\]: a value overflowed a double$"):
+        transport(family, ParamPath.segment(1e10, 2e10), 0.5)
+    assert 0 < len(rhs_calls) < 10
+
+
 def test_failed_dop853_step_raises_stiffness(monkeypatch):
     class Failed:
         status, message = -1, "Required step size is less than spacing between numbers."
@@ -907,8 +926,8 @@ def _quad_period(Phi, gamma):
     # reference: adaptive quadrature of track.values(t)[0] on every segment,
     # the track built as if no segment were constant, so the field is
     # evaluated at every node and every quadrature point
-    def never_flat(forms, n):
-        evaluate, _flat, kept = _term_matrices(forms, n)
+    def never_flat(forms, n, names):
+        evaluate, _flat, kept = _term_matrices(forms, n, names)
         return evaluate, False, kept
 
     with pytest.MonkeyPatch.context() as mp:
