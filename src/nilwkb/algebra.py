@@ -29,7 +29,9 @@ the quotient rule would normalise to.
 An exact value becomes a double only in :meth:`GaussianRational.to_complex`,
 which raises ``EvaluationOverflow`` where it is past a double.  Doubles enter
 only through :meth:`BiRationalFunction.compiled`: it is the one place where
-coefficients become floats, and it raises ``PoleHit`` where the denominator
+coefficients become floats, but for ``holonomy.period``, which takes a
+constant segment's coefficients as ``evaluate_exact(GR_ZERO).to_complex()``
+for its eigenvalue error bound.  It raises ``PoleHit`` where the denominator
 is within roundoff of 0 relative to its own terms (a one-term denominator
 only where it is exactly 0), and ``EvaluationOverflow`` where a coefficient,
 a power of z or a modulus in the sum leaves double precision.

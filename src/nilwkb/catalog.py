@@ -17,7 +17,7 @@ from functools import partial
 
 from .algebra import BRF, GaussianRational, RationalFunctionMatrix
 from .connection import ConnectionFamily, MatrixOneForm
-from .toymodel import TOY_FIELDS, build_toy_higgs
+from .toymodel import TOY_FIELDS, _sites, build_toy_higgs
 
 # Rational approximation of 1/(2*pi), error < 4e-28; the abelian baseline
 # family needs the residue -i/(2 pi) so the unit-circle holonomy trace is
@@ -140,9 +140,10 @@ def toy_aligned_p(p=2) -> ConnectionFamily:
     Conjugating by g = ((z, 0), (1, 1)) puts the kernel line (z, 1) on the
     first frame vector; the inhomogeneous term g^-1 dg joins the connection.
     The result is flat, graded, and has a nonzero lower piece, so the
-    rescaling applies and Tr(Phi^2) = 2/(z(z-1)(z-p)).
+    rescaling applies and Tr(Phi^2) = 2/(z(z-1)(z-p)).  p must avoid 0 and 1
+    (BadPuncture).
     """
-    p = GaussianRational.coerce(p)
+    p = _sites(p)["p"][0]
     z = BRF.z()
     one = BRF.one()
     f = BRF.from_poles(1, [GaussianRational(0), GaussianRational(1), p])

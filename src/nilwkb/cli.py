@@ -373,52 +373,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("flatness", help="exact flatness check; exit 0 iff flat")
-    p.add_argument("family", help=family_help)
-    p.set_defaults(fn=_cmd_flatness)
+    def family_command(name, fn, help, path=False):
+        """The subparser of a command that reads a family, and a path where it takes one."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("family", help=family_help)
+        if path:
+            p.add_argument("path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("secondary", help="secondary Higgs field and invariant m")
-    p.add_argument("family", help=family_help)
+    family_command("flatness", _cmd_flatness, "exact flatness check; exit 0 iff flat")
+    p = family_command("secondary", _cmd_secondary, "secondary Higgs field and invariant m")
     p.add_argument("--blocks", type=int_list, required=True, help="grading block sizes, e.g. 1,1")
-    p.set_defaults(fn=_cmd_secondary)
-
-    p = sub.add_parser("jordan", help="Jordan type of the leading field")
-    p.add_argument("family", help=family_help)
-    p.set_defaults(fn=_cmd_jordan)
-
-    p = sub.add_parser("cyclic", help="cyclic-grading check of the secondary field")
-    p.add_argument("family", help=family_help)
+    family_command("jordan", _cmd_jordan, "Jordan type of the leading field")
+    p = family_command("cyclic", _cmd_cyclic, "cyclic-grading check of the secondary field")
     p.add_argument("--blocks", type=int_list, required=True)
-    p.set_defaults(fn=_cmd_cyclic)
-
-    p = sub.add_parser("kdiff", help="trace powers Tr(Phi^k)")
-    p.add_argument("family", help=family_help)
+    p = family_command("kdiff", _cmd_kdiff, "trace powers Tr(Phi^k)")
     p.add_argument("--up-to", type=int, default=2, dest="up_to")
     p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
-    p.set_defaults(fn=_cmd_kdiff)
-
-    p = sub.add_parser("reality", help="determinant-sign reality obstruction")
-    p.add_argument("family", help=family_help)
-    p.set_defaults(fn=_cmd_reality)
-
-    p = sub.add_parser("holonomy", help="transport over an eps grid; CSV on stdout")
-    p.add_argument("family", help=family_help)
-    p.add_argument("path")
+    family_command("reality", _cmd_reality, "determinant-sign reality obstruction")
+    p = family_command("holonomy", _cmd_holonomy, "transport over an eps grid; CSV on stdout", path=True)
     p.add_argument("--eps", type=_option(_parse_eps_grid), required=True, help="start:end:spacing:count")
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol", help="finite, in (0, 1e-2]")
-    p.set_defaults(fn=_cmd_holonomy)
-
-    p = sub.add_parser("period", help="spectral period along a path")
-    p.add_argument("family", help=family_help)
-    p.add_argument("path")
+    p = family_command("period", _cmd_period, "spectral period along a path", path=True)
     p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
-    p.set_defaults(fn=_cmd_period)
-
-    p = sub.add_parser("wkbcheck", help="WKB-curve predicate and margin")
-    p.add_argument("family", help=family_help)
-    p.add_argument("path")
+    p = family_command("wkbcheck", _cmd_wkbcheck, "WKB-curve predicate and margin", path=True)
     p.add_argument("--blocks", type=int_list)
-    p.set_defaults(fn=_cmd_wkbcheck)
 
     p = sub.add_parser("wkbfit", help="rate fit from a holonomy CSV")
     p.add_argument("samples")

@@ -273,25 +273,22 @@ def _check_graded_frame(phi: MatrixOneForm, partition: Sequence[int]) -> None:
     """The input frame must exhibit phi in graded shape: pure weight +1 with
     slot-aligned lines (slot s of level j+1 maps onto slot s of level j)."""
     layout = _line_layout(partition)
-    n = len(layout)
-    for r in range(n):
-        for c in range(n):
-            entry = phi.dz_part.entries[r][c]
-            lr, sr = layout[r]
-            lc, sc = layout[c]
-            if entry:
-                if lc - lr != 1 or sr != sc:
-                    raise FrameNotAligned(
-                        f"phi entry ({r},{c}) sits at grading step {lc - lr}, slot "
-                        f"{sr}->{sc}; the splitting frame must align phi on the "
-                        "graded superdiagonal"
-                    )
-            else:
-                if lc - lr == 1 and sr == sc:
-                    raise FrameNotAligned(
-                        f"phi entry ({r},{c}) on the graded superdiagonal vanishes; "
-                        "the grading lines are not matched by phi"
-                    )
+    cells = [(r, c) for r in range(len(layout)) for c in range(len(layout))]
+    support = {(r, c) for r, c in cells if phi.dz_part.entries[r][c]}
+    aligned = {(r, c) for r, c in cells if layout[c] == (layout[r][0] + 1, layout[r][1])}
+    if support != aligned:
+        r, c = min(support ^ aligned)  # the first row-major position where they differ
+        (lr, sr), (lc, sc) = layout[r], layout[c]
+        if (r, c) in support:
+            raise FrameNotAligned(
+                f"phi entry ({r},{c}) sits at grading step {lc - lr}, slot "
+                f"{sr}->{sc}; the splitting frame must align phi on the "
+                "graded superdiagonal"
+            )
+        raise FrameNotAligned(
+            f"phi entry ({r},{c}) on the graded superdiagonal vanishes; "
+            "the grading lines are not matched by phi"
+        )
 
 
 def secondary_higgs(family: ConnectionFamily, splitting: Sequence[int], seed: int = 2301) -> SecondaryData:

@@ -468,18 +468,16 @@ def pullback(family: ConnectionFamily, gamma: ParamPath, epsilon: float) -> Call
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a (B, n, n) stack.  Where a member's plain sum
-    of squares overflows (entries past about 1e154), np.linalg.norm takes it again, and
-    on a finite member whose norm is still past a double, it is taken on a_b / max|a_ij|."""
+    """Frobenius norm of each member of a (B, n, n) stack.  Where a finite member's plain
+    sum of squares overflows (entries past about 1e154), the norm is taken on
+    a_b / max|a_ij| and scaled back; a member with an inf or NaN entry keeps its inf or NaN."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(1, 2)))  # np.linalg.norm's sum, without its checks
         if not math.isfinite(norms.sum()):
             for b in np.flatnonzero(np.isinf(norms)):
-                norm = float(np.linalg.norm(a[b]))
-                if math.isinf(norm) and np.isfinite(a[b]).all():
+                if np.isfinite(a[b]).all():
                     top = float(np.abs(a[b]).max())
-                    norm = top * float(np.linalg.norm(a[b] / top))
-                norms[b] = norm
+                    norms[b] = top * float(np.linalg.norm(a[b] / top))
     return norms
 
 

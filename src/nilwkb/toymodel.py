@@ -278,8 +278,8 @@ def residues(field: ToyHiggsField) -> Dict[str, list]:
 
 
 def toy_quadratic_differential(c, p=2) -> BRF:
-    """c / (z (z-1) (z-p)), the dz^2 coefficient of the only available shape."""
-    return BRF.from_poles(c, [GR_ZERO, GR_ONE, p])
+    """c / (z (z-1) (z-p)), the dz^2 coefficient of the only available shape; p avoids 0 and 1."""
+    return BRF.from_poles(c, [GR_ZERO, GR_ONE, _sites(p)["p"][0]])
 
 
 def parabolic_model_connection(rho) -> MatrixOneForm:

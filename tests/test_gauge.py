@@ -25,6 +25,8 @@ from nilwkb.errors import (
 )
 from nilwkb.gauge import (
     GaugeProfile,
+    _check_graded_frame,
+    _line_layout,
     conjugate_partition,
     gauge_conjugate,
     graded_decompose,
@@ -308,6 +310,84 @@ def test_secondary_refuses_a_phi_entry_that_changes_slot():
     assert jordan_type(family.phi).partition == (2, 1)
     with pytest.raises(FrameNotAligned, match="slot 2->1"):
         secondary_higgs(family, [2, 1])
+
+
+def _graded_frame_by_double_loop(phi, partition):
+    """The graded-frame rule as one test per position, row-major: the oracle for _check_graded_frame."""
+    layout = _line_layout(partition)
+    n = len(layout)
+    for r in range(n):
+        for c in range(n):
+            entry = phi.dz_part.entries[r][c]
+            lr, sr = layout[r]
+            lc, sc = layout[c]
+            if entry:
+                if lc - lr != 1 or sr != sc:
+                    raise FrameNotAligned(
+                        f"phi entry ({r},{c}) sits at grading step {lc - lr}, slot "
+                        f"{sr}->{sc}; the splitting frame must align phi on the "
+                        "graded superdiagonal"
+                    )
+            else:
+                if lc - lr == 1 and sr == sc:
+                    raise FrameNotAligned(
+                        f"phi entry ({r},{c}) on the graded superdiagonal vanishes; "
+                        "the grading lines are not matched by phi"
+                    )
+
+
+def _compositions(n):
+    """Every ordered tuple of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, n + 1) for rest in _compositions(n - first)]
+
+
+def _graded_frame_verdict(check, phi, partition):
+    try:
+        check(phi, partition)
+    except FrameNotAligned as exc:
+        return str(exc)
+    return None
+
+
+def _support_form(n, bits):
+    """The dz form whose entry (r, c) is 1 where bit r*n + c of bits is set, else 0."""
+    return MatrixOneForm.from_dz(
+        RationalFunctionMatrix.from_scalars([[bits >> (r * n + c) & 1 for c in range(n)] for r in range(n)])
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_graded_frame_rule_matches_the_double_loop_on_every_support(n):
+    cases = verdicts = 0
+    for partition in _compositions(n):
+        for bits in range(2 ** (n * n)):
+            phi = _support_form(n, bits)
+            want = _graded_frame_verdict(_graded_frame_by_double_loop, phi, partition)
+            assert _graded_frame_verdict(_check_graded_frame, phi, partition) == want, (partition, bits)
+            cases, verdicts = cases + 1, verdicts + (want is None)
+    assert cases == {2: 32, 3: 2048}[n]
+    assert verdicts == len(_compositions(n))  # one aligned support per composition
+
+
+def test_graded_frame_rule_matches_the_double_loop_on_seeded_rank4_supports():
+    rng = random.Random(31)
+    aligned_count = 0
+    for partition in _compositions(4):
+        layout = _line_layout(partition)
+        aligned = sum(
+            1 << (r * 4 + c) for r in range(4) for c in range(4) if layout[c] == (layout[r][0] + 1, layout[r][1])
+        )
+        draws = [aligned] + [rng.getrandbits(16) for _ in range(20)]
+        # near the aligned support, where the first differing position can be anywhere
+        draws += [aligned ^ (1 << rng.randrange(16)) ^ (rng.random() < 0.5) << rng.randrange(16) for _ in range(20)]
+        for bits in draws:
+            phi = _support_form(4, bits)
+            want = _graded_frame_verdict(_graded_frame_by_double_loop, phi, partition)
+            assert _graded_frame_verdict(_check_graded_frame, phi, partition) == want, (partition, bits)
+            aligned_count += want is None
+    assert aligned_count >= len(_compositions(4))
 
 
 def test_secondary_requires_flat_family():

@@ -492,6 +492,20 @@ def test_sample_fields_are_python_numbers(build, path):
         assert (type(s.epsilon), type(s.trace), type(s.est_error)) == (float, complex, float)
 
 
+def test_frobenius_of_plain_huge_inf_and_nan_members():
+    huge = [[3e200 + 4e199j, -7e154], [1.5e-300, 2e201j]]
+    stack = np.array(
+        [[[3, 4j], [12, 0]], huge, [[math.inf, 1], [0, 0]], [[1, math.nan], [0, 0]]], dtype=complex
+    )
+    with np.errstate(invalid="ignore"):  # inf * 0 in inf's square, as in the transport's errstate
+        plain, big, inf, nan = holonomy._frobenius(stack).tolist()
+    assert plain == 13.0  # 9 + 16 + 144 exactly: the plain sum, bit for bit
+    with mpmath.workdps(50):
+        exact = mpmath.sqrt(sum(mpmath.mpf(x.real) ** 2 + mpmath.mpf(x.imag) ** 2 for row in huge for x in row))
+        assert math.isfinite(big) and abs(mpmath.mpf(big) - exact) <= 4 * 2.0**-52 * exact
+    assert inf == math.inf and math.isnan(nan)
+
+
 def test_grid_norms_do_not_grow_with_the_grid(monkeypatch):
     # cost guard: a constant grid takes every Frobenius norm on the whole
     # (B, n, n) stack, so 32 members take as many calls as 2

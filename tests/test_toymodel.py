@@ -86,6 +86,16 @@ def test_build_rejects_bad_puncture():
         build_toy_higgs("phi_q", 2)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_toy_aligned_p_and_quadratic_differential_refuse_a_puncture_on_0_or_1(p):
+    from nilwkb.catalog import toy_aligned_p
+
+    with pytest.raises(BadPuncture):
+        toy_aligned_p(p)
+    with pytest.raises(BadPuncture):
+        toy_quadratic_differential(1, p)
+
+
 def test_residues_phi_p():
     field = build_toy_higgs("phi_p", 2)
     res = residues(field)
