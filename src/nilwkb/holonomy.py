@@ -11,8 +11,9 @@ so repeated calls on one family compile it once.  A z-independent family
 has constant M on a line segment, and there S is multiplied by the closed
 form expm(-M dt): the grid's exponentials are one batched Pade [13/13]
 scaling and squaring (Higham 2005), in which each member is scaled and
-squared on its own, as E - I while exp stays near I and as E once it
-decays, and so gets the same bits in any grid.  Any other segment is solved by an adaptive embedded pair (DOP853) on the grid laid
+squared on its own (a squaring takes only the members that still need
+it), as E - I while exp stays near I and as E once it decays, and so gets
+the same bits in any grid.  Any other segment is solved by an adaptive embedded pair (DOP853) on the grid laid
 side by side, one (n, B*n) state, so that a right-hand side is one 2-D
 product into a buffer kept for the segment; all members share one step
 count.  A solve that fails on an overflowed double raises HolonomyOverflow;
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
-from dataclasses import astuple, dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -54,8 +55,8 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .algebra import GR_ZERO, _Frozen
-from .connection import ConnectionFamily, MatrixOneForm
+from .algebra import _Frozen
+from .connection import TERM_NAMES, ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
     ClearanceViolated,
@@ -180,8 +181,9 @@ Segment = LineSegment | ArcSegment
 class ParamPath:
     """Piecewise path, parametrized over [0,1] proportionally to arc length.
 
-    Every endpoint, centre, radius and angle must be finite.  Consecutive
-    segments must share endpoints; a closed path returns to its start.
+    Every endpoint, centre, radius and angle must be finite, and every arc's
+    radius positive.  Consecutive segments must share endpoints; a closed
+    path returns to its start.
     ``orientation`` records whether the path is a reversal: the eigenvalue
     track's leading sheet follows it, making periods odd under reversal.
     """
@@ -191,8 +193,11 @@ class ParamPath:
         if not segments:
             raise ValueError("a path needs at least one segment")
         for s in segments:
-            if not all(cmath.isfinite(x) for x in astuple(s)):
+            # the fields read one by one: astuple copies them, and vars() slows every later read of them
+            if not all(cmath.isfinite(getattr(s, name)) for name in s.__dataclass_fields__):
                 raise ValueError(f"non-finite path coordinate in {s!r}")
+            if isinstance(s, ArcSegment) and not s.radius > 0:
+                raise ValueError(f"arc radius must be positive, got {s.radius!r}")
         scale = max(1.0, max(abs(s.point(0.0)) + abs(s.point(1.0)) for s in segments))
         for a, b in zip(segments, segments[1:]):
             if abs(a.point(1.0) - b.point(0.0)) > 1e-12 * scale:
@@ -346,21 +351,30 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
     whether the forms are constant in z (every nonzero entry's numerator and
     denominator has no term but z^0 zbar^0); and the indices in forms of the
     K nonzero ones.  One walk over each form's nonzero entries compiles each
-    once and decides both; the block is evaluated on Python scalars.  An
-    EvaluationOverflow, in compiling or in evaluating, names the entry
-    (i, j) of form f as names[f], and in compiling its dz or dzbar part."""
+    once and decides both; a constant part is evaluated there, once, since
+    its compiled form gives the same value at every z (z^0 is exactly 1).
+    The block is evaluated on Python scalars.  An EvaluationOverflow, in
+    compiling or in evaluating, names the entry (i, j) of form f as
+    names[f], and in compiling its dz or dzbar part."""
     found, kept, flat = [], [], True
     for f, form in enumerate(forms):
         k, before = len(kept), len(found)
         for i, j, dz_e, dzbar_e in form.nonzero_entries():
-            flat = flat and all(e.num.terms.keys() | e.den.terms.keys() <= {(0, 0)} for e in (dz_e, dzbar_e) if e)
             where = f"{names[f]} entry ({i}, {j})"
             fns = []
             for part, e in (("dz", dz_e), ("dzbar", dzbar_e)):
+                if not e:
+                    fns.append(None)
+                    continue
                 try:
-                    fns.append(e.compiled() if e else None)
+                    fn = e.compiled()
                 except EvaluationOverflow as err:
                     raise EvaluationOverflow(f"{where}, {part} part: {err}") from None
+                if e.num.terms.keys() | e.den.terms.keys() <= {(0, 0)}:
+                    fn = _returning(fn(0j))
+                else:
+                    flat = False
+                fns.append(fn)
             found.append((i, k, j, *fns, where))
         if len(found) > before:
             kept.append(f)
@@ -390,33 +404,39 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
     return evaluate, flat, tuple(kept)
 
 
+def _returning(value: complex) -> Callable[[complex], complex]:
+    """The compiled form of a constant: z -> value."""
+    return lambda z: value
+
 
 def _pulled_back(gamma: ParamPath, value: Callable[[complex, complex], Any], flat: bool) -> List[Any]:
     """Per segment of gamma, value(gamma(t), gamma'(t)) of a field that is
     constant in z if flat (the flag of :func:`_term_matrices`).
 
     A flat field on a line segment (constant velocity) does not depend on
-    t: that segment's item is value evaluated once (read-only if it is an
-    array).  Any other segment's item is a map t -> value at s = (t - t_k) /
-    (t_{k+1} - t_k), clamped to [0, 1], on that segment alone.  Both
-    evaluate on Python scalars.
+    t: that segment's item is value evaluated once, at its start (read-only
+    if it is an array).  Any other segment's item is a map t -> value at
+    s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1], on that segment
+    alone.  Both evaluate on Python scalars.
     """
 
-    def on_segment(seg: Segment, t0: float, t1: float):
-        dt = t1 - t0
-
+    def on_segment(seg: Segment, t0: float, dt: float):
         def P(t: float):
             s = min(1.0, max(0.0, (float(t) - t0) / dt))
             return value(seg.point(s), seg.velocity(s) / dt)
 
-        if not (flat and isinstance(seg, LineSegment)):
-            return P
-        constant = P(t0)
-        if isinstance(constant, np.ndarray):
-            constant.flags.writeable = False
-        return constant
+        return P
 
-    return [on_segment(*args) for args in zip(gamma.segments, gamma.breaks, gamma.breaks[1:])]
+    pieces = []
+    for seg, t0, t1 in zip(gamma.segments, gamma.breaks, gamma.breaks[1:]):
+        if flat and isinstance(seg, LineSegment):
+            constant = value(seg.point(0.0), seg.velocity(0.0) / (t1 - t0))
+            if isinstance(constant, np.ndarray):
+                constant.flags.writeable = False
+            pieces.append(constant)
+        else:
+            pieces.append(on_segment(seg, t0, t1 - t0))
+    return pieces
 
 
 def _on_path(pieces: Sequence[Any], gamma: ParamPath) -> Callable[[float], Any]:
@@ -443,9 +463,8 @@ def _family_terms(family: ConnectionFamily, epsilons: Sequence[float]) -> Tuple[
     for e in epsilons:
         if not (math.isfinite(e) and e > 0):
             raise ValueError(f"epsilon must be finite and positive, got {e!r}")
-    terms = family.terms()
-    evaluate, flat, kept = _term_matrices([form for _name, _x, form in terms], family.n, [name for name, _x, _form in terms])
-    exponents = [float(terms[k][1]) for k in kept]
+    evaluate, flat, kept = _term_matrices((family.phi, family.conn, family.psi), family.n, TERM_NAMES)
+    exponents = [float(family.exponents[k]) for k in kept]
     weights = []
     for e in epsilons:
         try:
@@ -473,7 +492,7 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     a_b / max|a_ij| and scaled back; a member with an inf or NaN entry keeps its inf or NaN."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(1, 2)))  # np.linalg.norm's sum, without its checks
-        if not math.isfinite(norms.sum()):
+        if not math.isfinite(np.add.reduce(norms)):
             for b in np.flatnonzero(np.isinf(norms)):
                 if np.isfinite(a[b]).all():
                     top = float(np.abs(a[b]).max())
@@ -488,8 +507,11 @@ def _expm(X: np.ndarray) -> np.ndarray:
     Member b is scaled by 2^-s_b, the least power of 2 that takes its 1-norm
     below THETA13; the stack's powers A^2, A^4, A^6 are one product each, and
     one batched solve gives both Y = r(A) - I = 2 (V - U)^-1 U and
-    E = r(A) = (V - U)^-1 (V + U).  The stack is squared max(s) times, member
-    b exactly s_b times.  While every diagonal entry of E has real part at
+    E = r(A) = (V - U)^-1 (V + U).  Member b is squared exactly s_b times:
+    the members are put in order of s_b (a stack already in that order, as
+    a grid of falling eps usually is, is not copied), so that squaring i
+    is one product over the suffix of members with s_b > i.  While every
+    diagonal entry of E has real part at
     least 1/2, a member is held and squared as Y <- Y (Y + 2I): the part of
     exp that differs from I keeps its relative accuracy, so a member scaled
     far below its size is not rounded to I and then squared toward 0.  Once
@@ -497,18 +519,26 @@ def _expm(X: np.ndarray) -> np.ndarray:
     as E <- E E, so an exp that decays keeps its relative accuracy too: I + Y
     puts an absolute roundoff of about 2^-53 on each diagonal entry (and,
     through the products, on the rows and columns it meets), which only
-    entries of modulus 1/2 or more can take.  Each member goes through the
-    same elementwise and per-member numpy calls and switches on its own
-    entries, so it gets the same bits in any stack.  Floating-point errors
+    entries of modulus 1/2 or more can take.  The switch is tested after a
+    squaring only while some member held as Y is to be squared again, and
+    only on those members.  Each member goes through the same elementwise
+    and per-member numpy calls and switches on its own entries, so it gets
+    the same bits in any stack and in any order.  Floating-point errors
     are left to the caller's errstate: a member past double precision
     overflows in its squarings, and one whose 1-norm is not finite (frexp
     gives it s = 0) in its powers; either comes back non-finite, and the
     batched solve passes NaN through without raising.
     """
     B, n, _ = X.shape
+    s = np.maximum(np.frexp(np.maximum.reduce(np.add.reduce(np.abs(X), axis=1), axis=1) / THETA13)[1], 0)
+    counts = s.tolist()
+    order = None
+    if counts != sorted(counts):
+        order = np.argsort(s, kind="stable")
+        X, s = X[order], s[order]
+        counts.sort()
     eye = np.eye(n)
-    s = np.maximum(np.frexp(np.abs(X).sum(axis=1).max(axis=1) / THETA13)[1], 0)[:, None, None]
-    A = X * np.ldexp(1.0, -s)
+    A = X * (0.5**s)[:, None, None]
     powers = np.empty((B, 4, n, n), dtype=complex)
     powers[:, 0] = eye
     A2 = np.matmul(A, A, out=powers[:, 1])
@@ -518,27 +548,47 @@ def _expm(X: np.ndarray) -> np.ndarray:
     UV = A6[:, None] @ C[:, :2]
     UV += C[:, 2:]  # A^6 W_U + Z_U and V = A^6 W_V + Z_V
     U, V = A @ UV[:, 0], UV[:, 1]
-    YE = np.linalg.solve(V - U, np.concatenate((U + U, V + U), axis=2))
+    YE = np.empty((B, n, 2 * n), dtype=complex)
+    np.add(U, U, out=YE[..., :n])
+    np.add(V, U, out=YE[..., n:])
+    YE = np.linalg.solve(V - U, YE)
     # the members held as Y = E - I rather than as E
-    near = (YE[..., n:].diagonal(axis1=1, axis2=2).real >= 0.5).all(axis=1)[:, None, None]
-    F = np.where(near, YE[..., :n], YE[..., n:])
-    shift, s_min, s_max = 2 * eye * near, s.min(), s.max()
-    for i in range(s_max):
-        squared = F @ (F + shift)
-        F = squared if i < s_min else np.where(s > i, squared, F)
-        if i + 1 < s_max and near.any():  # after the last squaring, the return converts alike
-            shrunk = near & (F.diagonal(axis1=1, axis2=2).real < -0.5).any(axis=1)[:, None, None]
-            if shrunk.any():
-                np.add(F, eye, out=F, where=shrunk)
-                near = near & ~shrunk
-                shift = 2 * eye * near
-    return np.add(F, eye, out=F, where=near)
+    near = np.minimum.reduce(YE[..., n:].diagonal(axis1=1, axis2=2).real, axis=1) >= 0.5
+    held = near.tolist()
+    F = YE[..., :n].copy()
+    for b in [b for b, h in enumerate(held) if not h]:
+        F[b] = YE[b, :, n:]
+    shift = 2 * eye * near[:, None, None] if counts[-1] else None
+    for i in range(counts[-1]):
+        first = bisect_right(counts, i)  # the members with s_b > i
+        G = F[first:]
+        np.matmul(G, G + shift[first:], out=G)
+        # the members squared again; one squared for the last time converts alike now or on return
+        again = bisect_right(counts, i + 1)
+        if any(held[again:]):
+            diagonals = F[again:].diagonal(axis1=1, axis2=2).real
+            if np.fmin.reduce(diagonals, axis=None) < -0.5:  # some member may switch
+                for b in (np.fmin.reduce(diagonals, axis=1) < -0.5).nonzero()[0].tolist():
+                    b += again
+                    if held[b]:
+                        F[b] += eye
+                        held[b] = False
+                        shift[b] = 0.0
+    np.add(F, eye, out=F, where=np.array(held)[:, None, None])
+    if order is None:
+        return F
+    out = np.empty_like(F)
+    out[order] = F
+    return out
 
 
-def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, int, np.ndarray]:
-    """The stacked (B, n, n) state y carried across the path one segment at a
-    time: a constant segment (an array item P of :func:`_pulled_back`) by its
-    closed form expm(X_b), X_b = -M_b (t_{k+1} - t_k), any other by DOP853.
+def _integrate(pieces, neg_weights, n, breaks, rtol) -> Tuple[np.ndarray, int, int, np.ndarray]:
+    """The stacked (B, n, n) state y, from the identity, carried across the
+    path one segment at a time: a constant segment (an array item P of
+    :func:`_pulled_back`) by its closed form expm(X_b), X_b = -M_b (t_{k+1} -
+    t_k), any other by DOP853.  Until the first segment y is the identity,
+    and it is not stored: that segment takes ||I||_F = sqrt(n), and its
+    product with I only settles the signs of the exponentials' zero entries.
 
     A constant segment reads its (n, K*n) term block back as (K, n*n) rows,
     one transpose per segment, combines them with the (B, K) weights, and
@@ -568,17 +618,22 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
     right-hand side asked for at a NaN t raises HolonomyOverflow naming the
     segment at once.
     Overflows in steps DOP853 rejects and retries change nothing, and none
-    of them warns.
+    of them warns.  Every other floating-point error is left to the
+    caller's errstate: it comes back as a non-finite state or bound.
     """
-    (B, K), n = neg_weights.shape, y.shape[-1]
+    B, K = neg_weights.shape
     steps = rhs_evals = 0
-    roundoff = np.zeros(B)
+    y, roundoff = None, np.zeros(B)
     for k, (P, t0, t1) in enumerate(zip(pieces, breaks, breaks[1:])):
         if not callable(P):
             terms = P.reshape(n, K, n).transpose(1, 0, 2).reshape(K, n * n)
-            X = (neg_weights @ terms).reshape(y.shape) * (t1 - t0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                E = _expm(X)
+            X = (neg_weights @ terms).reshape(B, n, n) * (t1 - t0)
+            E = _expm(X)
+            if y is None:  # no bound yet, and ||I||_F = sqrt(n)
+                norm_E, norm_X = _frobenius(np.concatenate((E, X))).reshape(2, B)
+                roundoff = norm_E * (EXPM_ROUNDOFF * 2.3e-16 * (1.0 + norm_X) * math.sqrt(n))
+                y = E @ np.eye(n)
+            else:
                 norm_E, norm_X, norm_y = _frobenius(np.concatenate((E, X, y))).reshape(3, B)
                 roundoff = norm_E * (roundoff + EXPM_ROUNDOFF * 2.3e-16 * (1.0 + norm_X) * norm_y)
                 y = E @ y
@@ -604,7 +659,7 @@ def _integrate(pieces, neg_weights, y, breaks, rtol) -> Tuple[np.ndarray, int, i
             # a fresh array: DOP853 keeps the last one returned
             return np.dot(P(t), stacked).ravel()
 
-        start = np.tile(np.eye(n, dtype=complex), (1, B)) if roundoff.any() else y.transpose(1, 0, 2).reshape(n, B * n)
+        start = np.tile(np.eye(n, dtype=complex), (1, B)) if y is None or roundoff.any() else y.transpose(1, 0, 2).reshape(n, B * n)
         with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
             sol = solve_ivp(rhs, (t0, t1), start.reshape(-1), method="DOP853", rtol=rtol, atol=rtol * 1e-3)
         if sol.status != 0 and overflows:
@@ -652,7 +707,8 @@ def transport_grid(
     one ends both runs at roundoff), plus the exponentials' roundoff bound,
     which both runs share; with no DOP853 segment it is that bound alone.
     Norms, finiteness and traces are taken on the whole stack at once, and
-    the fields are Python floats and complexes.
+    the fields are Python floats and complexes.  A floating-point overflow
+    or invalid operation warns nowhere: it ends as a non-finite value.
     The first member in input order whose holonomy or est_error is not
     finite raises HolonomyOverflow naming its eps, and so does a term weight
     eps^x past a double.
@@ -666,19 +722,18 @@ def transport_grid(
     evaluate, flat, weights = _family_terms(family, eps)
     gamma.check_clearance(family.punctures)
     pieces = _pulled_back(gamma, evaluate, flat)
-    y0 = np.tile(np.eye(family.n, dtype=complex), (len(eps), 1, 1))
-    coarse = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol, 3e-14))[0] if any(map(callable, pieces)) else None
-    fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, y0, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
-    est = roundoff  # no DOP853 segment: no spread, and the step floor is 0
-    if coarse is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _integrate(pieces, -weights, family.n, gamma.breaks, max(rel_tol, 3e-14))[0] if any(map(callable, pieces)) else None
+        fine, steps, rhs_evals, roundoff = _integrate(pieces, -weights, family.n, gamma.breaks, max(rel_tol * 1e-2, 3e-14))
+        est = roundoff  # no DOP853 segment: no spread, and the step floor is 0
+        if coarse is not None:
             est = np.maximum(_frobenius(coarse - fine), 2.3e-16 * (1.0 + _frobenius(fine)) * steps) + roundoff
-    finite = (np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(est)).tolist()
+    finite = (np.logical_and.reduce(np.isfinite(fine), axis=(1, 2)) & np.isfinite(est)).tolist()
     if not all(finite):
         b = finite.index(False)
         what = "est_error" if np.isfinite(fine[b]).all() else "holonomy"
         raise HolonomyOverflow(f"{what} at eps={eps[b]!r} exceeds double precision")
-    traces = np.trace(fine, axis1=1, axis2=2).tolist()
+    traces = fine.trace(axis1=1, axis2=2).tolist()
     return [HolonomySample(*fields, steps=steps, rhs_evals=rhs_evals) for fields in zip(eps, fine, traces, est.tolist())]
 
 
@@ -737,12 +792,11 @@ class EigenvalueTrack:
         if not Phi.dzbar_part.is_zero:
             raise ValueError("eigenvalue tracking expects a (1,0)-form field")
         term, flat, kept = _term_matrices([Phi], Phi.n, ["Phi"])
-        zero = np.zeros((Phi.n, Phi.n))  # a zero Phi's block has no columns
 
         def sheets(z, v):
-            a = term(z, 1.0) if kept else zero
+            a = term(z, 1.0) if kept else np.zeros((Phi.n, Phi.n))  # a zero Phi's block has no columns
             try:
-                return np.linalg.eigvals(a), v
+                return np.linalg.eigvals(a), v, a
             except np.linalg.LinAlgError:
                 if np.isfinite(a).all():
                     raise
@@ -759,10 +813,18 @@ class EigenvalueTrack:
         belongs to the segment it starts, t = 1 to the last)."""
         return self._constant[self.gamma._locate(t)[0]]
 
+    def coefficient(self, t: float) -> np.ndarray:
+        """Phi's coefficient at gamma(t), the matrix whose eigenvalues are the
+        sheets at t; on a constant segment the one evaluated for its nodes."""
+        return self._at(t)[2].copy()
+
     def _start_grid(self) -> List[float]:
         """Every break, and the points of an even grid of GRID_SIZE over
-        [0, 1] that do not lie inside a segment where the field is constant."""
+        [0, 1] that do not lie inside a segment where the field is constant
+        (no grid at all where it is constant on every segment)."""
         breaks = self.gamma.breaks
+        if all(self._constant):
+            return sorted(set(breaks))
         even = np.linspace(0.0, 1.0, self.GRID_SIZE)
         for t0, t1, constant in zip(breaks, breaks[1:], self._constant):
             if constant:
@@ -772,46 +834,50 @@ class EigenvalueTrack:
     def _build(self):
         todo = self._start_grid()[::-1]  # a stack: the next node is last
         t = todo.pop()
-        sheets, v = self._at(t)
-        lead = self.gamma.orientation * (sheets * v).real
+        last, v, _a = self._at(t)
+        lead = self.gamma.orientation * (last * v).real
         order = np.argsort(-lead, kind="stable")
-        ts, rows, velocities, gaps = [t], [sheets[order]], [v], [_closest_pair(sheets)]
+        ts, rows, velocities, gaps = [t], [last[order]], [v], [_closest_pair(last)]
         while todo:
             t = todo[-1]
-            sheets, v = self._at(t)
-            sheets = _matched(rows[-1], sheets)
-            gap = _closest_pair(sheets)
-            if np.abs(sheets - rows[-1]).max() > 0.25 * min(gap, gaps[-1]):
-                if t - ts[-1] <= 1e-9 or len(ts) + len(todo) > self.MAX_NODES:
-                    raise BranchPointOnPath("two sheets of Phi come too close to follow on the path")
-                todo.append(0.5 * (ts[-1] + t))
-                continue
+            sheets, v, _a = self._at(t)
+            if sheets is last:  # the constant segment's one evaluation again: its row matches itself unmoved
+                sheets, gap = rows[-1], gaps[-1]
+            else:
+                last, sheets = sheets, _matched(rows[-1], sheets)
+                gap = _closest_pair(sheets)
+                if np.abs(sheets - rows[-1]).max() > 0.25 * min(gap, gaps[-1]):
+                    if t - ts[-1] <= 1e-9 or len(ts) + len(todo) > self.MAX_NODES:
+                        raise BranchPointOnPath("two sheets of Phi come too close to follow on the path")
+                    todo.append(0.5 * (ts[-1] + t))
+                    continue
             todo.pop()
             ts.append(t)
             rows.append(sheets)
             velocities.append(v)
             gaps.append(gap)
-        if not min(gaps) > self.BRANCH_TOL * max(np.abs(row).max() for row in rows):
+        if not min(gaps) > self.BRANCH_TOL * np.abs(np.array(rows)).max():
             raise BranchPointOnPath("two sheets of Phi collide on the path")
-        if lead[order[0]] - lead[order[1]] <= self.BRANCH_TOL * np.abs(rows[0] * velocities[0]).max():
+        values = [row * v for row, v in zip(rows, velocities)]
+        if lead[order[0]] - lead[order[1]] <= self.BRANCH_TOL * np.abs(values[0]).max():
             raise TieAtStart("the leading two Re(lam gamma'(0)) tie within tolerance; cannot order the sheets")
-        self._ts, self._sheets, self._velocities = ts, rows, velocities
+        self._ts, self._sheets, self._values = ts, rows, values
 
     # -- public surface ----------------------------------------------------------------
 
     def values(self, t: float) -> np.ndarray:
         """The eigenvalue row at t, its sheets continued from the grid node before t."""
-        sheets, v = self._at(t)
+        sheets, v, _a = self._at(t)
         return _matched(self._sheets[min(bisect_right(self._ts, t) - 1, len(self._ts) - 2)], sheets) * v
 
     def grid(self) -> List[float]:
         return list(self._ts)
 
     def node_values(self) -> List[np.ndarray]:
-        """values(t) at every node of grid(), from the rows stored when the
-        track was built: matched against itself, a row of distinct sheets
-        comes back unchanged."""
-        return [row * v for row, v in zip(self._sheets, self._velocities)]
+        """values(t) at every node of grid(), taken once when the track was
+        built from its stored rows: matched against itself, a row of
+        distinct sheets comes back unchanged."""
+        return list(self._values)
 
 
 @dataclass(frozen=True)
@@ -844,9 +910,9 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
             return WkbCurveCheck(is_wkb=False, margin=0.0)
 
     margin_of = lambda vals: float((gamma.orientation * (vals.real[:-1] - vals.real[1:])).min())
-    nodes = track.node_values()
+    nodes = np.array(track.node_values())
     ts = track.grid()
-    vals = [margin_of(v) for v in nodes]
+    vals = (gamma.orientation * (nodes.real[:, :-1] - nodes.real[:, 1:])).min(axis=1).tolist()  # margin_of, node by node
     for _ in range(16):
         k = vals.index(min(vals))
         for lo, hi in ((max(k - 1, 0), k), (k, min(k + 1, len(ts) - 1))):
@@ -858,7 +924,7 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
         else:
             break
     margin = float(min(vals))
-    tol = 1e-12 * float(np.abs(np.array(nodes)).max())
+    tol = 1e-12 * float(np.abs(nodes).max())
     return WkbCurveCheck(is_wkb=margin > tol, margin=margin)
 
 
@@ -892,7 +958,8 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
     On a segment where the field is constant, mu is constant and the
     segment adds mu(t_k) (t_{k+1} - t_k), read from the track's node at its
     start; its est_error is that eigenvalue's roundoff (:func:`_eigvals_error`
-    of the exact coefficient) times the segment's length.  Any other segment
+    of the coefficient the track evaluated, each entry its exact constant
+    rounded once to doubles) times the segment's length.  Any other segment
     is integrated by adaptive quadrature (QUADPACK, Piessens et al. 1983,
     through scipy's quad) of mu = track.values(t)[0], whose real and
     imaginary parts share their evaluations, each to absolute or relative
@@ -904,6 +971,7 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
     """
     track = EigenvalueTrack(Phi, gamma)
     check = is_wkb_curve(Phi, gamma, track)
+    ts, nodes = track.grid(), track.node_values()
     memo = {}  # the real and imaginary quadratures share many nodes
 
     def mu(t: float) -> complex:
@@ -914,10 +982,10 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
     total, est_error, lam_error = 0j, 0.0, None
     for t0, t1 in zip(gamma.breaks, gamma.breaks[1:]):
         if track.constant_at(t0):
-            row, v = track.values(t0), gamma.velocity(t0)
+            row, v = nodes[bisect_left(ts, t0)], gamma.velocity(t0)
             total += row[0] * (t1 - t0)
-            if lam_error is None:  # constant in z, Phi has one exact coefficient on every constant segment
-                norm = math.sqrt(sum(abs(e.evaluate_exact(GR_ZERO).to_complex()) ** 2 for _i, _j, e, _e in Phi.nonzero_entries()))
+            if lam_error is None:  # constant in z, Phi has one coefficient on every constant segment
+                norm = math.sqrt(sum(abs(e) ** 2 for e in track.coefficient(t0).ravel().tolist()))
                 lam_error = _eigvals_error(row / v, norm)
             est_error += lam_error * abs(v) * (t1 - t0)
             continue

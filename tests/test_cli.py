@@ -649,6 +649,8 @@ _FAR_FIELD = lambda: _dz_family([[_ZERO, BRF.constant(10**300) * BRF.z()], [_ONE
         ((["period", _FAR_FIELD], "Phi entry (0, 1) at z="), 1e10, 2e10, "EvaluationOverflow", 1),
         ((["wkbcheck", _FAR_FIELD], "Phi entry (0, 1) at z="), 1e10, 2e10, "EvaluationOverflow", 1),
         ((["holonomy", _FAR_FIELD, "--eps", "0.5:0.25:geometric:1"], "segment 0"), 1e10, 2e10, "HolonomyOverflow", 2),
+        # a velocity near 1e308 overflows the constant segment's -M dt: non-finite, and no RuntimeWarning on the way
+        ((["holonomy", "catalog:nilpotent_sl2", "--eps", "0.5:0.25:geometric:2"], "eps=0.5"), 0, 1e308 + 1e308j, "HolonomyOverflow", 2),
     ],
 )
 def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start, end, error, code):
@@ -668,6 +670,78 @@ def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start,
     err = json.loads(captured.err)
     assert err["error"] == error
     assert culprit in err["message"], err["message"]
+
+
+_FUZZ_COMMANDS = (
+    ["holonomy", "catalog:nilpotent_sl2", "{path}", "--eps", "0.5:0.25:geometric:2"],
+    ["holonomy", "catalog:toy_phi_p", "{path}", "--eps", "0.5:0.25:geometric:2"],
+    ["period", "catalog:nilpotent_sl2_full", "{path}", "--blocks", "1,1"],
+)
+_FUZZ_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, -1e308, 0.0, -0.0, 1e-300, 2.5, "1", None)
+
+
+def _fuzz_path(rng):
+    """A JSON path, valid or not: a line, a polyline or a line-arc-line path,
+    then up to three mutations among coordinates past a double or huge, arc
+    radii of zero or below, swapped angles, unknown segment types, missing
+    fields and a closed flag that is not a JSON bool."""
+    p = lambda: [round(rng.uniform(-2, 2), 3), round(rng.uniform(-2, 2), 3)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        data = ParamPath.segment(complex(*p()), complex(*p())).to_json()
+    elif kind == 1:
+        data = ParamPath.from_points([complex(*p()) for _ in range(rng.randint(3, 5))], closed=rng.random() < 0.3).to_json()
+    else:
+        arc = ArcSegment(complex(*p()), rng.uniform(0.2, 1.5), rng.uniform(-3, 3), rng.uniform(-3, 3))
+        start, end = arc.point(0.0), arc.point(1.0)
+        data = ParamPath.from_points([start - 0.5, start]).to_json()
+        data["segments"] += [arc.to_json(), ParamPath.segment(end, end + 0.5j).to_json()["segments"][0]]
+    for _ in range(rng.randint(0, 3)):
+        segs = data.get("segments")
+        seg = rng.choice(segs) if isinstance(segs, list) and segs else {}
+        what = rng.randrange(7)
+        if what == 0 and seg:
+            key = rng.choice(sorted(k for k in seg if k != "type" and k != "radius"))
+            seg[key][rng.randrange(2)] = rng.choice(_FUZZ_NUMBERS)
+        elif what == 1 and seg.get("type") == "arc":
+            seg["radius"] = rng.choice((0.0, -0.0, -1.0, -1e300, 1e300, math.nan))
+        elif what == 2 and seg.get("type") == "arc":
+            seg["angles"] = seg["angles"][::-1]
+        elif what == 3 and seg:
+            seg["type"] = rng.choice(("spline", "", None, 3, "LINE"))
+        elif what == 4 and seg:
+            del seg[rng.choice(sorted(seg))]
+        elif what == 5:
+            data["closed"] = rng.choice((0, 1, "true", "false", None, [], {}))
+        elif what == 6:
+            del data[rng.choice(sorted(data))]
+    return data
+
+
+def test_seeded_path_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
+    # 300 seeded path files, valid or broken, through holonomy and period:
+    # each ends with exit 0, 1 or 2 in bounded time, a nonzero exit leaves
+    # exactly one JSON object on stderr, and no warning is raised on the way
+    rng = __import__("random").Random(32)
+    path = tmp_path / "path.json"
+    codes = []
+    for case in range(300):
+        data = _fuzz_path(rng)
+        path.write_text(json.dumps(data))
+        argv = [a.format(path=path) for a in _FUZZ_COMMANDS[case % len(_FUZZ_COMMANDS)]]
+        with _time_limit(30):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (case, data, argv)
+        if code:
+            assert captured.out == "", (case, data, argv)
+            err = json.loads(captured.err)
+            assert isinstance(err, dict) and {"error", "message"} <= err.keys(), (case, data, argv)
+        else:
+            assert captured.err == "", (case, data, argv)
+        codes.append(code)
+    # the mix reaches both the numeric layer and the refusals
+    assert codes.count(0) >= 30 and codes.count(1) >= 30
 
 
 @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])

@@ -111,6 +111,16 @@ def test_path_rejects_non_finite_coordinates(build):
         build()
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.0, -1.0, -1e300])
+def test_path_rejects_an_arc_of_non_positive_radius(radius):
+    # an arc's radius must be positive: refused by name, not as the
+    # zero-length segment its length makes it
+    arc = {"type": "arc", "center": [0, 0], "radius": radius, "angles": [0, 1]}
+    for build in (lambda: ParamPath([ArcSegment(0j, radius, 0.0, 1.0)]), lambda: ParamPath.from_json({"segments": [arc]})):
+        with pytest.raises(ValueError, match=r"^arc radius must be positive, got "):
+            build()
+
+
 def test_path_json_round_trip():
     import json
 
@@ -671,20 +681,58 @@ def test_batched_exponential_of_a_non_finite_member():
     assert not np.isfinite(E[1:]).all(axis=(1, 2)).any()
 
 
+def _squarings(x):
+    """How many times the batched exponential squares x: the least s >= 0 with ||x||_1 / 2^s below THETA13."""
+    return max(math.frexp(float(np.abs(x).sum(axis=0).max()) / holonomy.THETA13)[1], 0)
+
+
+def _held_as(x):
+    """How the batched exponential holds x while it squares it, read off
+    scipy's expm of x / 2^k for k = s..0: as E - I throughout (every
+    diagonal real part stays at least 1/2), as E throughout (one is below
+    1/2 from the start), or switched from E - I to E."""
+    from scipy.linalg import expm
+
+    near = [expm(x / 2.0**k).diagonal().real.min() >= 0.5 for k in range(_squarings(x), -1, -1)]
+    return "E - I" if all(near) else "E" if not near[0] else "switched"
+
+
 def test_batched_exponential_member_bits_do_not_depend_on_the_stack():
     # members that are squared 0 to about 20 times, held as E - I throughout,
     # as E throughout, or switched between the two (a trace makes exp decay
-    # far below I): each gets the bits it gets alone, in either order
+    # far below I): each gets the bits it gets alone, in a stack of one, in
+    # any order of the stack (which the exponential puts in order of its
+    # squarings), and beside a member squared a very different number of times
     rng = np.random.default_rng(29)
     X = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(8)]
     X = np.array([x * scale + shift * np.eye(3) for x, scale, shift in zip(X, [0.1, 1, 30, 0.01, 0.5, 2, 8, 30], [0, 0, 0, 0, -40, -5, 20, -200])])
     X[3] += 1e5 * np.triu(X[0], 1)  # 12 squarings, its size off the diagonal
     X[5] = np.triu(X[5]) + 50 * np.triu(X[1], 1)  # held as E - I, then as E once its diagonal decays
-    stacked, reversed_ = holonomy._expm(X), holonomy._expm(X[::-1].copy())[::-1]
-    assert np.isfinite(stacked).all()
-    for b in range(len(X)):
-        alone = holonomy._expm(X[b : b + 1])[0]
-        assert stacked[b].tobytes() == alone.tobytes() == reversed_[b].tobytes(), b
+    nilpotent = 3e6 * np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)  # 21 squarings
+    X = np.concatenate((X, nilpotent[None]))
+    counts = [_squarings(x) for x in X]
+    assert min(counts) == 0 and max(counts) >= 20
+    assert {_held_as(x) for x in X} == {"E - I", "E", "switched"}
+    alone = [holonomy._expm(X[b : b + 1])[0] for b in range(len(X))]
+    orders = [np.arange(len(X)), np.arange(len(X))[::-1]]
+    orders += [np.random.default_rng(seed).permutation(len(X)) for seed in range(8)]
+    few, many = counts.index(0), counts.index(max(counts))
+    orders += [np.array([few, many]), np.array([many, few])]
+    for order in orders:
+        E = holonomy._expm(X[order])
+        assert np.isfinite(E).all()
+        for member, b in zip(E, order.tolist()):
+            assert member.tobytes() == alone[b].tobytes(), (order, b)
+
+
+def test_constant_transport_takes_one_exponential_per_segment(monkeypatch):
+    # cost guard: on a constant polyline a transport, of one member or of a
+    # grid, takes one batched exponential per segment and no DOP853 solve
+    expm, solves = _counting(monkeypatch, holonomy, "_expm"), _counting(monkeypatch, holonomy, "solve_ivp")
+    transport(nilpotent_sl2(), _POLY, 0.3)
+    assert (expm[0], solves[0]) == (len(_POLY.segments), 0)
+    transport_grid(nilpotent_sl2(), _POLY, [0.3, 0.1, 0.05])
+    assert (expm[0], solves[0]) == (2 * len(_POLY.segments), 0)
 
 
 def test_constant_grid_member_is_its_lone_transport_bit_for_bit():
@@ -1121,15 +1169,18 @@ def test_period_on_mixed_paths_matches_quadrature(Phi, gamma):
 @pytest.mark.parametrize("Phi", [_phi([[0, 2], [3, 0]]), _phi([[1, 2], [3, -1]]), _phi([[2, 0, 0], [0, 1, 1], [0, 0, -3]])])
 def test_constant_period_evaluates_entries_once_per_segment(monkeypatch, Phi):
     # cost guard: on a constant polyline the track evaluates each nonzero
-    # entry and its eigenvalues once per segment, the WKB predicate refines
-    # nothing and the period reads values once per segment
+    # entry and its eigenvalues once per segment and builds no even grid, the
+    # WKB predicate refines nothing and the period reads the track's node
+    # rows, calling values not at all
     calls = _counting_closures(monkeypatch)
     eigvals, values = _counting(monkeypatch, np.linalg, "eigvals"), _counting(monkeypatch, EigenvalueTrack, "values")
+    linspace = _counting(monkeypatch, np, "linspace")
     entries = sum(bool(e) for row in Phi.dz_part.entries for e in row)
     period(Phi, _POLY)
     assert 0 < calls[0] <= entries * len(_POLY.segments)
     assert eigvals[0] <= len(_POLY.segments)
-    assert values[0] == len(_POLY.segments)
+    assert values[0] == 0
+    assert linspace[0] == 0
     # the shortcut must not widen: a z-dependent field evaluates every node
     calls[0] = 0
     period(_parabolic_secondary(), _POLY)
