@@ -8,11 +8,11 @@ second formal variable ``zbar``; conjugation becomes a substitution at
 evaluation time, which keeps unitary-frame connection terms such as
 ``dz/z - dzbar/zbar`` rational.
 
-Canonical forms divide out the gcd of numerator and denominator.  When either
-polynomial has a single term (a constant included) the gcd and the exact
-division are exponent arithmetic; sympy is used only for the gcd or division
-of two polynomials that each have several terms, over the variables that
-occur in them, so a pair in z alone takes sympy's one-variable algorithms.
+Canonical forms divide out the gcd of numerator and denominator, by the
+package's own long division.  When either polynomial has a single term (a
+constant included) the gcd is exponent arithmetic; sympy computes only the
+gcd of two polynomials that each have several terms, over the variables that
+occur in them, so a pair in z alone takes sympy's one-variable algorithm.
 
 Zero is the identity of rational-function arithmetic here and nowhere else:
 ``x + 0`` and ``0 + x`` return ``x``, ``0 - x`` returns ``-x`` and a product
@@ -27,16 +27,15 @@ denominator are both free of the variable is the zero singleton, the value
 the quotient rule would normalise to.
 
 An exact value becomes a double only in :meth:`GaussianRational.to_complex`,
-which raises ``EvaluationOverflow`` where it is past a double.  Doubles enter
-only through :meth:`BiRationalFunction.compiled`: it is the one place where
-coefficients become floats, but for ``holonomy.period``, which takes a
-constant segment's coefficients as ``evaluate_exact(GR_ZERO).to_complex()``
-for its eigenvalue error bound.  It raises ``PoleHit`` where the denominator
-is within roundoff of 0 relative to its own terms (a one-term denominator
-only where it is exactly 0), and ``EvaluationOverflow`` where a coefficient,
-a power of z or a modulus in the sum leaves double precision.
-Every numeric evaluation, :meth:`BiRationalFunction.evaluate` and the
-transport layer's pullback included, goes through it.
+which raises ``EvaluationOverflow`` where it is past a double.  It has two
+callers: :meth:`BiRationalFunction.compiled`, the one place where
+coefficients become floats, and ``holonomy.ParamPath.check_clearance``,
+which takes the punctures as doubles.  ``compiled`` raises ``PoleHit`` where
+the denominator is within roundoff of 0 relative to its own terms (a
+one-term denominator only where it is exactly 0), and ``EvaluationOverflow``
+where a coefficient, a power of z or a modulus in the sum leaves double
+precision.  Every numeric evaluation, :meth:`BiRationalFunction.evaluate`
+and the transport layer's pullback included, goes through it.
 """
 
 from __future__ import annotations
@@ -378,7 +377,7 @@ class BiPolynomial(_Frozen):
             total = total + term
         return total
 
-    # -- sympy bridge (gcd and division of two multi-term polynomials) -------------
+    # -- sympy bridge (gcd of two multi-term polynomials) -------------------------
 
     def _to_sympy(self, gens: tuple = (0, 1)):
         """This polynomial as a sympy Poly over QQ_I in the variables gens (0 for
@@ -408,41 +407,42 @@ class BiPolynomial(_Frozen):
         return "BiPolynomial(" + " + ".join(bits) + ")"
 
 
-def _occurring(a: BiPolynomial, b: BiPolynomial) -> tuple:
-    """The variables (0 for z, 1 for zbar) with a positive exponent in a or b:
-    at least one where either operand has several terms."""
-    keys = a.terms.keys() | b.terms.keys()
-    return tuple(g for g in (0, 1) if any(k[g] for k in keys))
-
-
 def _poly_gcd(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
     """Monic gcd.  With a one-term operand it is the monomial z^i zbar^j whose
     exponents are the smallest over both operands' terms; otherwise sympy's,
-    over the variables that occur in a or b (a pair in z alone is a
-    one-variable gcd, with the value and term order of the two-variable one)."""
+    over the variables gens (0 for z, 1 for zbar) that occur in a or b (a pair
+    in z alone is a one-variable gcd, with the value and term order of the
+    two-variable one)."""
+    keys = a.terms.keys() | b.terms.keys()
     if len(a.terms) == 1 or len(b.terms) == 1:
-        keys = a.terms.keys() | b.terms.keys()
         return BiPolynomial._of({(min(i for i, _ in keys), min(j for _, j in keys)): GR_ONE})
-    gens = _occurring(a, b)
+    gens = tuple(g for g in (0, 1) if any(k[g] for k in keys))
     return BiPolynomial._from_sympy(a._to_sympy(gens).gcd(b._to_sympy(gens)), gens)
 
 
 def _poly_div_exact(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
-    """Exact quotient a / b, its terms in ascending (deg_z, deg_zbar) order as
-    sympy returns them (by exponent arithmetic for a one-term b, otherwise over
-    the variables that occur in a or b); raises ArithmeticError when b does
-    not divide a."""
-    if len(b.terms) == 1:
-        ((bi, bj), c), = b.terms.items()
-        if any(i < bi or j < bj for i, j in a.terms):
+    """Exact quotient a / b, its terms ascending in (deg_z, deg_zbar), by long
+    division in lex order (Knuth, TAOCP 4.6.1): where b divides a, the leading
+    term of every remainder is a multiple of b's; ArithmeticError where not."""
+    rest = dict(b.terms)
+    bi, bj = m = max(rest)
+    lead = rest.pop(m)
+    unit = lead == GR_ONE
+    r, q = dict(a.terms), []  # q: quotient terms, their monomials falling
+    while r:
+        i, j = m = max(r)
+        c = r.pop(m)  # cancelled exactly by the quotient term times b's leading term
+        if not c:  # a term the subtractions cancelled
+            continue
+        if i < bi or j < bj:
             raise ArithmeticError("inexact polynomial division during normalization")
-        q = BiPolynomial._of({(i - bi, j - bj): v for (i, j), v in sorted(a.terms.items())})
-        return q if c == GR_ONE else q.scale(GR_ONE / c)
-    gens = _occurring(a, b)
-    q, r = a._to_sympy(gens).div(b._to_sympy(gens))
-    if not r.is_zero:
-        raise ArithmeticError("inexact polynomial division during normalization")
-    return BiPolynomial._from_sympy(q, gens)
+        c = c if unit else c / lead
+        i, j = m = i - bi, j - bj
+        q.append((m, c))
+        for (ki, kj), v in rest.items():
+            k = (ki + i, kj + j)
+            r[k] = r.get(k, GR_ZERO) - c * v
+    return BiPolynomial._of(dict(reversed(q)))
 
 
 _POLY_ONE = BiPolynomial.constant(1)
@@ -473,7 +473,7 @@ class BiRationalFunction(_Frozen):
         if num.is_zero:
             return BiPolynomial(), _POLY_ONE
         g = _poly_gcd(num, den)
-        if g.degree() != (0, 0) or g.terms.get((0, 0)) != GR_ONE:
+        if g != _POLY_ONE:
             num = _poly_div_exact(num, g)
             den = _poly_div_exact(den, g)
         lead = den.terms[den.leading_monomial()]
@@ -861,9 +861,7 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
 
     Used to verify exactly that a rational entry has poles only at declared
     locations: strip g = gcd(r, allowed) from the remainder r (den at first)
-    until g is a constant, a foreign factor remaining, or r / g is one.  g
-    divides r, and bidegrees add under products, so r / g is a constant
-    exactly when g has the bidegree of r; that last division is not made.
+    until r is a constant, or g is one and a foreign factor remains.
     """
     r = den
     while True:
@@ -872,8 +870,6 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
         g = _poly_gcd(r, allowed)
         if g.degree() == (0, 0):
             return False
-        if g.degree() == r.degree():
-            return True
         r = _poly_div_exact(r, g)
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,6 +216,9 @@ class ParamPath:
         for L in lengths:
             breaks.append(breaks[-1] + L / total)
         breaks[-1] = 1.0
+        for k, (t0, t1) in enumerate(zip(breaks, breaks[1:])):
+            if t1 - t0 < sys.float_info.min:  # a zero or subnormal share: no velocity or step is finite on it
+                raise ValueError(f"segment {k} takes a share {t1 - t0!r} of the parameter range [0, 1], below the least normal double")
         self.breaks = breaks
 
     # -- constructors --------------------------------------------------------
@@ -933,10 +937,11 @@ def _eigvals_error(row: np.ndarray, norm: float) -> float:
     row = eigvals(A), where norm = ||A||_F: EIGVALS_ROUNDOFF n 2.3e-16 ||A||_F,
     the QR algorithm's backward error, times Smith's (1967) bound on the
     condition number of an eigenvalue, (1 + (||A||_F^2 - sum |lam|^2) /
-    ((n - 1) gap^2))^((n - 1) / 2), with gap the closest pair of row."""
-    n = len(row)
-    departure = max(norm**2 - float(np.sum(np.abs(row) ** 2)), 0.0)
-    return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * (1.0 + departure / ((n - 1) * _closest_pair(row) ** 2)) ** ((n - 1) / 2)
+    ((n - 1) gap^2))^((n - 1) / 2), with gap the closest pair of row.  The
+    ratio is taken on row / norm, so no square of A's scale is formed."""
+    n, unit = len(row), row / norm
+    departure = max(1.0 - float(np.sum(np.abs(unit) ** 2)), 0.0)
+    return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * (1.0 + departure / ((n - 1) * _closest_pair(unit) ** 2)) ** ((n - 1) / 2)
 
 
 class Period(_Frozen, complex):
@@ -985,8 +990,7 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
             row, v = nodes[bisect_left(ts, t0)], gamma.velocity(t0)
             total += row[0] * (t1 - t0)
             if lam_error is None:  # constant in z, Phi has one coefficient on every constant segment
-                norm = math.sqrt(sum(abs(e) ** 2 for e in track.coefficient(t0).ravel().tolist()))
-                lam_error = _eigvals_error(row / v, norm)
+                lam_error = _eigvals_error(row / v, math.hypot(*map(abs, track.coefficient(t0).ravel().tolist())))
             est_error += lam_error * abs(v) * (t1 - t0)
             continue
         value, abserr, _info = quad(mu, t0, t1, complex_func=True, full_output=1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)

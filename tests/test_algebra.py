@@ -202,10 +202,20 @@ def _random_gr(rng: random.Random) -> GaussianRational:
     )
 
 
+def _shifted_quotient(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
+    """a / b for a one-term b by exponent arithmetic, terms in ascending order:
+    an oracle apart from the long division in _poly_div_exact."""
+    ((bi, bj), c), = b.terms.items()
+    if any(i < bi or j < bj for i, j in a.terms):
+        raise ArithmeticError("inexact")
+    return BiPolynomial({(i - bi, j - bj): v / c for (i, j), v in sorted(a.terms.items())})
+
+
 def test_monomial_shortcuts_match_sympy():
     # a one-term operand (constants included) never reaches sympy; the
-    # results must be the polynomials sympy gives, with the same term order
-    rng = random.Random(29)
+    # results must be the polynomials sympy gives, with the same term order,
+    # and a quotient the exponent shift of every term
+    rng, other_rng = random.Random(29), random.Random(33)
     for _ in range(200):
         p = BiPolynomial({(rng.randint(0, 3), rng.randint(0, 3)): _random_gr(rng) for _ in range(rng.randint(1, 4))})
         if p.is_zero:
@@ -217,6 +227,17 @@ def test_monomial_shortcuts_match_sympy():
         q = _poly_div_exact(p * m, m)
         q_sympy, _r = (p * m)._to_sympy().div(m._to_sympy())
         assert q == p and list(q.terms) == list(BiPolynomial._from_sympy(q_sympy).terms)
+        shifted = _shifted_quotient(p * m, m)
+        assert q == shifted and list(q.terms) == list(shifted.terms)
+        other = _multi_term_poly(other_rng, "z zbar")
+        try:
+            shifted = _shifted_quotient(other, m)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                _poly_div_exact(other, m)
+        else:
+            q = _poly_div_exact(other, m)
+            assert q == shifted and list(q.terms) == list(shifted.terms)
     with pytest.raises(ArithmeticError):
         _poly_div_exact(BiPolynomial.z() + BiPolynomial.zbar(), BiPolynomial.z())
     with pytest.raises(ArithmeticError):
@@ -259,24 +280,37 @@ def test_gcd_and_division_over_the_occurring_variables_match_two_variables(varia
 
 
 def test_sympy_sees_only_the_variables_that_occur(monkeypatch):
-    # the catalog's pole checks are all in z alone: one generator each; a
-    # pair in z and zbar takes both
+    # sympy computes gcds of two multi-term polynomials and nothing else: the
+    # catalog's pole checks are all in z alone, one generator each, and a pair
+    # in z and zbar takes both.  No sympy division is made by the catalog, by
+    # flatness on every family, by the secondary field of the nilpotent
+    # families, by the toy residues or by a mixed pair's normalisation
     import sympy
 
     from nilwkb.catalog import catalog
+    from nilwkb.connection import check_flatness
+    from nilwkb.gauge import secondary_higgs
+    from nilwkb.toymodel import TOY_FIELDS, build_toy_higgs, residues
 
     seen = []
-    for name in ("gcd", "div"):
+    for name in ("gcd", "div", "rem", "quo", "exquo"):
         method = getattr(sympy.Poly, name)
         monkeypatch.setattr(sympy.Poly, name, lambda a, b, _m=method, _n=name: seen.append((_n, a.gens, b.gens)) or _m(a, b))
-    catalog()
-    assert seen and {gens for _name, *both in seen for gens in both} == {sympy.symbols("z,")}
+    families = catalog()
+    assert seen and {(name, gens) for name, *both in seen for gens in both} == {("gcd", sympy.symbols("z,"))}
+    for family in families.values():
+        check_flatness(family)
+    for name, blocks in (("nilpotent_sl2", [1, 1]), ("nilpotent_sl2_full", [1, 1]), ("nilpotent_sl3", [1, 1, 1]), ("nilpotent_sl2_parabolic", [1, 1])):
+        secondary_higgs(families[name], blocks)
+    for which in TOY_FIELDS:
+        residues(build_toy_higgs(which))
+    assert {name for name, *_gens in seen} == {"gcd"}
     seen.clear()
     z, zb, one = BiPolynomial.z(), BiPolynomial.zbar(), BiPolynomial.constant(1)
-    assert _poly_div_exact((z + one) * (zb - one), z + one) == zb - one
-    assert _poly_gcd((z + one) * (zb - one), z * z - one) == z + one
+    f = BRF((z + one) * (zb - one), (z * z - one) * (zb + one))
     both = sympy.symbols("z zbar")
-    assert seen == [("div", both, both), ("gcd", both, both)]
+    assert seen == [("gcd", both, both)]
+    assert f.num == zb - one and f.den == (z - one) * (zb + one)
 
 
 def _multi_term_brf(rng: random.Random) -> BRF:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import nilwkb
-from nilwkb.algebra import BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
-from nilwkb.catalog import nilpotent_sl2, nilpotent_sl2_parabolic
+from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
+from nilwkb.catalog import FAMILIES, nilpotent_sl2, nilpotent_sl2_parabolic
 from nilwkb.cli import _stamped, main
-from nilwkb.connection import ConnectionFamily, MatrixOneForm
-from nilwkb.holonomy import ArcSegment, ParamPath
+from nilwkb.connection import TERM_NAMES, ConnectionFamily, MatrixOneForm
+from nilwkb.holonomy import ArcSegment, LineSegment, ParamPath
 from nilwkb.surface import flat_torus
 
 
@@ -672,6 +672,31 @@ def test_numeric_overflow_exits_with_a_json_error(tmp_path, capsys, argv, start,
     assert culprit in err["message"], err["message"]
 
 
+@pytest.mark.parametrize("points", [[0, 1e-300, 2e-300, 1e308], [0, 1e-5, 1e303]])
+def test_path_file_with_a_subnormal_share_exits_1_naming_the_file(tmp_path, points, capsys):
+    # the lines through points, written by hand: transport ended in a bare
+    # ZeroDivisionError or a HolonomyOverflow; now the file is refused at load
+    path = tmp_path / "path.json"
+    segments = [LineSegment(complex(a), complex(b)).to_json() for a, b in zip(points, points[1:])]
+    path.write_text(json.dumps({"segments": segments, "closed": False}))
+    argv = ["holonomy", "catalog:nilpotent_sl2", str(path), "--eps", "0.5:0.25:geometric:2"]
+    assert _exits_1_with_value_error(argv, capsys).startswith(f"{path}: segment 0 takes a share ")
+
+
+def test_period_of_a_constant_field_near_1e200_exits_0(tmp_path, capsys):
+    # phi = [[0, 10^200], [10^200, 0]] dz on [0, 1]: squaring the entries for
+    # the eigenvalue error bound ended in an OverflowError traceback
+    big = BRF.constant(10**200)
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(_dz_family([[_ZERO, big], [big, _ZERO]]).to_json()))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(ParamPath.segment(0, 1).to_json()))
+    assert main(["period", str(family), str(path)]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert captured.err == "" and out["Z"] == [1e200, 0.0] and math.isfinite(out["est_error"]) and out["est_error"] > 0
+
+
 _FUZZ_COMMANDS = (
     ["holonomy", "catalog:nilpotent_sl2", "{path}", "--eps", "0.5:0.25:geometric:2"],
     ["holonomy", "catalog:toy_phi_p", "{path}", "--eps", "0.5:0.25:geometric:2"],
@@ -741,6 +766,91 @@ def test_seeded_path_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
             assert captured.err == "", (case, data, argv)
         codes.append(code)
     # the mix reaches both the numeric layer and the refusals
+    assert codes.count(0) >= 30 and codes.count(1) >= 30
+
+
+_FAMILY_FUZZ_COMMANDS = (
+    ["flatness", "{family}"],
+    ["jordan", "{family}"],
+    ["secondary", "{family}", "--blocks", "1,1"],
+    ["holonomy", "{family}", "{path}", "--eps", "0.5:0.25:geometric:2"],
+)
+_FUZZ_COEFFICIENTS = ("1/3", "-2", "0", "-0", "7/2", "1e400", "nan", "inf", "x", "", "1/0", "123456789012345678901234567890", 3, None)
+
+
+def _fuzz_family(rng):
+    """A catalog family's JSON, then one to three mutations among coefficient
+    strings, exponents, a denominator with a repeated declared or an
+    undeclared linear factor, zbar terms, dropped punctures or fields and a
+    wrong rank.  Every polynomial keeps at most 3 terms of degree at most 3,
+    so that two-variable gcds stay in milliseconds."""
+    data = FAMILIES[rng.choice(sorted(FAMILIES))]().to_json()
+    encode = lambda poly: [[i, j, *c.to_json()] for (i, j), c in sorted(poly.terms.items())]
+    for _ in range(rng.randint(1, 3)):
+        form = data.get(rng.choice(TERM_NAMES))
+        part = form.get(rng.choice(("dz", "dzbar"))) if isinstance(form, dict) else None
+        entry = rng.choice(rng.choice(part)) if isinstance(part, list) and part and part[0] else {}
+        poly = entry.get(rng.choice(("num", "den")))
+        term = rng.choice(poly) if isinstance(poly, list) and poly else None
+        what = rng.choices(range(6), weights=(3, 2, 3, 2, 1, 1))[0]
+        if what == 0 and term:
+            term[rng.choice((2, 3))] = rng.choice(_FUZZ_COEFFICIENTS)
+        elif what == 1 and term:
+            k = rng.randrange(2)
+            term[k] = rng.choice((-1, 0, 1, 2, 3, "1", 1.5, None))
+            if isinstance(term[k], int) and isinstance(term[1 - k], int):
+                term[1 - k] = min(term[1 - k], 3 - max(term[k], 0))
+        elif what == 2 and entry:
+            # (v - p)^2 for a declared puncture p, or (v - p)(v - q) with q undeclared, v = z or zbar
+            declared = data.get("punctures") or []
+            p = GaussianRational.from_strings(*rng.choice(declared)) if declared else GaussianRational(0)
+            q = p if rng.random() < 0.6 else GaussianRational(-1, 1)
+            v = BiPolynomial.z()
+            if rng.random() < 0.5:
+                v, p, q = BiPolynomial.zbar(), p.conjugate(), q.conjugate()
+            entry["num"] = entry.get("num") or [[0, 0, "1", "0"]]
+            entry["den"] = encode((v - BiPolynomial.constant(p)) * (v - BiPolynomial.constant(q)))
+        elif what == 3 and isinstance(entry.get("num"), list) and len(entry["num"]) < 3:
+            entry["num"].append([rng.randint(0, 2), 1, "1", "-1"])
+        elif what == 4:
+            punctures = data.get("punctures")
+            if punctures and rng.random() < 0.5:
+                del punctures[rng.randrange(len(punctures))]
+            elif entry and rng.random() < 0.5:
+                del entry[rng.choice(sorted(entry))]
+            elif data:
+                del data[rng.choice(sorted(data))]
+        elif what == 5:
+            data["rank"] = rng.choice((1, 3, 0, -2, "2", 2.5, None, "two"))
+    return data
+
+
+def test_seeded_family_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
+    # 200 seeded family files, catalog families mutated, through flatness,
+    # jordan, secondary and holonomy on a short segment: each ends with exit
+    # 0, 1 or 2 in bounded time, and an error leaves nothing on stdout and
+    # exactly one JSON object on stderr.  flatness's not-flat verdict (exit 1,
+    # its report on stdout) is a result, not an error
+    rng = __import__("random").Random(33)
+    family, path = tmp_path / "family.json", tmp_path / "path.json"
+    path.write_text(json.dumps(ParamPath.segment(0.3 + 0.4j, 0.35 + 0.45j).to_json()))
+    codes = []
+    for case in range(200):
+        data = _fuzz_family(rng)
+        family.write_text(json.dumps(data))
+        argv = [a.format(family=family, path=path) for a in _FAMILY_FUZZ_COMMANDS[case % len(_FAMILY_FUZZ_COMMANDS)]]
+        with _time_limit(30):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (case, data, argv)
+        if captured.err:
+            assert code and captured.out == "", (case, data, argv)
+            err = json.loads(captured.err)
+            assert isinstance(err, dict) and {"error", "message"} <= err.keys(), (case, data, argv)
+        else:
+            assert captured.out and (code == 0 or (code, argv[0]) == (1, "flatness")), (case, data, argv)
+        codes.append(code)
+    # the mix reaches both the commands' results and the refusals
     assert codes.count(0) >= 30 and codes.count(1) >= 30
 
 

@@ -93,6 +93,15 @@ def test_path_geometry():
         ParamPath.from_points([0, 1, 1])  # zero-length second segment collapses
 
 
+@pytest.mark.parametrize("points", [[0, 1e-300, 2e-300, 1e308], [0, 1e-5, 1e303]])
+def test_path_refuses_a_share_of_the_parameter_range_below_the_least_normal_double(points):
+    # shares 0 and 1e-308 of [0, 1]: transport ended in a bare
+    # ZeroDivisionError on the first and a HolonomyOverflow on the second,
+    # whose holonomy is finite
+    with pytest.raises(ValueError, match=r"^segment 0 takes a share (0\.0|1e-308) of the parameter range"):
+        ParamPath.from_points(points)
+
+
 @pytest.mark.parametrize(
     "build",
     [
