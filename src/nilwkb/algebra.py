@@ -19,12 +19,13 @@ Zero is the identity of rational-function arithmetic here and nowhere else:
 with a zero factor returns the zero singleton, all without normalising.
 Every instance is canonical, so these are the normalised results, down to
 the insertion order of their terms; callers need no zero guards of their own.
-Two known zeros are skipped where they arise.  A matrix product sums, in
+Three known zeros are skipped where they arise.  A matrix product sums, in
 ascending ``k``, only the products whose two factors are both nonzero: the
 skipped products would each have added zero, so every entry is the same sum
 in the same order.  The derivative of an entry whose numerator and
 denominator are both free of the variable is the zero singleton, the value
-the quotient rule would normalise to.
+the quotient rule would normalise to.  A commutator ``X Y - Y X`` with a
+zero factor is the zero matrix, built without a product.
 
 An exact value becomes a double only in :meth:`GaussianRational.to_complex`,
 which raises ``EvaluationOverflow`` where it is past a double.  It has two
@@ -706,8 +707,9 @@ class RationalFunctionMatrix(_Frozen):
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "RationalFunctionMatrix":
         cols = rows if cols is None else cols
-        z = BiRationalFunction.zero()
-        return cls([[z] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("empty matrix")
+        return cls._of(tuple((_BRF_ZERO,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalFunctionMatrix":
@@ -873,15 +875,34 @@ def radical_divides(den: BiPolynomial, allowed: BiPolynomial) -> bool:
         r = _poly_div_exact(r, g)
 
 
+def _commutator(X: RationalFunctionMatrix, Y: RationalFunctionMatrix) -> RationalFunctionMatrix:
+    """X Y - Y X; the zero matrix, with no product, when X or Y is zero."""
+    if X.is_zero or Y.is_zero:
+        return RationalFunctionMatrix.zeros(X.rows)
+    return X @ Y - Y @ X
+
+
+def wedge_square(A) -> RationalFunctionMatrix:
+    """dz^dzbar coefficient of A ^ A, Az Azb - Azb Az, for a matrix 1-form A
+    (MatrixOneForm): zero without a product when either part is zero."""
+    return _commutator(A.dz_part, A.dzbar_part)
+
+
 def wedge_bracket(A, B) -> RationalFunctionMatrix:
     """dz^dzbar coefficient of the graded bracket [A ^ B] = A^B + B^A.
 
     A and B are matrix 1-forms (MatrixOneForm).  Pure-type wedges (dz^dz,
     dzbar^dzbar) drop identically; the orientation convention is
-    dzbar^dz = -dz^dzbar.
+    dzbar^dz = -dz^dzbar, so [A ^ B] = (Az Bzb - Bzb Az) + (Bz Azb - Azb Bz).
+    Each commutator with a zero factor is the zero matrix, taken without a
+    product, so a zero form on either side multiplies nothing.  For A is B
+    the two commutators are the same X = wedge_square(A), computed once, and
+    the result is X + X.
     """
     az, azb, bz, bzb = A.dz_part, A.dzbar_part, B.dz_part, B.dzbar_part
     if az.rows != bz.rows or az.cols != bz.cols:
         raise DimensionMismatch("wedge_bracket of forms with different dimensions")
-    # [A^B] = (Az Bzb - Bzb Az) + (Bz Azb - Azb Bz), all coefficients of dz^dzbar
-    return (az @ bzb - bzb @ az) + (bz @ azb - azb @ bz)
+    if A is B:
+        X = wedge_square(A)
+        return X + X
+    return _commutator(az, bzb) + _commutator(bz, azb)

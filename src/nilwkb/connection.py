@@ -21,6 +21,7 @@ from .algebra import (
     _Frozen,
     radical_divides,
     wedge_bracket,
+    wedge_square,
 )
 from .errors import DimensionMismatch, PoleHit, ZeroScale
 
@@ -245,7 +246,10 @@ class FlatnessReport:
 
 
 def _exterior_derivative_coeff(form: MatrixOneForm) -> RationalFunctionMatrix:
-    """dz^dzbar coefficient of d(form) for form = P dz + Q dzbar."""
+    """dz^dzbar coefficient of d(form) for form = P dz + Q dzbar; the zero
+    matrix, with no derivative taken, for a zero form."""
+    if form.is_zero:
+        return RationalFunctionMatrix.zeros(form.n)
     return form.dzbar_part.derivative_z() - form.dz_part.derivative_zbar()
 
 
@@ -257,12 +261,14 @@ def check_flatness(family: ConnectionFamily) -> FlatnessReport:
     """Evaluate the flatness system exactly.
 
     The exterior derivative acts formally (entrywise d/dz, d/dzbar on rational
-    functions); brackets are graded matrix-form brackets.  The report carries
-    every residual, so a failing family shows where it fails.
+    functions); brackets are graded matrix-form brackets, and the curvature's
+    conn ^ conn is wedge_square(conn).  A zero form costs no product and no
+    derivative, so the all-zero family is checked without a matrix product.
+    The report carries every residual, so a failing family shows where it
+    fails.
     """
     phi, conn, psi = family.phi, family.conn, family.psi
-    a_z, a_zb = conn.dz_part, conn.dzbar_part
-    curvature = _exterior_derivative_coeff(conn) + (a_z @ a_zb - a_zb @ a_z)
+    curvature = _exterior_derivative_coeff(conn) + wedge_square(conn)
     residuals = {
         "phi_wedge_phi": wedge_bracket(phi, phi),
         "psi_wedge_psi": wedge_bracket(psi, psi),

@@ -86,11 +86,12 @@ class NonDecayingSequence(NilwkbError):
 
 class NonFiniteSample(NilwkbError):
     """A sample handed to the rate fit has a non-finite trace, or a parameter
-    that is not finite and positive."""
+    that is not finite and positive, or the fit of finite samples leaves
+    double precision."""
 
 
 class HolonomyOverflow(NilwkbError):
-    """A transported holonomy or its error estimate exceeds double precision."""
+    """A transported holonomy, or its or a period's error estimate, exceeds double precision."""
     exit_code = 2
 
 

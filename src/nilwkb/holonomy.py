@@ -938,10 +938,18 @@ def _eigvals_error(row: np.ndarray, norm: float) -> float:
     the QR algorithm's backward error, times Smith's (1967) bound on the
     condition number of an eigenvalue, (1 + (||A||_F^2 - sum |lam|^2) /
     ((n - 1) gap^2))^((n - 1) / 2), with gap the closest pair of row.  The
-    ratio is taken on row / norm, so no square of A's scale is formed."""
+    ratio is taken on row / norm, so no square of A's scale is formed, and
+    the factor as hypot(1, sqrt(departure / (n - 1)) / gap)^(n - 1), so no
+    square of the gap is formed either (the gap of a field far from normal
+    can be near 1e-160, whose square underflows).  inf where the bound is
+    past a double."""
     n, unit = len(row), row / norm
     departure = max(1.0 - float(np.sum(np.abs(unit) ** 2)), 0.0)
-    return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * (1.0 + departure / ((n - 1) * _closest_pair(unit) ** 2)) ** ((n - 1) / 2)
+    spread, gap = math.sqrt(departure / (n - 1)), _closest_pair(unit)
+    try:
+        return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * math.hypot(1.0, spread / gap if gap else inf) ** (n - 1)
+    except OverflowError:
+        return inf
 
 
 class Period(_Frozen, complex):
@@ -996,6 +1004,8 @@ def period(Phi: MatrixOneForm, gamma: ParamPath) -> Period:
         value, abserr, _info = quad(mu, t0, t1, complex_func=True, full_output=1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         total += value
         est_error += max(abs(abserr), math.sqrt(2) * QUAD_TOL * max(1.0, abs(value)))
+    if not math.isfinite(est_error):
+        raise HolonomyOverflow("the period's est_error exceeds double precision")
     return Period(total, est_error, check.is_wkb, check.margin)
 
 
@@ -1038,7 +1048,7 @@ def _unwound_log(traces: Sequence[complex]) -> np.ndarray:
     prev_arg = None
     for T in traces:
         mag = math.log(abs(T))
-        a = cmath.phase(T)
+        a = math.atan2(T.imag, T.real)  # cmath.phase's value; cmath.phase raises where it underflows
         if prev_arg is None:
             arg = a
         else:
@@ -1086,8 +1096,18 @@ def wkb_fit(samples: Sequence[HolonomySample], candidate_exponents: Optional[Seq
     squares on the asymptotic tail, the max(3, len(samples) // 4) samples of
     largest eps^-p (the limit statement is exact only there), and candidates are ranked by the RMS misfit over
     the whole sample set.  The complex log is unwound along the
-    decreasing-eps sequence.
+    decreasing-eps sequence.  Finite samples whose fit leaves double
+    precision (a subnormal eps whose eps^-p overflows, a trace whose modulus
+    is past a double) raise NonFiniteSample, not a numpy warning.
     """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _wkb_fit(samples, candidate_exponents)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NonFiniteSample(f"the fit of these samples leaves double precision ({exc})") from None
+
+
+def _wkb_fit(samples: Sequence[HolonomySample], candidate_exponents: Optional[Sequence[Fraction]]) -> WkbFit:
     for s in samples:
         if not (math.isfinite(s.epsilon) and s.epsilon > 0 and cmath.isfinite(s.trace)):
             raise NonFiniteSample(f"need finite eps > 0 and a finite trace; got eps={s.epsilon!r}, trace={s.trace!r}")
@@ -1097,7 +1117,7 @@ def wkb_fit(samples: Sequence[HolonomySample], candidate_exponents: Optional[Seq
         raise InsufficientSamples("need at least 6 samples")
     if len(set(eps)) != len(eps):
         raise InsufficientSamples("epsilon values must be strictly decreasing")
-    if eps[0] / eps[-1] < 8.0:
+    if float(samples[0].epsilon) / float(samples[-1].epsilon) < 8.0:  # in Python floats a ratio past a double is inf
         raise InsufficientSamples("epsilon range must span at least a factor 8")
     traces = [s.trace for s in samples]
     if any(T == 0 for T in traces):

@@ -13,7 +13,7 @@ from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import BRF, GR_ONE, GR_ZERO, GaussianRational, RationalFunctionMatrix
-from .connection import MatrixOneForm, transform_chart_inverse
+from .connection import MatrixOneForm
 from .errors import BadPuncture, UnstableWeights
 
 
@@ -258,22 +258,39 @@ def _entry_residue(entry: BRF, a: GaussianRational) -> GaussianRational:
     return entry.num.eval_exact(a, GR_ZERO) / slope
 
 
+def _residue_at_infinity(entry: BRF) -> GaussianRational:
+    """Exact residue at z = infinity of entry dz, for a holomorphic rational entry N / D.
+
+    With p = deg N and q = deg D, the w = 1/z chart turns entry dz into
+    -w^(q-p-2) (N~ / D~)(w) dw, where the reversed polynomials N~ and D~ take
+    the leading coefficients of N and D at w = 0.  So the residue is 0 when
+    q >= p + 2, -lead(N) / lead(D) when q = p + 1, and a nonzero entry with
+    q <= p has a pole of order p - q + 2 >= 2 there: the values and errors of
+    _entry_residue on the chart-inverted entry, read off the two degrees.
+    """
+    (p, p_bar), (q, q_bar) = entry.num.degree(), entry.den.degree()
+    if p_bar > 0 or q_bar > 0:
+        raise ValueError("expected a holomorphic (zbar-free) polynomial")
+    if not entry or q >= p + 2:
+        return GR_ZERO
+    if q <= p:
+        raise ValueError(f"pole at {GR_ZERO!r} is not simple")
+    return -(entry.num.terms[(p, 0)] / entry.den.terms[(q, 0)])
+
+
 def residues(field: ToyHiggsField) -> Dict[str, list]:
     """Exact residue matrix at each of the four punctures.
 
-    Finite punctures by direct partial fractions; infinity through the
-    w = 1/z chart with its Jacobian factor.
+    Finite punctures by direct partial fractions; infinity from each entry's
+    degrees and leading coefficients (_residue_at_infinity), with no change
+    of chart.
     """
     out: Dict[str, list] = {
         site: [[_entry_residue(e, a) for e in row] for row in field.matrix.entries]
         for site, (a, _line) in _sites(field.flags.p).items()
         if a is not None
     }
-    flipped = transform_chart_inverse(MatrixOneForm.from_dz(field.matrix))
-    out["inf"] = [
-        [_entry_residue(e, GR_ZERO) for e in row]
-        for row in flipped.dz_part.entries
-    ]
+    out["inf"] = [[_residue_at_infinity(e) for e in row] for row in field.matrix.entries]
     return out
 
 

@@ -23,6 +23,7 @@ from nilwkb.algebra import (
     RationalFunctionMatrix,
     matrix_rank_exact,
     wedge_bracket,
+    wedge_square,
 )
 from nilwkb.connection import MatrixOneForm
 from nilwkb.errors import DimensionMismatch, PoleHit
@@ -103,6 +104,53 @@ def test_wedge_bracket_examples():
     # diagonal dz against diagonal dzbar commutes
     D = RationalFunctionMatrix.from_scalars([[2, 0], [0, -2]])
     assert wedge_bracket(MatrixOneForm(D, zero), MatrixOneForm(zero, D)).is_zero
+
+
+def _four_products(A, B):
+    """[A ^ B] as the four products (Az Bzb - Bzb Az) + (Bz Azb - Azb Bz)."""
+    az, azb, bz, bzb = A.dz_part, A.dzbar_part, B.dz_part, B.dzbar_part
+    return (az @ bzb - bzb @ az) + (bz @ azb - azb @ bz)
+
+
+def _sparse_form(rng, n):
+    """A seeded n x n matrix 1-form: each part zero one time in three, else
+    entries that are zero half the time and otherwise c, c z, c zbar or c / (z - a)."""
+    z, zbar = BRF.z(), BRF.zbar()
+    gauss = lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) or GR_ONE
+    shapes = (lambda c: BRF.constant(c), lambda c: z.scale(c), lambda c: zbar.scale(c), lambda c: BRF.from_poles(c, [gauss()]))
+
+    def part():
+        if rng.random() < 1 / 3:
+            return RationalFunctionMatrix.zeros(n)
+        return RationalFunctionMatrix([[rng.choice(shapes)(gauss()) if rng.random() < 0.5 else _BRF_ZERO for _ in range(n)] for _ in range(n)])
+
+    return MatrixOneForm(part(), part())
+
+
+def test_wedge_bracket_self_and_zero_cases_match_the_four_products(monkeypatch):
+    # seeded rank-2 and rank-3 forms mixing zero and nonzero parts: the self
+    # bracket (one commutator, doubled), brackets with a zero form on either
+    # side and brackets of two different forms all equal the four products;
+    # a bracket with a zero form multiplies nothing
+    rng = random.Random(34)
+    matmuls, matmul = [], RationalFunctionMatrix.__matmul__
+    self_brackets = []
+    for n in (2, 3):
+        Z = MatrixOneForm.zero(n)
+        forms = [_sparse_form(rng, n) for _ in range(16)]
+        for A, B in zip(forms, forms[1:] + forms[:1]):
+            az, azb = A.dz_part, A.dzbar_part
+            assert wedge_square(A) == az @ azb - azb @ az
+            assert wedge_bracket(A, A) == _four_products(A, A)
+            self_brackets.append(wedge_bracket(A, A).is_zero)
+            assert wedge_bracket(A, B) == _four_products(A, B)
+            with monkeypatch.context() as m:
+                m.setattr(RationalFunctionMatrix, "__matmul__", lambda X, Y: matmuls.append(1) or matmul(X, Y))
+                zero_sided = (wedge_bracket(A, Z), wedge_bracket(Z, A), wedge_bracket(Z, Z))
+            assert all(out == RationalFunctionMatrix.zeros(n) == _four_products(Z, A) for out in zero_sided)
+    assert matmuls == []
+    # both kinds of self bracket occur: zero (a part is zero) and not
+    assert self_brackets.count(True) >= 8 and self_brackets.count(False) >= 8
 
 
 def _random_brf(rng: random.Random) -> BRF:

@@ -1,4 +1,6 @@
 import cmath
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from nilwkb.catalog import FAMILIES, nilpotent_sl2, nilpotent_sl2_parabolic
 from nilwkb.cli import _stamped, main
 from nilwkb.connection import TERM_NAMES, ConnectionFamily, MatrixOneForm
 from nilwkb.holonomy import ArcSegment, LineSegment, ParamPath
-from nilwkb.surface import flat_torus
+from nilwkb.surface import flat_torus, staircase
 
 
 @pytest.fixture
@@ -697,12 +700,57 @@ def test_period_of_a_constant_field_near_1e200_exits_0(tmp_path, capsys):
     assert captured.err == "" and out["Z"] == [1e200, 0.0] and math.isfinite(out["est_error"]) and out["est_error"] > 0
 
 
+def _far_from_normal_period(tmp_path, e, capsys):
+    """nilwkb period of phi = [[0, 10^e], [10^-e, 0]] dz on [0, 1]: eigenvalues
+    +-1, a gap of 2 10^-e relative to the field's norm."""
+    entries = [[_ZERO, BRF.constant(10**e)], [BRF.constant(GaussianRational(Fraction(1, 10**e))), _ZERO]]
+    family, path = tmp_path / "family.json", tmp_path / "path.json"
+    family.write_text(json.dumps(_dz_family(entries).to_json()))
+    path.write_text(json.dumps(ParamPath.segment(0, 1).to_json()))
+    code = main(["period", str(family), str(path)])
+    return code, capsys.readouterr()
+
+
+def test_period_far_from_normal_has_a_finite_est_error(tmp_path, capsys):
+    # the relative gap 2e-160 squared underflowed, and est_error came out inf;
+    # Smith's factor is formed from the gap itself: about 2.3e305
+    code, captured = _far_from_normal_period(tmp_path, 160, capsys)
+    out = json.loads(captured.out)
+    assert code == 0 and captured.err == ""
+    assert out["Z"] == [pytest.approx(1.0), 0.0] and 1e305 < out["est_error"] < 1e306
+
+
+def test_period_whose_est_error_is_past_a_double_exits_2(tmp_path, capsys):
+    # at 10^200 the bound is about 2.3e385: a typed error that names
+    # est_error, where the squared gap used to end in a ZeroDivisionError
+    code, captured = _far_from_normal_period(tmp_path, 200, capsys)
+    err = json.loads(captured.err)
+    assert code == 2 and captured.out == ""
+    assert err["error"] == "HolonomyOverflow" and "est_error" in err["message"]
+
+
 _FUZZ_COMMANDS = (
     ["holonomy", "catalog:nilpotent_sl2", "{path}", "--eps", "0.5:0.25:geometric:2"],
     ["holonomy", "catalog:toy_phi_p", "{path}", "--eps", "0.5:0.25:geometric:2"],
     ["period", "catalog:nilpotent_sl2_full", "{path}", "--blocks", "1,1"],
 )
 _FUZZ_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, -1e308, 0.0, -0.0, 1e-300, 2.5, "1", None)
+
+
+def _fuzz_case(argv, capsys, context):
+    """main(argv) under a 30 s limit: exit 0, 1 or 2, and an exit other than 0
+    leaves nothing on stdout and exactly one JSON error object on stderr."""
+    with _time_limit(30):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), context
+    if code:
+        assert captured.out == "", context
+        err = json.loads(captured.err)
+        assert isinstance(err, dict) and {"error", "message"} <= err.keys(), context
+    else:
+        assert captured.out and captured.err == "", context
+    return code
 
 
 def _fuzz_path(rng):
@@ -754,17 +802,7 @@ def test_seeded_path_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
         data = _fuzz_path(rng)
         path.write_text(json.dumps(data))
         argv = [a.format(path=path) for a in _FUZZ_COMMANDS[case % len(_FUZZ_COMMANDS)]]
-        with _time_limit(30):
-            code = main(argv)
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2), (case, data, argv)
-        if code:
-            assert captured.out == "", (case, data, argv)
-            err = json.loads(captured.err)
-            assert isinstance(err, dict) and {"error", "message"} <= err.keys(), (case, data, argv)
-        else:
-            assert captured.err == "", (case, data, argv)
-        codes.append(code)
+        codes.append(_fuzz_case(argv, capsys, (case, data, argv)))
     # the mix reaches both the numeric layer and the refusals
     assert codes.count(0) >= 30 and codes.count(1) >= 30
 
@@ -851,6 +889,131 @@ def test_seeded_family_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
             assert captured.out and (code == 0 or (code, argv[0]) == (1, "flatness")), (case, data, argv)
         codes.append(code)
     # the mix reaches both the commands' results and the refusals
+    assert codes.count(0) >= 30 and codes.count(1) >= 30
+
+
+def _fuzz_surface(rng):
+    """A torus or staircase surface's JSON, then up to three mutations among
+    vertex coordinates (past a double, huge, tiny, off by a little, of the
+    wrong type), dropped or repeated vertices, identification signs, edge
+    references and their count, and dropped or wrong-typed fields."""
+    if rng.random() < 0.3:
+        data = flat_torus().to_json()
+    else:
+        data = staircase(rng.randint(1, 3), style=rng.choice(("left", "right")), half=rng.random() < 0.5).to_json()
+    for _ in range(rng.randint(0, 3)):
+        polys, ids = data.get("polygons"), data.get("identifications")
+        poly = rng.choice(polys) if isinstance(polys, list) and polys else None
+        glue = rng.choice(ids) if isinstance(ids, list) and ids else None
+        what = rng.choices(range(8), weights=(3, 2, 1, 2, 2, 1, 1, 1))[0]
+        if what == 0 and poly:
+            vertex = rng.choice(poly)
+            k = rng.randrange(2)
+            vertex[k] = rng.choice(_FUZZ_NUMBERS + (vertex[k] + 1e-9, vertex[k] + 0.5))
+        elif what == 1 and poly:
+            if rng.random() < 0.5 and len(poly) > 1:
+                del poly[rng.randrange(len(poly))]
+            else:
+                poly.insert(rng.randrange(len(poly) + 1), list(rng.choice(poly)))
+        elif what == 2 and poly:
+            k = rng.choice((1e300, 1e-300, -1.0, 0.0))
+            for vertex in poly:
+                vertex[:] = [x * k if isinstance(x, float) else x for x in vertex]
+        elif what == 3 and glue:
+            glue[2] = rng.choice(("+1", "-1", "+2", "1", 1, -1, 0, 1.0, None, True))
+        elif what == 4 and glue:
+            ref = glue[rng.randrange(2)]
+            ref[rng.randrange(2)] = rng.choice((-1, 0, 1, 2, 5, 99, 1.5, "0", None))
+        elif what == 5 and ids:
+            if rng.random() < 0.5:
+                del ids[rng.randrange(len(ids))]
+            else:
+                ids.append(json.loads(json.dumps(rng.choice(ids))))
+        elif what == 6 and glue:
+            glue[0], glue[1] = glue[1], glue[0]
+        elif what == 7:
+            key = rng.choice(("polygons", "identifications"))
+            if rng.random() < 0.5:
+                data.pop(key, None)
+            else:
+                data[key] = rng.choice(([], {}, None, 3, "x", [[]], [[[0, 0]]]))
+    return data
+
+
+def test_seeded_surface_file_fuzz_ends_with_exit_0_1_or_2(tmp_path, capsys):
+    # 150 seeded surface files, the torus and staircases mutated, through
+    # surface validate and surface wkbloop at seeded angles: each ends with
+    # exit 0, 1 or 2 in bounded time, an error with exactly one JSON object
+    rng = __import__("random").Random(34)
+    surface = tmp_path / "surface.json"
+    codes = []
+    for case in range(150):
+        data = _fuzz_surface(rng)
+        surface.write_text(json.dumps(data))
+        if case % 2:
+            theta = rng.choice(("0", "0.3", "1.1", "2.5", "-0.7"))
+            argv = ["surface", "wkbloop", str(surface), "--start", "0,0.5,0.3", "--theta", theta, "--max-length", "60"]
+        else:
+            argv = ["surface", "validate", str(surface)]
+        codes.append(_fuzz_case(argv, capsys, (case, data, argv)))
+    assert codes.count(0) >= 15 and codes.count(1) >= 30
+
+
+_CSV_TOKENS = ("nan", "inf", "-inf", "", "x", "1e400", "-1e400", "0", "-0", "1e-320", "-0.5", "1e300", " 2", "1_0")
+
+
+def _fuzz_csv(rng, base):
+    """The holonomy CSV base (a list of rows, header first), then one to three
+    mutations among cells, rows dropped, repeated or reordered, short and long
+    rows, and header names dropped or misspelt."""
+    rows = [list(r) for r in base]
+    for _ in range(rng.randint(1, 3)):
+        body = len(rows) - 1
+        what = rng.choices(range(6), weights=(4, 2, 1, 1, 1, 1))[0]
+        if what == 0 and body > 0:
+            row = rows[rng.randint(1, body)]
+            if row:
+                row[rng.randrange(len(row))] = rng.choice(_CSV_TOKENS)
+        elif what == 1 and body > 0:
+            k = rng.randint(1, body)
+            if rng.random() < 0.5:
+                del rows[k]
+            else:
+                rows.insert(k, list(rows[k]))
+        elif what == 2 and body > 1:
+            rows[1:] = rows[1:][::-1] if rng.random() < 0.5 else rows[1:rng.randint(2, 3)]
+        elif what == 3 and body > 0:
+            row = rows[rng.randint(1, body)]
+            if rng.random() < 0.5:
+                del row[rng.randrange(1, len(row)):]
+            else:
+                row.append(rng.choice(_CSV_TOKENS))
+        elif what == 4:
+            rows[0][rng.randrange(len(rows[0]))] = rng.choice(("eps", "EPSILON", "", "re_trace", "steps"))
+        elif what == 5 and body > 0:
+            column = rng.randrange(4)
+            value = rng.choice(_CSV_TOKENS)
+            for row in rows[1:]:
+                if len(row) > column:
+                    row[column] = value
+    return rows
+
+
+def test_seeded_holonomy_csv_fuzz_ends_with_exit_0_1_or_2(segment_file, tmp_path, capsys):
+    # 200 seeded mutations of a real holonomy CSV (nilpotent_sl2 on [0, 1],
+    # 8 eps) through wkbfit, with and without candidate exponents: each ends
+    # with exit 0, 1 or 2 in bounded time, an error with exactly one JSON object
+    assert main(["holonomy", "catalog:nilpotent_sl2", segment_file, "--eps", "0.25:0.002:geometric:8"]) == 0
+    base = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    rng = __import__("random").Random(34)
+    samples = tmp_path / "samples.csv"
+    codes = []
+    for case in range(200):
+        rows = _fuzz_csv(rng, base)
+        with open(samples, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        argv = ["wkbfit", str(samples)] + rng.choice(([], ["--exponents", "1,1/2,1/3"], ["--exponents", "1/2"]))
+        codes.append(_fuzz_case(argv, capsys, (case, rows, argv)))
     assert codes.count(0) >= 30 and codes.count(1) >= 30
 
 

@@ -172,6 +172,16 @@ def test_catalog_is_exactly_flat():
         assert check_flatness(fam).is_flat, name
 
 
+def test_flatness_of_the_zero_family_multiplies_no_matrices(monkeypatch):
+    # every form of trivial is zero: no bracket, curvature or derivative term
+    # forms a matrix product, and the residuals are still the zero matrices
+    trivial, calls, matmul = catalog()["trivial"], [], RationalFunctionMatrix.__matmul__
+    monkeypatch.setattr(RationalFunctionMatrix, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+    report = check_flatness(trivial)
+    assert calls == []
+    assert report.is_flat and all(m == RationalFunctionMatrix.zeros(2) for m in report.residuals.values())
+
+
 def test_catalog_builds_from_families_by_name():
     cat = catalog()
     names = [

@@ -1489,6 +1489,27 @@ def test_wkb_fit_rejects_non_finite_sample(eps, trace):
         wkb_fit(samples)
 
 
+def test_wkb_fit_of_samples_past_double_precision_raises_non_finite_sample():
+    # finite samples whose fit leaves double precision: a subnormal eps
+    # (eps^-p overflows) and a trace whose modulus is past a double; each
+    # used to end in a numpy warning or an OverflowError traceback
+    subnormal = _cosh_samples(1.0, np.geomspace(0.5, 0.05, 12))
+    subnormal[-1] = HolonomySample(epsilon=1e-320, holonomy=None, trace=1e6, est_error=0.0)
+    huge = _cosh_samples(1.0, np.geomspace(0.5, 0.05, 12))
+    huge[-1] = HolonomySample(epsilon=0.04, holonomy=None, trace=complex(1.3e308, 1.3e308), est_error=0.0)
+    for samples in (subnormal, huge):
+        with pytest.raises(NonFiniteSample, match="double precision"):
+            wkb_fit(samples)
+
+
+def test_wkb_fit_takes_a_trace_whose_phase_underflows():
+    # T = 2 cosh(1/eps) + 1e-320 i: cmath.phase raised OverflowError where its
+    # atan2 underflowed; the fit takes the phase 0 and the same rate
+    plain = _cosh_samples(1.0, np.geomspace(0.5, 0.05, 12))
+    tilted = [HolonomySample(s.epsilon, s.holonomy, complex(s.trace.real, 1e-320), s.est_error) for s in plain]
+    assert wkb_fit(tilted) == wkb_fit(plain)
+
+
 def test_wkb_fit_complex_unwinding():
     # rotating traces T = 2 cosh(Z/eps): the unwound complex fit recovers the
     # full complex rate, provided consecutive samples wind by less than pi

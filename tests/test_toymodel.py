@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational
+from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
+from nilwkb.connection import MatrixOneForm, transform_chart_inverse
 from nilwkb.errors import BadPuncture, UnstableWeights
 from nilwkb.toymodel import (
+    TOY_FIELDS,
     _entry_residue,
+    _residue_at_infinity,
     ParabolicWeights,
     build_toy_higgs,
     check_weight_inequalities,
@@ -159,6 +162,44 @@ def test_entry_residue_rejects_double_poles_and_zbar():
         _entry_residue(one / (z * z), GaussianRational(0))
     with pytest.raises(ValueError, match="zbar-free"):
         _entry_residue(BRF.zbar() / z, GaussianRational(0))
+
+
+def _residue_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_residue_at_infinity_matches_the_chart_oracle():
+    # 400 seeded holomorphic entries N / D (N possibly zero) against the chart
+    # route: the residue at w = 0 of the entry rewritten in w = 1/z, or its
+    # error, type and message; every degree case occurs
+    rng = random.Random(34)
+    gauss = lambda: GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    poly = lambda deg: BiPolynomial({(i, 0): gauss() for i in range(deg + 1)} | {(deg, 0): gauss() or GaussianRational(1)})
+    cases = {"zero": 0, "q >= p + 2": 0, "q = p + 1": 0, "q <= p": 0}
+    for _ in range(400):
+        num = BiPolynomial() if rng.random() < 0.05 else poly(rng.randint(0, 4))
+        entry = BRF(num, poly(rng.randint(0, 5)))
+        flipped = transform_chart_inverse(MatrixOneForm.from_dz(RationalFunctionMatrix([[entry]])))
+        want = _residue_or_error(_entry_residue, flipped.dz_part.entries[0][0], GaussianRational(0))
+        assert _residue_or_error(_residue_at_infinity, entry) == want, entry
+        p, q = entry.num.degree()[0], entry.den.degree()[0]
+        cases["zero" if not entry else "q >= p + 2" if q >= p + 2 else "q = p + 1" if q == p + 1 else "q <= p"] += 1
+    assert min(cases.values()) >= 15, cases
+    with pytest.raises(ValueError, match="zbar-free"):
+        _residue_at_infinity(BRF.zbar() / (BRF.z() * BRF.z()))
+
+
+def test_residues_take_no_change_of_chart(monkeypatch):
+    # the residue at infinity is read off the degrees: no entry is rewritten
+    # in the w = 1/z chart, as transform_chart_inverse rewrites every entry
+    calls, invert_chart = [], BRF.invert_chart
+    monkeypatch.setattr(BRF, "invert_chart", lambda self: calls.append(self) or invert_chart(self))
+    for which in TOY_FIELDS:
+        residues(build_toy_higgs(which, GaussianRational(3, 1)))
+    assert calls == []
 
 
 def test_phi_inf_regular_at_origin():
