@@ -7,6 +7,10 @@ names its option.  A failure exits with its error class's exit_code (1 for
 invalid input, argparse's refusals of a command line included; 2 for a
 numerical budget), with a machine-readable error object on stderr.  The
 writer refuses NaN and infinities, which are not JSON, as invalid output.
+An exact option value (--p, --rho, --exponents) whose numerator or
+denominator has more digits than Python writes (sys.get_int_max_str_digits())
+is refused by the parser, naming the option; a result with that many digits
+ends in TooManyDigits.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .connection import ConnectionFamily, check_flatness
-from .errors import NilwkbError
+from .errors import NilwkbError, TooManyDigits
 from .gauge import (
     is_m_cyclic,
     jordan_type,
@@ -134,8 +139,39 @@ def _int_list(text: str):
     return [int(b) for b in text.split(",")]
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exact_fraction(text: str) -> Fraction:
+    """Fraction(text), refused when its numerator or denominator has more
+    digits than Python writes (sys.get_int_max_str_digits(); 0 is no limit).
+
+    Text with a run of more digits than that, or with an exponent past the
+    limit by more than the text's length (which leaves a nonzero value more
+    digits than the limit), is refused before Fraction reads the run or
+    raises 10 to the exponent.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return Fraction(text)
+    longest_run = max(map(len, re.split(r"\D+", text.replace("_", ""))))
+    exponent = _EXPONENT.search(text)
+    if longest_run <= limit and not (exponent and abs(int(exponent[1])) > limit + len(text)):
+        value = Fraction(text)
+        largest = max(abs(value.numerator), value.denominator)
+        # under 2^(3 limit) < 10^limit, no power of ten is needed
+        if largest.bit_length() <= 3 * limit or largest < 10**limit:
+            return value
+    raise ValueError(f"more than {limit} digits, the most that Python writes (sys.get_int_max_str_digits())")
+
+
 def _fraction_list(text: str):
-    return [Fraction(p) for p in text.split(",")]
+    return [_exact_fraction(p) for p in text.split(",")]
+
+
+def _weights(text: str) -> ParabolicWeights:
+    """ParabolicWeights.parse, each weight read by _exact_fraction."""
+    return ParabolicWeights(tuple(_fraction_list(text)))
 
 
 def _field(args, family: ConnectionFamily):
@@ -367,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
-    int_list, weights, fraction = _option(_int_list), _option(ParabolicWeights.parse), _option(Fraction)
+    int_list, weights, fraction = _option(_int_list), _option(_weights), _option(_exact_fraction)
     family_help = "family JSON file, or catalog:<name>"
     # accepted so that existing command lines keep working; nothing reads it
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
@@ -462,6 +498,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (NilwkbError, ValueError, OSError, ZeroDivisionError) as exc:
+        if isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit ("):
+            # Python's own refusal to write an int, raised while a payload is
+            # built; a refusal that a loader or the parser wrapped names its source
+            exc = TooManyDigits(f"an exact value to be written has more than {sys.get_int_max_str_digits()} digits, the most that Python writes")
         print(_stamped({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return getattr(exc, "exit_code", 1)
 

@@ -127,3 +127,10 @@ class BadPuncture(NilwkbError):
 
 class UnstableWeights(NilwkbError):
     """The parabolic weight vector fails the stability inequalities."""
+
+
+# --- cli -------------------------------------------------------------------
+
+class TooManyDigits(NilwkbError):
+    """An exact value to be written has more digits than Python converts to a
+    string (sys.get_int_max_str_digits())."""

@@ -2,7 +2,10 @@
 
 Punctures sit at 0, 1, infinity and a movable point p; flags are exact
 projective lines, weights are exact rationals, and every check in this module
-is case arithmetic over Gaussian rationals with no tolerances.
+is case arithmetic over Gaussian rationals with no tolerances.  Each toy
+field is a 2x2 polynomial grid G times the scalar 1 / prod (z - a) over its
+finite residue sites; its nilpotency is checked and its finite residues are
+taken on G, with none of the prefactor's rational arithmetic.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ class ToyHiggsField:
     """One of the explicit nilpotent fields, with its flag configuration.
 
     ``matrix`` carries the full rational matrix including the denominator
-    prefactor; ``poles`` names the punctures with nonzero residue and
-    ``vanishing`` those where the residue is required to vanish.
+    prefactor, the polynomial grid of ``which`` scaled by it; ``poles`` names
+    the punctures with nonzero residue and ``vanishing`` those where the
+    residue is required to vanish.
     """
 
     which: str
@@ -176,12 +180,13 @@ def _sites(p) -> Dict[str, tuple]:
 
 
 _Z, _ONE, _ZERO = BRF.z(), BRF.one(), BRF.zero()
-# each toy field's polynomial matrix and its residue sites
+# each toy field's polynomial grid G and its residue sites; the field is
+# G / prod (z - a) over the finite ones
 _FIELDS = {
-    "phi_p": ([[_Z, -(_Z * _Z)], [_ONE, -_Z]], ("0", "1", "inf", "p")),
-    "phi_0": ([[_ZERO, _ZERO], [_ONE, _ZERO]], ("0", "p")),
-    "phi_1": ([[_ONE, -_ONE], [_ONE, -_ONE]], ("1", "p")),
-    "phi_inf": ([[_ZERO, _ONE], [_ZERO, _ZERO]], ("inf", "p")),
+    "phi_p": (RationalFunctionMatrix([[_Z, -(_Z * _Z)], [_ONE, -_Z]]), ("0", "1", "inf", "p")),
+    "phi_0": (RationalFunctionMatrix([[_ZERO, _ZERO], [_ONE, _ZERO]]), ("0", "p")),
+    "phi_1": (RationalFunctionMatrix([[_ONE, -_ONE], [_ONE, -_ONE]]), ("1", "p")),
+    "phi_inf": (RationalFunctionMatrix([[_ZERO, _ONE], [_ZERO, _ZERO]]), ("inf", "p")),
 }
 TOY_FIELDS = tuple(_FIELDS)
 
@@ -190,8 +195,9 @@ def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     """Construct one of the four explicit fields; all invariants are verified
     exactly at construction time.
 
-    A field phi_w is its polynomial matrix times 1 / prod (z - a) over its
-    finite residue sites a; the fourth flag sits at w's flag line.
+    A field phi_w is its polynomial grid G times the prefactor
+    f = 1 / prod (z - a) over its finite residue sites a; the fourth flag
+    sits at w's flag line.
     """
     sites = _sites(p)
     if which not in _FIELDS:
@@ -201,7 +207,7 @@ def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
     finite_poles = tuple(sites[s][0] for s in poles if s != "inf")
     field = ToyHiggsField(
         which=which,
-        matrix=RationalFunctionMatrix(grid).scale(BRF.from_poles(1, finite_poles)),
+        matrix=grid.scale(BRF.from_poles(1, finite_poles)),
         flags=FlagConfig(p=sites["p"][0], lines=tuple(sites[s][1] for s in ("0", "1", "inf", w)), w=w),
         poles=poles,
         vanishing=tuple(s for s in sites if s not in poles),
@@ -212,11 +218,14 @@ def build_toy_higgs(which: str, p=2) -> ToyHiggsField:
 
 
 def _verify_toy_invariants(field: ToyHiggsField) -> None:
-    m = field.matrix
-    if not (m @ m).is_zero:
+    """Nilpotency on the field's grid G: the prefactor f is a nonzero scalar,
+    so (fG)^2 = f^2 G^2 is zero exactly when G^2 is, with no rational
+    arithmetic, and a matrix whose square is zero is nilpotent, hence
+    traceless.  Then each residue vanishes where declared and elsewhere
+    kills its flag line and maps into it."""
+    grid = _FIELDS[field.which][0]
+    if not (grid @ grid).is_zero:
         raise ValueError(f"{field.which}: matrix square is not exactly zero")
-    if m.trace():
-        raise ValueError(f"{field.which}: matrix is not exactly traceless")
     res = residues(field)
     for site, flag in zip(("0", "1", "inf", "p"), field.flags.lines):
         r = res[site]
@@ -246,18 +255,6 @@ def _check_strong_parabolic(res, flag, which: str, site: str) -> None:
 # -- residues ----------------------------------------------------------------
 
 
-def _entry_residue(entry: BRF, a: GaussianRational) -> GaussianRational:
-    """Exact residue num(a) / den'(a) at a simple pole z = a of a holomorphic rational entry."""
-    if entry.num.degree()[1] > 0 or entry.den.degree()[1] > 0:
-        raise ValueError("expected a holomorphic (zbar-free) polynomial")
-    if entry.den.eval_exact(a, GR_ZERO):
-        return GR_ZERO
-    slope = entry.den.derivative_z().eval_exact(a, GR_ZERO)
-    if not slope:
-        raise ValueError(f"pole at {a!r} is not simple")
-    return entry.num.eval_exact(a, GR_ZERO) / slope
-
-
 def _residue_at_infinity(entry: BRF) -> GaussianRational:
     """Exact residue at z = infinity of entry dz, for a holomorphic rational entry N / D.
 
@@ -265,8 +262,8 @@ def _residue_at_infinity(entry: BRF) -> GaussianRational:
     -w^(q-p-2) (N~ / D~)(w) dw, where the reversed polynomials N~ and D~ take
     the leading coefficients of N and D at w = 0.  So the residue is 0 when
     q >= p + 2, -lead(N) / lead(D) when q = p + 1, and a nonzero entry with
-    q <= p has a pole of order p - q + 2 >= 2 there: the values and errors of
-    _entry_residue on the chart-inverted entry, read off the two degrees.
+    q <= p has a pole of order p - q + 2 >= 2 there: the residue at w = 0 of
+    the chart-inverted entry, or its error, read off the two degrees.
     """
     (p, p_bar), (q, q_bar) = entry.num.degree(), entry.den.degree()
     if p_bar > 0 or q_bar > 0:
@@ -279,17 +276,27 @@ def _residue_at_infinity(entry: BRF) -> GaussianRational:
 
 
 def residues(field: ToyHiggsField) -> Dict[str, list]:
-    """Exact residue matrix at each of the four punctures.
+    """Exact residue matrix at each of the four punctures, keyed 0, 1, p, inf.
 
-    Finite punctures by direct partial fractions; infinity from each entry's
-    degrees and leading coefficients (_residue_at_infinity), with no change
-    of chart.
+    The field is f G with G its polynomial grid and f = 1 / prod (z - b)
+    over its finite poles b, all simple and distinct.  At a finite pole a
+    the residue is G(a) / prod_{b != a} (a - b); at a finite site that is
+    not a pole of f it is zero; infinity is read off each entry's degrees
+    and leading coefficients (_residue_at_infinity), with no change of chart.
     """
-    out: Dict[str, list] = {
-        site: [[_entry_residue(e, a) for e in row] for row in field.matrix.entries]
-        for site, (a, _line) in _sites(field.flags.p).items()
-        if a is not None
-    }
+    grid = _FIELDS[field.which][0]
+    out: Dict[str, list] = {}
+    for site, (a, _line) in _sites(field.flags.p).items():
+        if a is None:
+            continue
+        if site not in field.poles:
+            out[site] = [[GR_ZERO] * grid.cols for _ in range(grid.rows)]
+            continue
+        scale = GR_ONE
+        for b in field.finite_poles:
+            if b != a:
+                scale = scale * (a - b)
+        out[site] = [[e.num.eval_exact(a, GR_ZERO) / scale for e in row] for row in grid.entries]
     out["inf"] = [[_residue_at_infinity(e) for e in row] for row in field.matrix.entries]
     return out
 

@@ -737,19 +737,20 @@ _FUZZ_COMMANDS = (
 _FUZZ_NUMBERS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, -1e308, 0.0, -0.0, 1e-300, 2.5, "1", None)
 
 
-def _fuzz_case(argv, capsys, context):
-    """main(argv) under a 30 s limit: exit 0, 1 or 2, and an exit other than 0
-    leaves nothing on stdout and exactly one JSON error object on stderr."""
+def _fuzz_case(argv, capsys, context, verdicts=(0,)):
+    """main(argv) under a 30 s limit: exit 0, 1 or 2; an exit in verdicts may
+    write to stdout alone, and any other exit leaves nothing on stdout and
+    exactly one JSON error object on stderr."""
     with _time_limit(30):
         code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2), context
-    if code:
-        assert captured.out == "", context
+    if code in verdicts and not captured.err:
+        assert captured.out, context
+    else:
+        assert code and captured.out == "", context
         err = json.loads(captured.err)
         assert isinstance(err, dict) and {"error", "message"} <= err.keys(), context
-    else:
-        assert captured.out and captured.err == "", context
     return code
 
 
@@ -1015,6 +1016,100 @@ def test_seeded_holonomy_csv_fuzz_ends_with_exit_0_1_or_2(segment_file, tmp_path
         argv = ["wkbfit", str(samples)] + rng.choice(([], ["--exponents", "1,1/2,1/3"], ["--exponents", "1/2"]))
         codes.append(_fuzz_case(argv, capsys, (case, rows, argv)))
     assert codes.count(0) >= 30 and codes.count(1) >= 30
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["toy", "residues", "phi_p", "--p=1e-100000"], "--p"),
+        (["toy", "cone", "--p=1e-100000", "--rho", "1/4,1/4,1/4,1/8"], "--p"),
+        (["toy", "higgs", "phi_inf", "--p=1e-5000"], "--p"),
+        (["toy", "higgs", "phi_p", "--p=1e-999999999999"], "--p"),
+        (["toy", "residues", "phi_1", f"--p={'7' * 4301}"], "--p"),
+        (["toy", "stability", "--rho", "1/4,1/4,1/4,1e-100000"], "--rho"),
+        (["toy", "pdeg", "--rho", "1/4,1/4,1/4,1e-100000"], "--rho"),
+        (["wkbfit", "samples.csv", "--exponents", "1,1e-99999999999"], "--exponents"),
+    ],
+)
+def test_exact_option_with_more_digits_than_python_writes_exits_1(argv, option, capsys):
+    # each ran for a minute or more (m @ m on 10^100000, or Fraction raising
+    # 10 to the exponent), or ended in Python's bare int-conversion message
+    with _time_limit(5):
+        message = _exits_1_with_value_error(argv, capsys)
+    assert f"argument {option}: more than {sys.get_int_max_str_digits()} digits" in message
+
+
+def test_exact_result_with_more_digits_than_python_writes_exits_1(capsys):
+    # p = 10^-3000 is read, but the residue 1 / (p (p - 1)) at p has 6001 digits
+    with _time_limit(5):
+        assert main(["toy", "residues", "phi_p", "--p=1e-3000"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "TooManyDigits" and "4300 digits" in err["message"]
+
+
+def test_toy_residues_at_1e_minus_1000_exits_0(capsys):
+    # the residue at 0 of phi_p is G(0) / p: 10^1000 below the diagonal
+    assert main(["toy", "residues", "phi_p", "--p=1e-1000"]) == 0
+    res = json.loads(capsys.readouterr().out)["residues"]
+    assert res["0"] == [[["0", "0"], ["0", "0"]], [[str(10**1000), "0"], ["0", "0"]]]
+
+
+_TOY_NUMBERS = ("2", "3", "-1", "1/2", "5/3", "-7/4", "0.5", "2.25", "1e-3", "3E2", "1_0")
+# stable weights, and weights that fail the sum and the 2 + 2 bounds
+_TOY_WEIGHTS = ("1/4,1/4,1/4,1/8", "1/5,1/5,1/5,1/5", "1/4,1/4,1/4,1/4", "0.1,0.1,0.1,0.4")
+
+
+def _fuzz_number(rng, text):
+    """text after one or two seeded mutations: a huge or large exponent, a
+    zero denominator, 0 or 1, signs, Gaussian-looking text or junk."""
+    for _ in range(rng.randint(1, 2)):
+        what = rng.randrange(7)
+        if what == 0:
+            text = f"{text}e{rng.choice(('-', '+', ''))}{rng.choice((1000, 3000, 4290, 4310, 10**5, 10**12, 10**30))}"
+        elif what == 1:
+            text = rng.choice((f"{text}/0", "0/0", "1/-0"))
+        elif what == 2:
+            text = rng.choice(("0", "1", "-0", "+1", "1.0", "0e99999"))
+        elif what == 3:
+            text = rng.choice(("-", "+", "--", "+-", " -")) + text
+        elif what == 4:
+            text = rng.choice((f"{text}+{rng.randint(1, 5)}i", f"{text}i", f"{text}j", f"({text}+1j)", f"{text}-0i"))
+        elif what == 5:
+            text = rng.choice(("", " ", "nan", "inf", "1/2/3", "1__0", "e5", "1e", f" {text} ", "7" * rng.choice((2000, 4301))))
+        else:
+            text = f"{text}{rng.choice(('0', '/7', '.5', '_1'))}"
+    return text
+
+
+def test_seeded_toy_option_fuzz_ends_with_exit_0_or_1(capsys):
+    # 200 seeded mutations of --p and --rho through toy higgs, residues, cone,
+    # stability and pdeg: each ends with exit 0 or 1 in bounded time, and an
+    # error with exactly one JSON object (stability's failing verdict is an
+    # exit 1 with its report on stdout)
+    rng = __import__("random").Random(35)
+    codes = []
+    for case in range(200):
+        p = _fuzz_number(rng, rng.choice(_TOY_NUMBERS)) if rng.random() < 0.8 else rng.choice(_TOY_NUMBERS)
+        rho = rng.choice(_TOY_WEIGHTS).split(",")
+        if rng.random() < 0.7:
+            k = rng.randrange(4)
+            rho[k] = _fuzz_number(rng, rho[k])
+        rho = ",".join(rho) if rng.random() < 0.9 else ",".join(rho[:3])
+        which = rng.choice(("phi_p", "phi_0", "phi_1", "phi_inf"))
+        argv = rng.choice(
+            (
+                ["toy", "higgs", which, f"--p={p}"],
+                ["toy", "residues", which, f"--p={p}"],
+                ["toy", "cone", f"--p={p}", f"--rho={rho}"],
+                ["toy", "stability", f"--rho={rho}"],
+                ["toy", "pdeg", f"--rho={rho}"],
+            )
+        )
+        code = _fuzz_case(argv, capsys, (case, argv), verdicts=(0, 1) if argv[1] == "stability" else (0,))
+        assert code in (0, 1), (case, argv)
+        codes.append(code)
+    assert codes.count(0) >= 25 and codes.count(1) >= 100
 
 
 @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-inf", "1e10", "0.9", "0.0100001", "0", "-1"])

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from nilwkb import toymodel
 from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
 from nilwkb.connection import MatrixOneForm, transform_chart_inverse
 from nilwkb.errors import BadPuncture, UnstableWeights
 from nilwkb.toymodel import (
     TOY_FIELDS,
-    _entry_residue,
     _residue_at_infinity,
     ParabolicWeights,
     build_toy_higgs,
@@ -24,6 +24,19 @@ from nilwkb.toymodel import (
 )
 
 GOOD = ParabolicWeights.parse("1/4,1/4,1/4,1/8")
+
+
+def _entry_residue(entry: BRF, a: GaussianRational) -> GaussianRational:
+    """Oracle: the exact residue num(a) / den'(a) at a simple pole z = a of a
+    holomorphic rational entry, or 0 where the denominator does not vanish."""
+    if entry.num.degree()[1] > 0 or entry.den.degree()[1] > 0:
+        raise ValueError("expected a holomorphic (zbar-free) polynomial")
+    if entry.den.eval_exact(a, GaussianRational(0)):
+        return GaussianRational(0)
+    slope = entry.den.derivative_z().eval_exact(a, GaussianRational(0))
+    if not slope:
+        raise ValueError(f"pole at {a!r} is not simple")
+    return entry.num.eval_exact(a, GaussianRational(0)) / slope
 
 
 def test_weight_inequalities_pass():
@@ -200,6 +213,60 @@ def test_residues_take_no_change_of_chart(monkeypatch):
     for which in TOY_FIELDS:
         residues(build_toy_higgs(which, GaussianRational(3, 1)))
     assert calls == []
+
+
+def test_residues_match_the_per_entry_oracle():
+    # 150 seeded Gaussian p x 4 fields: the grid rule G(a) / prod (a - b)
+    # against the residue of every entry of the field's matrix at each
+    # finite site, and _residue_at_infinity on every entry, in key order
+    # 0, 1, p, inf
+    rng = random.Random(35)
+    gauss = lambda: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    points = []
+    while len(points) < 150:
+        p = gauss()
+        if p not in (GaussianRational(0), GaussianRational(1)):
+            points.append(p)
+    for p in points:
+        sites = {"0": GaussianRational(0), "1": GaussianRational(1), "p": p}
+        for which in TOY_FIELDS:
+            field = build_toy_higgs(which, p)
+            want = {site: [[_entry_residue(e, a) for e in row] for row in field.matrix.entries] for site, a in sites.items()}
+            want["inf"] = [[_residue_at_infinity(e) for e in row] for row in field.matrix.entries]
+            got = residues(field)
+            assert list(got) == ["0", "1", "p", "inf"] and got == want, (which, p)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # traceless, and squares to the identity
+        [[BRF.z(), BRF.one()], [BRF.one() - BRF.z() * BRF.z(), -BRF.z()]],
+        # a trace: a matrix whose square is zero is traceless, so the square
+        # check refuses this one too
+        [[BRF.one(), BRF.zero()], [BRF.z(), BRF.zero()]],
+    ],
+)
+def test_a_grid_whose_square_is_not_zero_is_refused(monkeypatch, grid):
+    monkeypatch.setitem(toymodel._FIELDS, "phi_0", (RationalFunctionMatrix(grid), ("0", "p")))
+    with pytest.raises(ValueError, match="^phi_0: matrix square is not exactly zero$"):
+        build_toy_higgs("phi_0", GaussianRational(3, 1))
+
+
+def test_toy_fields_are_checked_and_resolved_on_their_polynomial_grid(monkeypatch):
+    # building a field multiplies only polynomial matrices (the grid by
+    # itself), and its residues differentiate no denominator
+    products, derivatives = [], []
+    matmul = RationalFunctionMatrix.__matmul__
+    monkeypatch.setattr(RationalFunctionMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
+    for cls in (BiPolynomial, BRF):
+        derivative = cls.derivative_z
+        monkeypatch.setattr(cls, "derivative_z", lambda self, _d=derivative: derivatives.append(self) or _d(self))
+    for which in TOY_FIELDS:
+        residues(build_toy_higgs(which, GaussianRational(3, 1)))
+    polynomial = lambda m: all(e.den == BRF.one().den for row in m.entries for e in row)
+    assert len(products) == len(TOY_FIELDS) and all(polynomial(a) and polynomial(b) for a, b in products)
+    assert derivatives == []
 
 
 def test_phi_inf_regular_at_origin():
