@@ -37,10 +37,18 @@ one-term denominator only where it is exactly 0), and ``EvaluationOverflow``
 where a coefficient, a power of z or a modulus in the sum leaves double
 precision.  Every numeric evaluation, :meth:`BiRationalFunction.evaluate`
 and the transport layer's pullback included, goes through it.
+
+Exact text from outside (options, files, the Python API) is read only by
+:func:`exact_fraction`; integers in files and list options by :func:`exact_int`.
+Text whose value would have more digits than Python writes raises ValueError
+(``sys.get_int_max_str_digits()``, 0 for none); a longer digit run, or an
+exponent past the limit by more than the text's length, is never computed.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, inf, log10
 from typing import Callable, Iterable, Mapping
@@ -54,12 +62,42 @@ _GENS = sympy.symbols("z zbar")
 
 EVAL_TOLERANCE = 1e-14
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _run_past(text: str, limit: int) -> bool:
+    """Whether text has a run of more than limit digits, underscores skipped (0 is no limit)."""
+    return 0 < limit < max(map(len, re.split(r"\D+", text.replace("_", ""))))
+
+
+def exact_fraction(x) -> Fraction:
+    """Fraction(x), the one reader of exact text: text whose value would have
+    more digits than Python writes raises ValueError (see the module docstring)."""
+    limit = sys.get_int_max_str_digits()
+    if not isinstance(x, str) or not limit:
+        return Fraction(x)
+    exponent = _EXPONENT.search(x)
+    if not _run_past(x, limit) and not (exponent and abs(int(exponent[1])) > limit + len(x)):
+        value = Fraction(x)
+        largest = max(abs(value.numerator), value.denominator)
+        # under 2^(3 limit) < 10^limit, no power of ten is needed
+        if largest.bit_length() <= 3 * limit or largest < 10**limit:
+            return value
+    raise ValueError(f"more than {limit} digits, the most that Python writes (sys.get_int_max_str_digits())")
+
+
+def exact_int(x) -> int:
+    """int(x), but text with a run of more digits than Python reads is refused in exact_fraction's words."""
+    if isinstance(x, str) and _run_past(x, sys.get_int_max_str_digits()):
+        exact_fraction(x)  # raises: the run is past the limit
+    return int(x)
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return exact_fraction(x)
     if isinstance(x, float):
         if not x.is_integer():
             raise TypeError(f"refusing to coerce non-integral float {x!r} to an exact rational")
@@ -127,11 +165,11 @@ class GaussianRational(_Frozen):
     @classmethod
     def from_strings(cls, re: str, im: str) -> "GaussianRational":
         """Parse a serialized pair; a part that is not a finite number raises
-        ValueError naming the pair."""
+        ValueError naming the pair and the reason."""
         try:
-            return cls(Fraction(re), Fraction(im))
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            raise ValueError(f"not an exact Gaussian rational: ({re!r}, {im!r})") from None
+            return cls(exact_fraction(re), exact_fraction(im))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"not an exact Gaussian rational ({exc}): ({re!r}, {im!r})") from None
 
     def to_json(self) -> list:
         """The pair [str(re), str(im)] that from_strings reads back."""
@@ -654,7 +692,7 @@ class BiRationalFunction(_Frozen):
     @classmethod
     def from_json(cls, data: dict) -> "BiRationalFunction":
         dec = lambda rows: BiPolynomial(
-            {(int(i), int(j)): GaussianRational.from_strings(re, im) for i, j, re, im in rows}
+            {(exact_int(i), exact_int(j)): GaussianRational.from_strings(re, im) for i, j, re, im in rows}
         )
         num, den = dec(data["num"]), dec(data["den"])
         if den.is_zero:

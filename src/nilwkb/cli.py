@@ -7,10 +7,8 @@ names its option.  A failure exits with its error class's exit_code (1 for
 invalid input, argparse's refusals of a command line included; 2 for a
 numerical budget), with a machine-readable error object on stderr.  The
 writer refuses NaN and infinities, which are not JSON, as invalid output.
-An exact option value (--p, --rho, --exponents) whose numerator or
-denominator has more digits than Python writes (sys.get_int_max_str_digits())
-is refused by the parser, naming the option; a result with that many digits
-ends in TooManyDigits.
+Numbers in options and input files are read by algebra's exact_fraction and
+exact_int; a result with more digits than Python writes ends in TooManyDigits.
 """
 
 from __future__ import annotations
@@ -19,13 +17,12 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import catalog as catalog_mod
+from .algebra import exact_fraction, exact_int
 from .connection import ConnectionFamily, check_flatness
 from .errors import NilwkbError, TooManyDigits
 from .gauge import (
@@ -83,11 +80,11 @@ def _load_json(path: str, build):
     a value of the wrong type, shape or size, or a value the builder refuses
     raises an error that names the file: a ValueError, or build's own
     error class where it is a toolkit error or a zero denominator."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
     try:
+        with open(path) as fh:
+            data = json.load(fh, parse_int=exact_int)
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
         return build(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
@@ -108,10 +105,6 @@ def _load_family(source: str) -> ConnectionFamily:
             raise ValueError(f"unknown catalog family {name!r}; known: {', '.join(sorted(families))}")
         return families[name]()
     return _load_json(source, ConnectionFamily.from_json)
-
-
-def _load_path(path: str) -> ParamPath:
-    return _load_json(path, ParamPath.from_json)
 
 
 def _parse_eps_grid(spec: str) -> list:
@@ -135,43 +128,9 @@ def _parse_eps_grid(spec: str) -> list:
     raise ValueError(f"unknown spacing {spacing!r}; use geometric or linear")
 
 
-def _int_list(text: str):
-    return [int(b) for b in text.split(",")]
-
-
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def _exact_fraction(text: str) -> Fraction:
-    """Fraction(text), refused when its numerator or denominator has more
-    digits than Python writes (sys.get_int_max_str_digits(); 0 is no limit).
-
-    Text with a run of more digits than that, or with an exponent past the
-    limit by more than the text's length (which leaves a nonzero value more
-    digits than the limit), is refused before Fraction reads the run or
-    raises 10 to the exponent.
-    """
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return Fraction(text)
-    longest_run = max(map(len, re.split(r"\D+", text.replace("_", ""))))
-    exponent = _EXPONENT.search(text)
-    if longest_run <= limit and not (exponent and abs(int(exponent[1])) > limit + len(text)):
-        value = Fraction(text)
-        largest = max(abs(value.numerator), value.denominator)
-        # under 2^(3 limit) < 10^limit, no power of ten is needed
-        if largest.bit_length() <= 3 * limit or largest < 10**limit:
-            return value
-    raise ValueError(f"more than {limit} digits, the most that Python writes (sys.get_int_max_str_digits())")
-
-
-def _fraction_list(text: str):
-    return [_exact_fraction(p) for p in text.split(",")]
-
-
-def _weights(text: str) -> ParabolicWeights:
-    """ParabolicWeights.parse, each weight read by _exact_fraction."""
-    return ParabolicWeights(tuple(_fraction_list(text)))
+def _list_of(read):
+    """A parser of comma-separated values, each read by read."""
+    return lambda text: [read(part) for part in text.split(",")]
 
 
 def _field(args, family: ConnectionFamily):
@@ -241,7 +200,7 @@ def _cmd_reality(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     family = _load_family(args.family)
-    gamma = _load_path(args.path)
+    gamma = _load_json(args.path, ParamPath.from_json)
     samples = transport_grid(family, gamma, args.eps, rel_tol=args.rel_tol)
     writer = csv.writer(sys.stdout)
     writer.writerow(["epsilon", "re_trace", "im_trace", "est_error", "steps", "rhs_evals"])
@@ -253,14 +212,14 @@ def _cmd_holonomy(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    family, gamma = _load_family(args.family), _load_path(args.path)
+    family, gamma = _load_family(args.family), _load_json(args.path, ParamPath.from_json)
     Z = period(_field(args, family), gamma)
     _emit({"Z": [Z.real, Z.imag], "est_error": Z.est_error, "is_wkb": Z.is_wkb, "margin": Z.margin})
     return 0
 
 
 def _cmd_wkbcheck(args) -> int:
-    family, gamma = _load_family(args.family), _load_path(args.path)
+    family, gamma = _load_family(args.family), _load_json(args.path, ParamPath.from_json)
     check = is_wkb_curve(_field(args, family), gamma)
     _emit({"is_wkb": check.is_wkb, "margin": check.margin})
     return 0
@@ -302,7 +261,7 @@ def _flow_start(text: str):
     if len(fields) != 3:
         raise ValueError(f"want polygon,x,y, got {text!r}")
     poly_s, x_s, y_s = fields
-    return int(poly_s), complex(float(x_s), float(y_s))
+    return exact_int(poly_s), complex(float(x_s), float(y_s))
 
 
 def _cmd_surface_trace(args) -> int:
@@ -403,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
-    int_list, weights, fraction = _option(_int_list), _option(_weights), _option(_exact_fraction)
+    int_list, weights, fraction = _option(_list_of(exact_int)), _option(ParabolicWeights.parse), _option(exact_fraction)
     family_help = "family JSON file, or catalog:<name>"
     # accepted so that existing command lines keep working; nothing reads it
     parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
@@ -438,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wkbfit", help="rate fit from a holonomy CSV")
     p.add_argument("samples")
-    p.add_argument("--exponents", type=_option(_fraction_list), help="candidate exponents, e.g. 1,1/2,1/3")
+    p.add_argument("--exponents", type=_option(_list_of(exact_fraction)), help="candidate exponents, e.g. 1,1/2,1/3")
     p.set_defaults(fn=_cmd_wkbfit)
 
     p = sub.add_parser("surface", help="half-translation surface tools")

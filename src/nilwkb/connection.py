@@ -19,6 +19,8 @@ from .algebra import (
     GaussianRational,
     RationalFunctionMatrix,
     _Frozen,
+    exact_fraction,
+    exact_int,
     radical_divides,
     wedge_bracket,
     wedge_square,
@@ -184,7 +186,7 @@ class ConnectionFamily(_Frozen):
         object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "exponents", tuple(Fraction(e) for e in exponents))
+        object.__setattr__(self, "exponents", tuple(exact_fraction(e) for e in exponents))
 
     def __eq__(self, other):
         return (
@@ -213,9 +215,9 @@ class ConnectionFamily(_Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "ConnectionFamily":
-        exps = {name: Fraction(e) for e, name in data.get("exponents", [])}
+        exps = {name: exact_fraction(e) for e, name in data.get("exponents", [])}
         return cls(
-            int(data["rank"]),
+            exact_int(data["rank"]),
             *(MatrixOneForm.from_json(data[name]) for name in TERM_NAMES),
             punctures=[GaussianRational.from_strings(re, im) for re, im in data.get("punctures", [])],
             exponents=[exps.get(name, e) for name, e in zip(TERM_NAMES, _DEFAULT_EXPONENTS)],

@@ -24,6 +24,7 @@ from .algebra import (
     BiRationalFunction,
     GaussianRational,
     RationalFunctionMatrix,
+    exact_fraction,
     matrix_rank_exact,
 )
 from .connection import ConnectionFamily, MatrixOneForm, check_flatness
@@ -78,7 +79,7 @@ class GaugeProfile:
     block_m: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(Fraction(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(exact_fraction(e) for e in self.exponents))
         if sum(self.exponents, Fraction(0)) != 0:
             raise ValueError("gauge profile exponents must sum to zero")
 
@@ -193,7 +194,7 @@ def gauge_conjugate(obj, profile: GaugeProfile):
     if isinstance(obj, MatrixOneForm):
         based, n = [(Fraction(0), obj)], obj.n
     elif isinstance(obj, dict):
-        based, n = [(Fraction(base), form) for base, form in obj.items()], profile.n
+        based, n = [(exact_fraction(base), form) for base, form in obj.items()], profile.n
     elif isinstance(obj, ConnectionFamily):
         based, n = [(exponent, form) for _name, exponent, form in obj.terms()], obj.n
     else:

@@ -56,7 +56,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .algebra import _Frozen
+from .algebra import _Frozen, exact_fraction
 from .connection import TERM_NAMES, ConnectionFamily, MatrixOneForm
 from .errors import (
     BranchPointOnPath,
@@ -1135,7 +1135,7 @@ def _wkb_fit(samples: Sequence[HolonomySample], candidate_exponents: Optional[Se
     for p in candidate_exponents:
         u = eps ** (-float(p))
         Z, c, resid = _tail_linear_fit(u, y, tail)
-        results.append((Fraction(p), Z, c, resid))
+        results.append((exact_fraction(p), Z, c, resid))
     results.sort(key=lambda r: r[3])
     best_p, best_Z, best_c, best_resid = results[0]
     return WkbFit(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import BRF, GR_ONE, GR_ZERO, GaussianRational, RationalFunctionMatrix
+from .algebra import BRF, GR_ONE, GR_ZERO, GaussianRational, RationalFunctionMatrix, exact_fraction
 from .connection import MatrixOneForm
 from .errors import BadPuncture, UnstableWeights
 
@@ -27,7 +27,7 @@ class ParabolicWeights:
     rho: Tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        rho = tuple(Fraction(r) for r in self.rho)
+        rho = tuple(exact_fraction(r) for r in self.rho)
         if len(rho) != 4:
             raise ValueError("exactly four weights")
         if any(not (0 < r < Fraction(1, 2)) for r in rho):
@@ -36,7 +36,7 @@ class ParabolicWeights:
 
     @classmethod
     def parse(cls, text: str) -> "ParabolicWeights":
-        return cls(tuple(Fraction(part) for part in text.split(",")))
+        return cls(tuple(text.split(",")))
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def pdeg(line_degree: int, incidence: Sequence[bool], weights: ParabolicWeights)
     passes through that puncture's flag, else -rho)."""
     if len(incidence) != 4:
         raise ValueError("incidence is one flag per puncture")
-    total = Fraction(line_degree)
+    total = exact_fraction(line_degree)
     for hit, r in zip(incidence, weights.rho):
         total += r if hit else -r
     return total
@@ -311,7 +311,7 @@ def parabolic_model_connection(rho) -> MatrixOneForm:
 
     The angular form rewrites rationally: (rho/2) diag(1,-1) (dz/z - dzbar/zbar).
     """
-    rho = Fraction(rho)
+    rho = exact_fraction(rho)
     if not (0 <= rho < Fraction(1, 2)):
         raise ValueError("weight must lie in [0, 1/2)")
     if rho == 0:

@@ -18,10 +18,11 @@ import pytest
 import nilwkb
 from nilwkb.algebra import BiPolynomial, BiRationalFunction as BRF, GaussianRational, RationalFunctionMatrix
 from nilwkb.catalog import FAMILIES, nilpotent_sl2, nilpotent_sl2_parabolic
-from nilwkb.cli import _stamped, main
+from nilwkb.cli import _load_family, _stamped, build_parser, main
 from nilwkb.connection import TERM_NAMES, ConnectionFamily, MatrixOneForm
 from nilwkb.holonomy import ArcSegment, LineSegment, ParamPath
 from nilwkb.surface import flat_torus, staircase
+from nilwkb.toymodel import ParabolicWeights
 
 
 @pytest.fixture
@@ -814,7 +815,9 @@ _FAMILY_FUZZ_COMMANDS = (
     ["secondary", "{family}", "--blocks", "1,1"],
     ["holonomy", "{family}", "{path}", "--eps", "0.5:0.25:geometric:2"],
 )
-_FUZZ_COEFFICIENTS = ("1/3", "-2", "0", "-0", "7/2", "1e400", "nan", "inf", "x", "", "1/0", "123456789012345678901234567890", 3, None)
+# past the digit limit: 10^-(10^11) and 10^5000 as exponents, and a 4301-digit run
+_PAST_THE_LIMIT = ("1e-99999999999", "1e5000", "7" * 4301)
+_FUZZ_COEFFICIENTS = ("1/3", "-2", "0", "-0", "7/2", "1e400", "nan", "inf", "x", "", "1/0", "123456789012345678901234567890", 3, None, *_PAST_THE_LIMIT)
 
 
 def _fuzz_family(rng):
@@ -836,7 +839,7 @@ def _fuzz_family(rng):
             term[rng.choice((2, 3))] = rng.choice(_FUZZ_COEFFICIENTS)
         elif what == 1 and term:
             k = rng.randrange(2)
-            term[k] = rng.choice((-1, 0, 1, 2, 3, "1", 1.5, None))
+            term[k] = rng.choice((-1, 0, 1, 2, 3, "1", 1.5, None, *_PAST_THE_LIMIT))
             if isinstance(term[k], int) and isinstance(term[1 - k], int):
                 term[1 - k] = min(term[1 - k], 3 - max(term[k], 0))
         elif what == 2 and entry:
@@ -1046,6 +1049,98 @@ def test_exact_result_with_more_digits_than_python_writes_exits_1(capsys):
     captured = capsys.readouterr()
     err = json.loads(captured.err)
     assert captured.out == "" and err["error"] == "TooManyDigits" and "4300 digits" in err["message"]
+
+
+def _family_route(where):
+    """A family file with text as phi's coefficient, a second puncture's
+    imaginary part or phi's exponent: flatness's command line, the file and
+    the family read from it."""
+
+    def route(text, tmp_path):
+        data = nilpotent_sl2_parabolic().to_json()
+        if where == "coefficient":
+            data["phi"]["dz"][0][1]["num"][0][2] = text
+        elif where == "puncture":
+            data["punctures"].append(["1", text])
+        else:
+            data["exponents"][0][0] = text
+        path = tmp_path / f"{where}-{len(text)}.json"
+        path.write_text(json.dumps(data))
+        return ["flatness", str(path)], str(path), lambda: _load_family(str(path))
+
+    return route
+
+
+def _option_route(option, argv):
+    """argv with text in its {}: the command line, the option's name and the value the parser reads."""
+
+    def route(text, tmp_path):
+        line = [a.format(text) for a in argv]
+        return line, f"argument {option}", lambda: getattr(build_parser().parse_args(line), option[2:])
+
+    return route
+
+
+_EXACT_TEXT_ROUTES = {
+    "--p": _option_route("--p", ["toy", "residues", "phi_p", "--p={}"]),
+    "--rho": _option_route("--rho", ["toy", "pdeg", "--rho", "1/4,1/4,1/4,{}"]),
+    "--exponents": _option_route("--exponents", ["wkbfit", "samples.csv", "--exponents", "1,{}"]),
+    "coefficient": _family_route("coefficient"),
+    "puncture": _family_route("puncture"),
+    "exponent": _family_route("exponent"),
+    "ParabolicWeights.parse": lambda text, tmp_path: (None, None, lambda: ParabolicWeights.parse(f"1/4,1/4,1/4,{text}")),
+    "GaussianRational": lambda text, tmp_path: (None, None, lambda: GaussianRational(text)),
+}
+
+
+@pytest.mark.parametrize("route", list(_EXACT_TEXT_ROUTES))
+def test_every_exact_text_route_refuses_a_value_past_the_digit_limit(route, tmp_path, capsys):
+    # 1e-9999999 is refused at once, naming its option or file, where a family
+    # file, ParabolicWeights.parse and GaussianRational computed 10^9999999 for
+    # about 6 s (and 1e-99999999999 without bound); 1e-1000 reads 10^-1000
+    read = lambda text: _EXACT_TEXT_ROUTES[route](text, tmp_path)
+    argv, culprit, value = read("1e-9999999")
+    refusal = f"more than {sys.get_int_max_str_digits()} digits"
+    with _time_limit(5):
+        if argv is None:
+            with pytest.raises(ValueError, match=refusal):
+                value()
+        else:
+            message = _exits_1_with_value_error(argv, capsys)
+            assert culprit in message and refusal in message, message
+    assert read("1e-1000")[2]() == read("1/1" + "0" * 1000)[2]()
+
+
+def test_json_number_past_the_digit_limit_exits_1_naming_the_file(tmp_path, capsys):
+    # json.load ran outside the loader's try: the refusal reached main as
+    # TooManyDigits, "an exact value to be written", naming no file
+    family = tmp_path / "family.json"
+    family.write_text('{"rank": ' + "1" * 5000 + "}")
+    message = _exits_1_with_value_error(["flatness", str(family)], capsys)
+    assert message.startswith(f"{family}: more than {sys.get_int_max_str_digits()} digits")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["secondary", "catalog:nilpotent_sl2", "--blocks", "1" * 4400], "--blocks"),
+        (["kdiff", "catalog:nilpotent_sl2", "--blocks", "1," + "1_0" * 2200], "--blocks"),
+        (["toy", "pdeg", "--rho", "1/4,1/4,1/4,1/8", "--degrees", "0,-" + "1" * 4400], "--degrees"),
+        (["surface", "trace", "--torus", "--start", "1" * 4400 + ",0.5,0.5", "--theta", "0.3"], "--start"),
+    ],
+)
+def test_integer_option_past_the_digit_limit_exits_1_in_the_readers_words(argv, option, capsys):
+    # Python's own message named the option but advised a call to
+    # sys.set_int_max_str_digits(), which a command-line user cannot make
+    message = _exits_1_with_value_error(argv, capsys)
+    assert f"argument {option}: more than {sys.get_int_max_str_digits()} digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
+@pytest.mark.parametrize("blocks", ["1/2,3/2", "1.0,1", "1e0,1"])
+def test_integer_option_refuses_an_inexact_integer_as_int_does(blocks, capsys):
+    message = _exits_1_with_value_error(["secondary", "catalog:nilpotent_sl2", "--blocks", blocks], capsys)
+    assert message.startswith("nilwkb secondary: argument --blocks: invalid literal for int() with base 10: ")
 
 
 def test_toy_residues_at_1e_minus_1000_exits_0(capsys):
