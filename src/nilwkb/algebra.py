@@ -662,6 +662,23 @@ class BiRationalFunction(_Frozen):
         """
         num_terms = [(i, j, c.to_complex()) for (i, j), c in self.num.terms.items()]
         den_terms = [(i, j, c.to_complex()) for (i, j), c in self.den.terms.items()]
+        if len(num_terms) == len(den_terms) == 1:
+            # the loops below for one term each: abs(d) <= EVAL_TOLERANCE abs(d) < inf holds exactly where d == 0
+            (i, j, c), (k, l, e) = num_terms[0], den_terms[0]
+
+            def ev(z: complex) -> complex:
+                zb = z.conjugate()
+                try:
+                    n = 0j + c * z**i * zb**j
+                    d = 0j + e * z**k * zb**l
+                    abs(d)  # the modulus the loops take, which raises past a double
+                except OverflowError:
+                    raise EvaluationOverflow(f"a term of the rational function at z={z!r} exceeds double precision") from None
+                if d == 0:
+                    raise PoleHit(f"denominator vanishes at z={z!r}")
+                return n / d
+
+            return ev
 
         def ev(z: complex) -> complex:
             zb = z.conjugate()

@@ -362,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nilwkb",
         description="flat families with nilpotent leading term: exact checks and WKB numerics",
     )
-    int_list, weights, fraction = _option(_list_of(exact_int)), _option(ParabolicWeights.parse), _option(exact_fraction)
+    integer, int_list = _option(exact_int), _option(_list_of(exact_int))
+    weights, fraction = _option(ParabolicWeights.parse), _option(exact_fraction)
     family_help = "family JSON file, or catalog:<name>"
     # accepted so that existing command lines keep working; nothing reads it
-    parser.add_argument("--seed", type=int, default=2301, help="ignored: Jordan types are exact")
+    parser.add_argument("--seed", type=integer, default=2301, help="ignored: Jordan types are exact")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def family_command(name, fn, help, path=False):
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = family_command("cyclic", _cmd_cyclic, "cyclic-grading check of the secondary field")
     p.add_argument("--blocks", type=int_list, required=True)
     p = family_command("kdiff", _cmd_kdiff, "trace powers Tr(Phi^k)")
-    p.add_argument("--up-to", type=int, default=2, dest="up_to")
+    p.add_argument("--up-to", type=integer, default=2, dest="up_to")
     p.add_argument("--blocks", type=int_list, help="use the secondary field of this splitting")
     family_command("reality", _cmd_reality, "determinant-sign reality obstruction")
     p = family_command("holonomy", _cmd_holonomy, "transport over an eps grid; CSV on stdout", path=True)
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in surface_cmds.items():
         sp = ssub.add_parser(name)
         sp.add_argument("surface", nargs="?", help="surface JSON file")
-        sp.add_argument("--staircase", type=int, help="generate a staircase of this genus")
+        sp.add_argument("--staircase", type=integer, help="generate a staircase of this genus")
         sp.add_argument("--style", choices=("left", "right"), default="left")
         sp.add_argument("--half", action="store_true", help="half-translation variant")
         sp.add_argument("--torus", action="store_true", help="unit flat torus")

@@ -32,7 +32,12 @@ rows of its coefficient, each sheet matched to its nearest in the row
 before, at every rank) and reports them times gamma'(t).  Transport's M(t)
 and the track's rows are read by one per-segment sampler,
 _pulled_back(gamma, value, flat): where the field is constant it
-evaluates value(z, v) once, elsewhere on Python scalars at each t.  On a
+evaluates value(z, v) once, elsewhere on Python scalars at each t.  Each
+t becomes a Python float once, since DOP853 passes numpy float64 stage
+times and numpy's complex powers and quotients do not round as Python's
+do.  A line keeps its one velocity, and an arc takes one exp for both
+gamma(t) and gamma'(t), in the order the segment's own point and
+velocity compute them, so a sample has their bits.  On a
 constant segment the track's ends are its only grid nodes and the period
 adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
 are evaluated once, when it is built; the WKB predicate reads them back,
@@ -357,9 +362,11 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
     K nonzero ones.  One walk over each form's nonzero entries compiles each
     once and decides both; a constant part is evaluated there, once, since
     its compiled form gives the same value at every z (z^0 is exactly 1).
-    The block is evaluated on Python scalars.  An EvaluationOverflow, in
-    compiling or in evaluating, names the entry (i, j) of form f as
-    names[f], and in compiling its dz or dzbar part."""
+    The block is evaluated on Python scalars, its entries grouped by the
+    parts they have, so that evaluating it tests no entry for a missing
+    part and takes conj(v) only where some entry has a dzbar part.  An
+    EvaluationOverflow, in compiling or in evaluating, names the entry
+    (i, j) of form f as names[f], and in compiling its dz or dzbar part."""
     found, kept, flat = [], [], True
     for f, form in enumerate(forms):
         k, before = len(kept), len(found)
@@ -383,24 +390,30 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
         if len(found) > before:
             kept.append(f)
     K = len(kept)
-    entries, labels = [], {}
+    dz_only, dzbar_only, both, labels = [], [], [], {}
     for i, k, j, dz_fn, dzbar_fn, where in found:
         idx = (i * K + k) * n + j
-        entries.append((idx, dz_fn, dzbar_fn))
+        if dzbar_fn is None:
+            dz_only.append((idx, dz_fn))
+        elif dz_fn is None:
+            dzbar_only.append((idx, dzbar_fn))
+        else:
+            both.append((idx, dz_fn, dzbar_fn))
         labels[idx] = where
-    shape = (n, K * n)
+    shape, conjugated = (n, K * n), bool(dzbar_only or both)
 
+    # 0j + keeps the signed zeros of a sum begun at 0j
     def evaluate(z: complex, v: complex) -> np.ndarray:
-        vv = v.conjugate()
         out = np.zeros(shape[0] * shape[1], dtype=complex)
         try:
-            for idx, dz_fn, dzbar_fn in entries:
-                acc = 0j
-                if dz_fn is not None:
-                    acc += dz_fn(z) * v
-                if dzbar_fn is not None:
-                    acc += dzbar_fn(z) * vv
-                out[idx] = acc
+            for idx, fn in dz_only:
+                out[idx] = 0j + fn(z) * v
+            if conjugated:
+                vv = v.conjugate()
+                for idx, fn in dzbar_only:
+                    out[idx] = 0j + fn(z) * vv
+                for idx, dz_fn, dzbar_fn in both:
+                    out[idx] = 0j + dz_fn(z) * v + dzbar_fn(z) * vv
         except EvaluationOverflow as err:
             raise EvaluationOverflow(f"{labels[idx]}: {err}") from None
         return out.reshape(shape)
@@ -420,14 +433,28 @@ def _pulled_back(gamma: ParamPath, value: Callable[[complex, complex], Any], fla
     A flat field on a line segment (constant velocity) does not depend on
     t: that segment's item is value evaluated once, at its start (read-only
     if it is an array).  Any other segment's item is a map t -> value at
-    s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1], on that segment
-    alone.  Both evaluate on Python scalars.
+    s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1] (a NaN t to 0), on
+    that segment alone, with the bits of value(seg.point(s), seg.velocity(s)
+    / dt) from one exp per t on an arc.  Both evaluate on Python scalars.
     """
 
     def on_segment(seg: Segment, t0: float, dt: float):
+        if isinstance(seg, LineSegment):
+            start, chord = seg.start, seg.end - seg.start
+            velocity = chord / dt
+
+            def P(t: float):
+                s = min(1.0, max(0.0, (float(t) - t0) / dt))
+                return value(start + s * chord, velocity)
+
+            return P
+        center, radius, angle0, span = seg.center, seg.radius, seg.angle0, seg.angle1 - seg.angle0
+        turn = 1j * span * radius
+
         def P(t: float):
             s = min(1.0, max(0.0, (float(t) - t0) / dt))
-            return value(seg.point(s), seg.velocity(s) / dt)
+            e = cmath.exp(1j * (angle0 + s * span))
+            return value(center + radius * e, turn * e / dt)
 
         return P
 
@@ -651,6 +678,7 @@ def _integrate(pieces, neg_weights, n, breaks, rtol) -> Tuple[np.ndarray, int, i
         def rhs(t, s):
             nonlocal evals
             evals += 1
+            t = float(t)
             if t != t:  # a value past a double made a step NaN, and DOP853 does not stop on it
                 raise HolonomyOverflow(f"DOP853's t is NaN on segment {k} [{t0}, {t1}]: a value overflowed a double")
             if evals >= RHS_PROBE and not evals * (t1 - t0) <= RHS_BUDGET * (t - t0):

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import json
 import math
@@ -26,7 +27,7 @@ from nilwkb.algebra import (
     wedge_square,
 )
 from nilwkb.connection import MatrixOneForm
-from nilwkb.errors import DimensionMismatch, PoleHit
+from nilwkb.errors import DimensionMismatch, EvaluationOverflow, PoleHit
 
 
 def test_gaussian_rational_field_ops():
@@ -64,6 +65,61 @@ def test_pole_test_is_relative_to_the_denominator():
     for f, at in [(one / z, 0j), (one / (z - one), 1 + 0j), (one / (z - one), 1 + 1e-15j)]:
         with pytest.raises(PoleHit):
             f.compiled()(at)
+
+
+def _summed_as_compiled(f, z):
+    """compiled()'s sums, term by term: f(z) as complex bits, or the error's type."""
+    zb = z.conjugate()
+    n = d = 0j
+    scale = 0.0
+    try:
+        for (i, j), c in f.num.terms.items():
+            n += c.to_complex() * z**i * zb**j
+        for (i, j), c in f.den.terms.items():
+            term = c.to_complex() * z**i * zb**j
+            d += term
+            scale += abs(term)
+    except OverflowError:
+        return EvaluationOverflow
+    if abs(d) <= 1e-14 * scale < math.inf:
+        return PoleHit
+    return struct.pack("dd", (n / d).real, (n / d).imag)
+
+
+def test_monomial_over_monomial_compiles_to_the_bits_of_the_term_sums():
+    # a one-term denominator is a pole exactly where its term is 0 (at z = 0,
+    # or where z^k underflows), and past a double where a power or the
+    # term's modulus is
+    rng = random.Random(3707)
+    coefficient = lambda: GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    degree = lambda: rng.choice([0, 0, 1, 2, 3, 5, 101])
+    points = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1e-170 + 1e-170j, 1e200 + 0j, 1e200 + 1e200j, 1e10 + 0j, complex(1.5e308, 1.5e308)]
+    seen = set()
+    for _ in range(60):
+        num, den = coefficient(), coefficient()
+        if not (num and den):
+            continue
+        f = BRF(BiPolynomial({(degree(), degree()): num}), BiPolynomial({(degree(), degree()): den}))
+        assert len(f.num.terms) == len(f.den.terms) == 1
+        compiled = f.compiled()
+        k = sum(next(iter(f.den.terms)))
+        ring = [cmath.rect(rng.uniform(0.5, 3), rng.uniform(-math.pi, math.pi)) for _ in range(8)]
+        for z in points + ring:
+            want = _summed_as_compiled(f, z)
+            got = []
+            for ev in (compiled, f.evaluate):
+                try:
+                    value = ev(z)
+                    got.append(struct.pack("dd", value.real, value.imag))
+                except (PoleHit, EvaluationOverflow) as err:
+                    got.append(type(err))
+            assert got == [want, want], (f, z)
+            seen.add(want if isinstance(want, type) else bytes)
+            if z == 0 and k:
+                assert want is PoleHit
+            if z in ring:  # |z^k| no smaller than 0.5^202
+                assert want is not PoleHit
+    assert seen == {bytes, PoleHit, EvaluationOverflow}
 
 
 def _rank_at(M: RationalFunctionMatrix, z: GaussianRational) -> int:

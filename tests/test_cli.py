@@ -1127,6 +1127,9 @@ def test_json_number_past_the_digit_limit_exits_1_naming_the_file(tmp_path, caps
         (["kdiff", "catalog:nilpotent_sl2", "--blocks", "1," + "1_0" * 2200], "--blocks"),
         (["toy", "pdeg", "--rho", "1/4,1/4,1/4,1/8", "--degrees", "0,-" + "1" * 4400], "--degrees"),
         (["surface", "trace", "--torus", "--start", "1" * 4400 + ",0.5,0.5", "--theta", "0.3"], "--start"),
+        (["--seed", "1" * 4400, "jordan", "catalog:nilpotent_sl2"], "--seed"),
+        (["kdiff", "catalog:nilpotent_sl2", "--up-to", "1" * 4400], "--up-to"),
+        (["surface", "validate", "--staircase", "1" * 4400], "--staircase"),
     ],
 )
 def test_integer_option_past_the_digit_limit_exits_1_in_the_readers_words(argv, option, capsys):

@@ -212,6 +212,22 @@ def test_pullback_examples():
     assert np.allclose(M(0.6), expected)
 
 
+def _entries_summed(forms, z, v):
+    """The forms' term matrices at (z, v) side by side, each entry summed from 0j one part at a time."""
+    n = forms[0].n
+    out = np.zeros((n, len(forms) * n), dtype=complex)
+    for f, form in enumerate(forms):
+        for i in range(n):
+            for j in range(n):
+                acc = 0j
+                if form.dz_part.entries[i][j]:
+                    acc += form.dz_part.entries[i][j].evaluate(z) * v
+                if form.dzbar_part.entries[i][j]:
+                    acc += form.dzbar_part.entries[i][j].evaluate(z) * v.conjugate()
+                out[i, f * n + j] = acc
+    return out
+
+
 def test_constant_segment_pulls_back_once_bit_for_bit():
     # a z-independent family on a line: each segment's term matrices are one
     # read-only (n, K n) array, the terms side by side, equal bit for bit to
@@ -223,22 +239,52 @@ def test_constant_segment_pulls_back_once_bit_for_bit():
     pieces = _pulled_back(gamma, evaluate, flat)
     for k, (seg, P) in enumerate(zip(gamma.segments, pieces)):
         assert isinstance(P, np.ndarray) and not P.flags.writeable
-        z = seg.point(0.0)
         v = seg.velocity(0.0) / (gamma.breaks[k + 1] - gamma.breaks[k])
-        expected = np.zeros((2, 2 * len(forms)), dtype=complex)
-        for f, form in enumerate(forms):
-            for i in range(2):
-                for j in range(2):
-                    acc = 0j
-                    if form.dz_part.entries[i][j]:
-                        acc += form.dz_part.entries[i][j].evaluate(z) * v
-                    if form.dzbar_part.entries[i][j]:
-                        acc += form.dzbar_part.entries[i][j].evaluate(z) * v.conjugate()
-                    expected[i, 2 * f + j] = acc
-        assert np.array_equal(P, expected)
+        assert np.array_equal(P, _entries_summed(forms, seg.point(0.0), v))
     # an arc and a z-dependent entry keep evaluating per t
     assert all(callable(P) for P in _pulled_back(ParamPath.circle(0.3 + 0.2j, 0.7), evaluate, flat))
     assert all(callable(P) for P in _pulled_back(SEG, *_family_terms(regular_diagonal(), [0.3])[:2]))
+
+
+def _mixed_form():
+    """A z-dependent form whose entries have a dz part, a dzbar part, both, or multi-term rational parts."""
+    z, zbar, one, zero = BRF.z(), BRF.zbar(), BRF.one(), BRF.zero()
+    P = RationalFunctionMatrix([[z * z - one / (z - BRF.constant(2)), zbar], [zero, one / z]])
+    Q = RationalFunctionMatrix([[z + zbar, zero], [z / (z - BRF.constant(3)), zero]])
+    return MatrixOneForm(P, Q)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        [form for _name, _x, form in nilpotent_sl2_parabolic().terms()],
+        [form for _name, _x, form in nilpotent_sl2_full().terms()],
+        [MatrixOneForm.from_dz(catalog()["toy_phi_p"].phi.dz_part), _mixed_form()],
+    ],
+    ids=["parabolic", "full", "toy_and_mixed"],
+)
+def test_segment_sampler_is_the_segments_point_and_velocity_bit_for_bit(forms):
+    # each segment's sampler reads t as a Python float (a numpy float64 t
+    # would put z in numpy's complex arithmetic, whose powers and quotients
+    # round differently), clamps s to [0, 1] (a NaN t to 0) and gives the
+    # bits of value at the segment's own point and velocity; the term block
+    # gives the bits of its entries summed one by one from 0j
+    arc = ArcSegment(0.5j, 0.25, -0.5 * math.pi, 1.2 * math.pi)
+    gamma = ParamPath([LineSegment(0.5 + 0.5j, arc.point(0.0)), arc, LineSegment(arc.point(1.0), 1.5 + 0.2j)])
+    value, _flat, kept = holonomy._compiled_terms(forms, forms[0].n, ["f"] * len(forms))
+    pieces = _pulled_back(gamma, value, False)
+    rng = random.Random(3708)
+    for seg, P, t0, t1 in zip(gamma.segments, pieces, gamma.breaks, gamma.breaks[1:]):
+        dt = t1 - t0
+        ts = [t0, t1, math.nan] + [t0 + rng.uniform(-0.3, 1.3) * dt for _ in range(20)]
+        for t in ts:
+            s = min(1.0, max(0.0, (t - t0) / dt))
+            z, v = seg.point(s), seg.velocity(s) / dt
+            want = value(z, v)
+            for as_given in (t, np.float64(t)):
+                assert P(as_given).tobytes() == want.tobytes(), (seg, t, type(as_given))
+            assert want.tobytes() == _entries_summed([forms[f] for f in kept], z, v).tobytes()
+        assert P(math.nan).tobytes() == value(seg.point(0.0), seg.velocity(0.0) / dt).tobytes()
 
 
 def _counting_closures(monkeypatch):
