@@ -60,6 +60,9 @@ from .toymodel import (
     residues,
 )
 
+# points an --eps grid may have, each a member of both transport runs: 4096 at rank 2 peak at 170 MB; fits use 32
+MAX_EPS_POINTS = 4096
+
 
 def _stamped(payload: dict) -> str:
     """payload as the sorted-key JSON the CLI writes, tagged with its schema; a NaN or infinity raises ValueError."""
@@ -121,6 +124,8 @@ def _parse_eps_grid(spec: str) -> list:
         raise ValueError("eps grid must be strictly monotone")
     if count < 1:
         raise ValueError("eps grid needs at least one point")
+    if count > MAX_EPS_POINTS:
+        raise ValueError(f"eps grid of {count} points; at most {MAX_EPS_POINTS}")
     if spacing == "geometric":
         return list(np.geomspace(start, end, count))
     if spacing == "linear":

@@ -32,12 +32,11 @@ rows of its coefficient, each sheet matched to its nearest in the row
 before, at every rank) and reports them times gamma'(t).  Transport's M(t)
 and the track's rows are read by one per-segment sampler,
 _pulled_back(gamma, value, flat): where the field is constant it
-evaluates value(z, v) once, elsewhere on Python scalars at each t.  Each
-t becomes a Python float once, since DOP853 passes numpy float64 stage
-times and numpy's complex powers and quotients do not round as Python's
-do.  A line keeps its one velocity, and an arc takes one exp for both
-gamma(t) and gamma'(t), in the order the segment's own point and
-velocity compute them, so a sample has their bits.  On a
+evaluates value(z, v) once, elsewhere on Python scalars at each t, from
+the segment's point_and_velocity (one exp on an arc), which its point and
+velocity read too.  Each t becomes a Python float once, since DOP853
+passes numpy float64 stage times and numpy's complex powers and
+quotients do not round as Python's do.  On a
 constant segment the track's ends are its only grid nodes and the period
 adds mu (t_{k+1} - t_k) in closed form.  Elsewhere the track's grid nodes
 are evaluated once, when it is built; the WKB predicate reads them back,
@@ -113,19 +112,27 @@ QUAD_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+class _Segment:
+    """A segment's point and velocity at s in [0, 1], each read from its one point_and_velocity(s)."""
+
+    def point(self, s: float) -> complex:
+        return self.point_and_velocity(s)[0]
+
+    def velocity(self, s: float) -> complex:
+        return self.point_and_velocity(s)[1]
+
+
 @dataclass(frozen=True)
-class LineSegment:
+class LineSegment(_Segment):
     start: complex
     end: complex
 
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    def point(self, s: float) -> complex:
-        return self.start + s * (self.end - self.start)
-
-    def velocity(self, s: float) -> complex:
-        return self.end - self.start
+    def point_and_velocity(self, s: float) -> Tuple[complex, complex]:
+        chord = self.end - self.start
+        return self.start + s * chord, chord
 
     def reversed(self) -> "LineSegment":
         return LineSegment(self.end, self.start)
@@ -144,7 +151,7 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(_Segment):
     center: complex
     radius: float
     angle0: float
@@ -153,13 +160,10 @@ class ArcSegment:
     def length(self) -> float:
         return abs(self.angle1 - self.angle0) * self.radius
 
-    def point(self, s: float) -> complex:
-        theta = self.angle0 + s * (self.angle1 - self.angle0)
-        return self.center + self.radius * cmath.exp(1j * theta)
-
-    def velocity(self, s: float) -> complex:
-        theta = self.angle0 + s * (self.angle1 - self.angle0)
-        return 1j * (self.angle1 - self.angle0) * self.radius * cmath.exp(1j * theta)
+    def point_and_velocity(self, s: float) -> Tuple[complex, complex]:
+        span = self.angle1 - self.angle0
+        e = cmath.exp(1j * (self.angle0 + s * span))
+        return self.center + self.radius * e, 1j * span * self.radius * e
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.angle1, self.angle0)
@@ -182,6 +186,11 @@ class ArcSegment:
 
 
 Segment = LineSegment | ArcSegment
+
+
+def _clamped(s: float) -> float:
+    """A path parameter clamped to [0, 1]; a NaN and -0.0 become 0.0."""
+    return 0.0 if not s > 0.0 else (s if s < 1.0 else 1.0)
 
 
 class ParamPath:
@@ -256,7 +265,7 @@ class ParamPath:
     # -- evaluation ------------------------------------------------------------
 
     def _locate(self, t: float) -> Tuple[int, float, float]:
-        t = min(1.0, max(0.0, t))
+        t = _clamped(t)
         k = min(bisect_right(self.breaks, t) - 1, len(self.segments) - 1)
         t0, t1 = self.breaks[k], self.breaks[k + 1]
         return k, (t - t0) / (t1 - t0), t1 - t0
@@ -359,18 +368,21 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
     block: entry (i, j) of the k-th nonzero term is at row i, column k*n + j;
     whether the forms are constant in z (every nonzero entry's numerator and
     denominator has no term but z^0 zbar^0); and the indices in forms of the
-    K nonzero ones.  One walk over each form's nonzero entries compiles each
-    once and decides both; a constant part is evaluated there, once, since
-    its compiled form gives the same value at every z (z^0 is exactly 1).
+    K nonzero ones.  One walk lists each form's nonzero entries, and one
+    loop over them compiles and places each and decides flatness; a constant
+    part is evaluated there, once, since its compiled form gives the same
+    value at every z (z^0 is exactly 1).
     The block is evaluated on Python scalars, its entries grouped by the
     parts they have, so that evaluating it tests no entry for a missing
     part and takes conj(v) only where some entry has a dzbar part.  An
     EvaluationOverflow, in compiling or in evaluating, names the entry
     (i, j) of form f as names[f], and in compiling its dz or dzbar part."""
-    found, kept, flat = [], [], True
-    for f, form in enumerate(forms):
-        k, before = len(kept), len(found)
-        for i, j, dz_e, dzbar_e in form.nonzero_entries():
+    walks = [list(form.nonzero_entries()) for form in forms]
+    kept = tuple(f for f, entries in enumerate(walks) if entries)
+    K, flat = len(kept), True
+    dz_only, dzbar_only, both, labels = [], [], [], {}
+    for k, f in enumerate(kept):
+        for i, j, dz_e, dzbar_e in walks[f]:
             where = f"{names[f]} entry ({i}, {j})"
             fns = []
             for part, e in (("dz", dz_e), ("dzbar", dzbar_e)):
@@ -386,20 +398,14 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
                 else:
                     flat = False
                 fns.append(fn)
-            found.append((i, k, j, *fns, where))
-        if len(found) > before:
-            kept.append(f)
-    K = len(kept)
-    dz_only, dzbar_only, both, labels = [], [], [], {}
-    for i, k, j, dz_fn, dzbar_fn, where in found:
-        idx = (i * K + k) * n + j
-        if dzbar_fn is None:
-            dz_only.append((idx, dz_fn))
-        elif dz_fn is None:
-            dzbar_only.append((idx, dzbar_fn))
-        else:
-            both.append((idx, dz_fn, dzbar_fn))
-        labels[idx] = where
+            idx, (dz_fn, dzbar_fn) = (i * K + k) * n + j, fns
+            if dzbar_fn is None:
+                dz_only.append((idx, dz_fn))
+            elif dz_fn is None:
+                dzbar_only.append((idx, dzbar_fn))
+            else:
+                both.append((idx, dz_fn, dzbar_fn))
+            labels[idx] = where
     shape, conjugated = (n, K * n), bool(dzbar_only or both)
 
     # 0j + keeps the signed zeros of a sum begun at 0j
@@ -418,7 +424,7 @@ def _compiled_terms(forms: Sequence[MatrixOneForm], n: int, names: Sequence[str]
             raise EvaluationOverflow(f"{labels[idx]}: {err}") from None
         return out.reshape(shape)
 
-    return evaluate, flat, tuple(kept)
+    return evaluate, flat, kept
 
 
 def _returning(value: complex) -> Callable[[complex], complex]:
@@ -430,43 +436,30 @@ def _pulled_back(gamma: ParamPath, value: Callable[[complex, complex], Any], fla
     """Per segment of gamma, value(gamma(t), gamma'(t)) of a field that is
     constant in z if flat (the flag of :func:`_term_matrices`).
 
-    A flat field on a line segment (constant velocity) does not depend on
-    t: that segment's item is value evaluated once, at its start (read-only
-    if it is an array).  Any other segment's item is a map t -> value at
-    s = (t - t_k) / (t_{k+1} - t_k), clamped to [0, 1] (a NaN t to 0), on
-    that segment alone, with the bits of value(seg.point(s), seg.velocity(s)
-    / dt) from one exp per t on an arc.  Both evaluate on Python scalars.
+    Each segment's map takes t to value at seg.point_and_velocity(s), the
+    velocity divided by dt = t_{k+1} - t_k, where s = (t - t_k) / dt is
+    clamped to [0, 1] (a NaN t to 0): the bits of value(seg.point(s),
+    seg.velocity(s) / dt), on Python scalars.  A flat field on a line
+    segment (constant velocity) does not depend on t, and that segment's
+    item is its map evaluated once, at t_k (read-only if it is an array);
+    any other segment's item is the map.
     """
 
-    def on_segment(seg: Segment, t0: float, dt: float):
-        if isinstance(seg, LineSegment):
-            start, chord = seg.start, seg.end - seg.start
-            velocity = chord / dt
-
-            def P(t: float):
-                s = min(1.0, max(0.0, (float(t) - t0) / dt))
-                return value(start + s * chord, velocity)
-
-            return P
-        center, radius, angle0, span = seg.center, seg.radius, seg.angle0, seg.angle1 - seg.angle0
-        turn = 1j * span * radius
-
+    def on_segment(at: Callable[[float], Tuple[complex, complex]], t0: float, dt: float):
         def P(t: float):
-            s = min(1.0, max(0.0, (float(t) - t0) / dt))
-            e = cmath.exp(1j * (angle0 + s * span))
-            return value(center + radius * e, turn * e / dt)
+            z, v = at(_clamped((float(t) - t0) / dt))
+            return value(z, v / dt)
 
         return P
 
     pieces = []
     for seg, t0, t1 in zip(gamma.segments, gamma.breaks, gamma.breaks[1:]):
+        P = on_segment(seg.point_and_velocity, t0, t1 - t0)
         if flat and isinstance(seg, LineSegment):
-            constant = value(seg.point(0.0), seg.velocity(0.0) / (t1 - t0))
-            if isinstance(constant, np.ndarray):
-                constant.flags.writeable = False
-            pieces.append(constant)
-        else:
-            pieces.append(on_segment(seg, t0, t1 - t0))
+            P = P(t0)
+            if isinstance(P, np.ndarray):
+                P.flags.writeable = False
+        pieces.append(P)
     return pieces
 
 
@@ -941,17 +934,18 @@ def is_wkb_curve(Phi: MatrixOneForm, gamma: ParamPath, track: Optional[Eigenvalu
         except TieAtStart:
             return WkbCurveCheck(is_wkb=False, margin=0.0)
 
-    margin_of = lambda vals: float((gamma.orientation * (vals.real[:-1] - vals.real[1:])).min())
+    # the least gap of a row, or of each row of a stack of rows
+    margin_of = lambda vals: (gamma.orientation * (vals.real[..., :-1] - vals.real[..., 1:])).min(axis=-1)
     nodes = np.array(track.node_values())
     ts = track.grid()
-    vals = (gamma.orientation * (nodes.real[:, :-1] - nodes.real[:, 1:])).min(axis=1).tolist()  # margin_of, node by node
+    vals = margin_of(nodes).tolist()
     for _ in range(16):
         k = vals.index(min(vals))
         for lo, hi in ((max(k - 1, 0), k), (k, min(k + 1, len(ts) - 1))):
             if hi > lo and ts[hi] - ts[lo] > 1e-10 and not track.constant_at(0.5 * (ts[lo] + ts[hi])):
                 tm = 0.5 * (ts[lo] + ts[hi])
                 ts.insert(lo + 1, tm)
-                vals.insert(lo + 1, margin_of(track.values(tm)))
+                vals.insert(lo + 1, float(margin_of(track.values(tm))))
                 break
         else:
             break
@@ -975,9 +969,9 @@ def _eigvals_error(row: np.ndarray, norm: float) -> float:
     departure = max(1.0 - float(np.sum(np.abs(unit) ** 2)), 0.0)
     spread, gap = math.sqrt(departure / (n - 1)), _closest_pair(unit)
     try:
-        return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * math.hypot(1.0, spread / gap if gap else inf) ** (n - 1)
+        return EIGVALS_ROUNDOFF * n * 2.3e-16 * norm * math.hypot(1.0, spread / gap if gap else math.inf) ** (n - 1)
     except OverflowError:
-        return inf
+        return math.inf
 
 
 class Period(_Frozen, complex):

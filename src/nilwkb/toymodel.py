@@ -344,7 +344,7 @@ def nilpotent_cone_graph(p, weights: ParabolicWeights) -> dict:
         ("inf", "phi_inf", "limit of the w=inf orbit (unstable underlying bundle)"),
         ("p", "phi_p", "uniformization point"),
     )
-    w_values = {"0": "0", "1": "1", "inf": "inf", "p": str(p.re) if not p.im else f"{p.re}+{p.im}i"}
+    w_values = {"0": "0", "1": "1", "inf": "inf", "p": str(p.re) if not p.im else f"{p.re}{'+' if p.im >= 0 else ''}{p.im}i"}
     nodes = [
         {
             "id": "center",

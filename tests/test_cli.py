@@ -624,9 +624,10 @@ def test_holonomy_where_steps_shrink_to_roundoff_exits_2(tmp_path, capsys):
 
 
 def _dz_family(entries, punctures=()):
-    """The rank-2 family with phi = entries dz and conn, psi zero."""
+    """The family with phi = entries dz and conn, psi zero."""
+    n = len(entries)
     phi = MatrixOneForm.from_dz(RationalFunctionMatrix(entries))
-    return ConnectionFamily(2, phi, MatrixOneForm.zero(2), MatrixOneForm.zero(2), punctures)
+    return ConnectionFamily(n, phi, MatrixOneForm.zero(n), MatrixOneForm.zero(n), punctures)
 
 
 _ZERO, _ONE, _HUGE = BRF.zero(), BRF.one(), GaussianRational(10**400)
@@ -705,6 +706,11 @@ def _far_from_normal_period(tmp_path, e, capsys):
     """nilwkb period of phi = [[0, 10^e], [10^-e, 0]] dz on [0, 1]: eigenvalues
     +-1, a gap of 2 10^-e relative to the field's norm."""
     entries = [[_ZERO, BRF.constant(10**e)], [BRF.constant(GaussianRational(Fraction(1, 10**e))), _ZERO]]
+    return _period_on_unit_segment(tmp_path, entries, capsys)
+
+
+def _period_on_unit_segment(tmp_path, entries, capsys):
+    """nilwkb period of phi = entries dz on [0, 1]: its exit code and captured output."""
     family, path = tmp_path / "family.json", tmp_path / "path.json"
     family.write_text(json.dumps(_dz_family(entries).to_json()))
     path.write_text(json.dumps(ParamPath.segment(0, 1).to_json()))
@@ -725,6 +731,18 @@ def test_period_whose_est_error_is_past_a_double_exits_2(tmp_path, capsys):
     # at 10^200 the bound is about 2.3e385: a typed error that names
     # est_error, where the squared gap used to end in a ZeroDivisionError
     code, captured = _far_from_normal_period(tmp_path, 200, capsys)
+    err = json.loads(captured.err)
+    assert code == 2 and captured.out == ""
+    assert err["error"] == "HolonomyOverflow" and "est_error" in err["message"]
+
+
+def test_rank_3_period_whose_condition_factor_is_past_a_double_exits_2(tmp_path, capsys):
+    # eigenvalues 3/2, -1/2, -1, the closest pair 10^-160 apart relative to
+    # the field's norm: Smith's factor (about 10^160)^2 overflows, where the
+    # bound's overflow branch used to end in a NameError
+    half, big, small = (BRF.constant(GaussianRational(x)) for x in (Fraction(1, 2), 10**160, Fraction(1, 10**160)))
+    entries = [[half, big, _ZERO], [small, half, _ZERO], [_ZERO, _ZERO, -_ONE]]
+    code, captured = _period_on_unit_segment(tmp_path, entries, capsys)
     err = json.loads(captured.err)
     assert code == 2 and captured.out == ""
     assert err["error"] == "HolonomyOverflow" and "est_error" in err["message"]

@@ -53,6 +53,7 @@ def _refusal(argv, capsys):
     [
         (["secondary", "{family}", "--blocks", "1,x"], "--blocks"),
         (["holonomy", "{family}", "{segment}", "--eps", "0.5:0.1:cubic:4"], "--eps"),
+        (["holonomy", "{family}", "{segment}", "--eps", "0.5:0.25:geometric:1000000000000"], "--eps"),
         (["wkbfit", "{family}", "--exponents", "1,x"], "--exponents"),
         (["surface", "trace", "--torus", "--start", "1,2", "--theta", "0.3"], "--start"),
         (["toy", "stability", "--rho", "1/4,1/4"], "--rho"),
@@ -60,7 +61,7 @@ def _refusal(argv, capsys):
         (["toy", "higgs", "phi_p", "--p", "1/0"], "--p"),
         (["toy", "pdeg", "--rho", "1/4,1/4,1/4,1/8", "--degrees", "0,x"], "--degrees"),
     ],
-    ids=["blocks", "eps", "exponents", "start", "rho", "p-not-a-number", "p-zero-denominator", "degrees"],
+    ids=["blocks", "eps", "eps-count", "exponents", "start", "rho", "p-not-a-number", "p-zero-denominator", "degrees"],
 )
 def test_option_refusal_names_its_option(family_file, segment_file, argv, option, capsys):
     argv = [a.format(family=family_file, segment=segment_file) for a in argv]

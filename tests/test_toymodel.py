@@ -333,6 +333,16 @@ def test_cone_graph_shape():
     assert any("uniformization" in n["label"] for n in graph["nodes"] if n["kind"] == "limit")
 
 
+@pytest.mark.parametrize(
+    "p, written",
+    [(GaussianRational(1, -2), "1-2i"), (GaussianRational(1, 2), "1+2i"), (GaussianRational(Fraction(-1, 3), Fraction(-5, 2)), "-1/3-5/2i")],
+)
+def test_cone_graph_writes_a_gaussian_p_with_the_sign_of_its_imaginary_part(p, written):
+    graph = nilpotent_cone_graph(p, GOOD)
+    assert next(n for n in graph["nodes"] if n["id"] == "center")["attachments"] == ["0", "1", "inf", written]
+    assert next(n for n in graph["nodes"] if n["id"] == "family_p")["w"] == written
+
+
 def test_cone_graph_rejects_unstable_weights():
     with pytest.raises(UnstableWeights):
         nilpotent_cone_graph(2, ParabolicWeights.parse("1/4,1/4,1/4,1/4"))
